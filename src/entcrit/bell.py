@@ -19,8 +19,8 @@ import numpy as np
 
 from .info import DECISION_TOLERANCE, maximize_corr_info
 from .pauli import CorrelationTensor, PlaneTensor
-from .search import OptimizerOptions, multistart_maximize
-from .states import InputError
+from .search import OptimizerOptions, maximize
+from .states import InputError, _frozen
 
 #: Margin above 2^N required before the bound is reported as violated.
 VIOLATION_TOLERANCE = 1e-7
@@ -56,10 +56,8 @@ class SettingsPair:
         )
         if err > UNIT_TOL:
             raise InputError(f"settings must be unit vectors (residual {err:.3e})")
-        for name, v in (("n1", v1), ("n2", v2)):
-            v = np.ascontiguousarray(v)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "n1", _frozen(v1))
+        object.__setattr__(self, "n2", _frozen(v2))
 
     @property
     def n_qubits(self) -> int:
@@ -91,9 +89,7 @@ class CorrelationTable:
         top = float(np.max(np.abs(vals)))
         if top > 1.0 + 1e-9:
             raise InputError(f"correlation value out of range: max |E| = {top!r}")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
 
 
 @dataclass(frozen=True)
@@ -111,9 +107,7 @@ class SignFunction:
             )
         if not np.all(np.abs(vals) == 1.0):
             raise InputError("sign function values must be exactly +1 or -1")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
 
     @classmethod
     def from_mapping(cls, n_qubits: int, mapping: dict) -> "SignFunction":
@@ -241,35 +235,81 @@ def belinskii_klyshko_value(table: CorrelationTable) -> float:
     return raw / 2.0 ** (table.n_qubits - 1)
 
 
-def _spherical(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    st = np.sin(theta)
-    return np.column_stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+def _sign_rows(x: np.ndarray, q: int) -> np.ndarray:
+    """Rows n2 + s n1 for s = +1, -1; B(s) contracts qubit q's axis with row s."""
+    return np.stack([x[1, q] + x[0, q], x[1, q] - x[0, q]])
 
 
-def _angles_of(v: np.ndarray) -> list[float]:
-    return [float(np.arccos(np.clip(v[2], -1.0, 1.0))), float(np.arctan2(v[1], v[0]))]
+def _contract(cart: np.ndarray, x: np.ndarray, skip: Optional[int] = None) -> np.ndarray:
+    """B(s) over all sign tuples, or with qubit `skip` left as a Cartesian axis."""
+    work = cart
+    for q in range(cart.ndim):
+        rows = np.eye(3) if q == skip else _sign_rows(x, q)
+        work = np.tensordot(work, rows, axes=([0], [1]))
+    return work
+
+
+def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    # a vanishing direction means the objective does not depend on it
+    return v / norm if norm > 1e-14 else fallback
 
 
 def _bell_warm_starts(t: CorrelationTensor) -> list[np.ndarray]:
     """In-plane azimuth families known to be optimal for graph-like states,
-    plus the closed-form two-qubit construction from the Cartesian block."""
+    plus the closed-form two-qubit construction from the Cartesian block.
+
+    Each start has shape (2, N, 3): first settings, then second settings.
+    """
     n = t.n_qubits
     starts = []
     for total in (0.0, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2, 3 * np.pi / 4, -3 * np.pi / 4, np.pi):
         alpha = total / n
-        per_qubit = [np.pi / 2, alpha, np.pi / 2, alpha + np.pi / 2]
-        starts.append(np.tile(per_qubit, n))
+        first = [np.cos(alpha), np.sin(alpha), 0.0]
+        second = [-np.sin(alpha), np.cos(alpha), 0.0]
+        starts.append(np.array([np.tile(first, (n, 1)), np.tile(second, (n, 1))]))
     if n == 2:
         u, s, vt = np.linalg.svd(t.cartesian())
         mu = float(np.arctan2(s[1], s[0]))
         b1 = np.cos(mu) * vt[0] + np.sin(mu) * vt[1]
         b2 = np.cos(mu) * vt[0] - np.sin(mu) * vt[1]
-        starts.append(
-            np.array(
-                _angles_of(u[:, 0]) + _angles_of(u[:, 1]) + _angles_of(b1) + _angles_of(b2)
-            )
-        )
+        starts.append(np.array([[u[:, 0], b1], [u[:, 1], b2]]))
     return starts
+
+
+def _seesaw(
+    t: CorrelationTensor, sign: Optional[np.ndarray], options: Optional[OptimizerOptions]
+) -> SettingsPair:
+    """Settings found by see-saw ascent of sum_s sigma(s) B(s).
+
+    With every other qubit fixed, qubit j enters linearly as n1.(G+ - G-)
+    + n2.(G+ + G-), where G+- sums sigma(s) times the rest of the contraction
+    over the tuples with s_j = +-1, so both settings have an exact update.
+    A given sign function is held fixed (negating one qubit's settings maps
+    -S to S, so maximizing sum_s S(s) B(s) maximizes its modulus); without
+    one, sigma = sign B is refreshed before every qubit update, which ascends
+    the master sum sum_s |B(s)|.
+    """
+    n = t.n_qubits
+    cart = t.cartesian()
+    axes = list(range(n - 1))
+
+    def sigma(b: np.ndarray) -> np.ndarray:
+        return sign if sign is not None else np.where(b >= 0.0, 1.0, -1.0)
+
+    def sweep(x: np.ndarray) -> tuple[np.ndarray, float]:
+        x = x.copy()
+        for j in range(n):
+            rest = np.moveaxis(_contract(cart, x, skip=j), j, -1)
+            b = np.moveaxis(rest @ _sign_rows(x, j).T, -1, j)
+            g = np.tensordot(np.moveaxis(sigma(b), j, -1), rest, axes=(axes, axes))
+            x[0, j] = _unit(g[0] - g[1], x[0, j])
+            x[1, j] = _unit(g[0] + g[1], x[1, j])
+        b = _contract(cart, x)
+        return x, float(np.sum(sigma(b) * b))
+
+    res = maximize(sweep, _bell_warm_starts(t), options or OptimizerOptions(restarts=64))
+    return SettingsPair(res.x[0], res.x[1])
 
 
 def maximize_general_bell(
@@ -280,29 +320,8 @@ def maximize_general_bell(
     Returns the evaluation at the best-found settings together with those
     settings; deterministic for a fixed seed.
     """
-    opts = options or OptimizerOptions(restarts=64)
-    n = t.n_qubits
-    cart = t.cartesian()
-
-    def objective(x: np.ndarray) -> float:
-        ang = x.reshape(n, 4)
-        n1 = _spherical(ang[:, 0], ang[:, 1])
-        n2 = _spherical(ang[:, 2], ang[:, 3])
-        work = _table_values(cart, n1, n2, n)
-        for _ in range(n):
-            work = np.tensordot(work, _SIGN_WEIGHTS, axes=([0], [1]))
-        return float(np.abs(work).sum())
-
-    lower = np.zeros(4 * n)
-    upper = np.tile([np.pi, 2 * np.pi, np.pi, 2 * np.pi], n)
-    res = multistart_maximize(
-        objective, lower, upper, opts, warm_starts=_bell_warm_starts(t)
-    )
-
-    ang = res.x.reshape(n, 4)
-    settings = SettingsPair(_spherical(ang[:, 0], ang[:, 1]), _spherical(ang[:, 2], ang[:, 3]))
-    evaluation = general_bell_lhs(correlation_table(t, settings))
-    return evaluation, settings
+    settings = _seesaw(t, None, options)
+    return general_bell_lhs(correlation_table(t, settings)), settings
 
 
 def maximize_sign_function_value(
@@ -316,30 +335,12 @@ def maximize_sign_function_value(
     between family members, so pinning down a specific combination (CHSH,
     Mermin) requires maximizing it directly.
     """
-    opts = options or OptimizerOptions(restarts=64)
-    n = t.n_qubits
-    cart = t.cartesian()
-    svals = sgn.values
-
-    def objective(x: np.ndarray) -> float:
-        ang = x.reshape(n, 4)
-        n1 = _spherical(ang[:, 0], ang[:, 1])
-        n2 = _spherical(ang[:, 2], ang[:, 3])
-        work = _table_values(cart, n1, n2, n)
-        for _ in range(n):
-            work = np.tensordot(work, _SIGN_WEIGHTS, axes=([0], [1]))
-        return float(abs(np.sum(svals * work)))
-
-    lower = np.zeros(4 * n)
-    upper = np.tile([np.pi, 2 * np.pi, np.pi, 2 * np.pi], n)
-    res = multistart_maximize(
-        objective, lower, upper, opts, warm_starts=_bell_warm_starts(t)
-    )
-    ang = res.x.reshape(n, 4)
-    settings = SettingsPair(
-        _spherical(ang[:, 0], ang[:, 1]), _spherical(ang[:, 2], ang[:, 3])
-    )
-    return res.value, settings
+    if sgn.n_qubits != t.n_qubits:
+        raise InputError(
+            f"sign function has {sgn.n_qubits} qubits but tensor has {t.n_qubits}"
+        )
+    settings = _seesaw(t, sgn.values, options)
+    return sign_function_inequality(correlation_table(t, settings), sgn), settings
 
 
 def necsuf_lhs(pt: PlaneTensor, alphas) -> float:

@@ -22,7 +22,7 @@ from .pauli import (
     frame_from_normals,
     plane_subtensor,
 )
-from .search import OptimizerOptions, multistart_maximize
+from .search import OptimizerOptions, maximize
 from .states import InputError
 
 #: Margin above 1 required before a state is called entangled, so boundary
@@ -91,16 +91,19 @@ def corr_info(t: CorrelationTensor, f: LocalFrame) -> CorrInfoResult:
     return CorrInfoResult(frame=f, per_index=per_index, total=float(sum(per_index.values())))
 
 
-def _normals_from_angles(x: np.ndarray) -> np.ndarray:
-    ang = x.reshape(-1, 2)
-    st = np.sin(ang[:, 0])
-    return np.column_stack(
-        [st * np.cos(ang[:, 1]), st * np.sin(ang[:, 1]), np.cos(ang[:, 0])]
-    )
+def _project(cart: np.ndarray, normals, skip: Optional[int] = None) -> np.ndarray:
+    """The Cartesian tensor with every mode but `skip` projected onto its plane."""
+    work = cart
+    for q, nq in enumerate(normals):
+        proj = np.eye(3) if q == skip else np.eye(3) - np.outer(nq, nq)
+        work = np.tensordot(work, proj, axes=([0], [0]))
+    return work
 
 
-def _angles_from_vector(v: np.ndarray) -> list[float]:
-    return [float(np.arccos(np.clip(v[2], -1.0, 1.0))), float(np.arctan2(v[1], v[0]))]
+def _least_direction(a: np.ndarray, mode: int) -> np.ndarray:
+    """Smallest eigenvector of the 3x3 Gram matrix of a's mode unfolding."""
+    m = np.moveaxis(a, mode, 0).reshape(3, -1)
+    return np.linalg.eigh(m @ m.T)[1][:, 0]
 
 
 def plane_info_total(t: CorrelationTensor, normals) -> float:
@@ -110,19 +113,10 @@ def plane_info_total(t: CorrelationTensor, normals) -> float:
     product of the planes, so it depends only on the normals and not on the
     in-plane axis orientation.
     """
-    cart = t.cartesian()
-    work = cart
     nv = np.asarray(normals, dtype=float).reshape(-1, 3)
-    for q in range(t.n_qubits):
-        unit = nv[q] / np.linalg.norm(nv[q])
-        proj = np.eye(3) - np.outer(unit, unit)
-        work = np.tensordot(work, proj, axes=([0], [0]))
+    cart = t.cartesian()
+    work = _project(cart, nv / np.linalg.norm(nv, axis=1, keepdims=True))
     return float(np.tensordot(work, cart, axes=t.n_qubits))
-
-
-def _two_qubit_optimal_normals(cart: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, _, vt = np.linalg.svd(cart)
-    return u[:, 2], vt[2, :]
 
 
 def maximize_corr_info(
@@ -130,37 +124,28 @@ def maximize_corr_info(
 ) -> CriterionVerdict:
     """Maximize the in-plane information sum over all local plane choices.
 
-    Two angles per qubit parametrize each plane normal; the in-plane axis
-    orientation is redundant and left out.  Deterministic for a fixed seed.
+    This is the best rank-(2,...,2) Tucker approximation of the Cartesian
+    tensor, found by HOOI: each sweep sets every qubit's plane normal to the
+    smallest eigenvector of its mode Gram matrix, the other modes projected
+    onto their current planes (De Lathauwer, De Moor & Vandewalle, SIAM J.
+    Matrix Anal. Appl. 21, 1324 (2000)).  The HOSVD start, normals from the
+    unprojected Gram matrices, is already the closed form at N=2.
+    Deterministic for a fixed seed.
     """
-    opts = options or OptimizerOptions()
     n = t.n_qubits
     cart = t.cartesian()
 
-    def objective(x: np.ndarray) -> float:
-        work = cart
-        normals = _normals_from_angles(x)
-        for q in range(n):
-            nq = normals[q]
-            nq = nq / np.linalg.norm(nq)
-            proj = np.eye(3) - np.outer(nq, nq)
-            work = np.tensordot(work, proj, axes=([0], [0]))
-        return float(np.tensordot(work, cart, axes=n))
+    def sweep(normals: np.ndarray) -> tuple[np.ndarray, float]:
+        normals = normals.copy()
+        for j in range(n):
+            normals[j] = _least_direction(_project(cart, normals, skip=j), j)
+        return normals, plane_info_total(t, normals)
 
-    warm = [
-        np.tile([0.0, 0.0], n),                 # z normals: canonical x-y planes
-        np.tile([np.pi / 2, 0.0], n),           # x normals
-        np.tile([np.pi / 2, np.pi / 2], n),     # y normals
-    ]
-    if n == 2:
-        nu, nv = _two_qubit_optimal_normals(cart)
-        warm.append(np.array(_angles_from_vector(nu) + _angles_from_vector(nv)))
+    # z, x and y normals (the canonical x-y plane first), then HOSVD
+    warm = [np.tile(axis, (n, 1)) for axis in np.eye(3)[[2, 0, 1]]]
+    warm.append(np.array([_least_direction(cart, j) for j in range(n)]))
+    res = maximize(sweep, warm, options)
 
-    lower = np.zeros(2 * n)
-    upper = np.tile([np.pi, 2.0 * np.pi], n)
-    res = multistart_maximize(objective, lower, upper, opts, warm_starts=warm)
-
-    frame = frame_from_normals(_normals_from_angles(res.x))
     report = OptimizerReport(
         restarts=res.starts,
         iterations=res.iterations,
@@ -169,7 +154,7 @@ def maximize_corr_info(
     )
     return CriterionVerdict(
         max_total=res.value,
-        argmax_frame=frame,
+        argmax_frame=frame_from_normals(res.x),
         entangled_by_info_criterion=res.value > 1.0 + DECISION_TOLERANCE,
         optimizer_report=report,
     )
@@ -186,7 +171,7 @@ def two_qubit_info_criterion(t: CorrelationTensor) -> CriterionVerdict:
     cart = t.cartesian()
     eigs = np.linalg.eigvalsh(cart.T @ cart)
     max_total = float(eigs[-1] + eigs[-2])
-    frame = frame_from_normals(np.stack(_two_qubit_optimal_normals(cart)))
+    frame = frame_from_normals([_least_direction(cart, j) for j in range(2)])
     report = OptimizerReport(restarts=0, iterations=0, converged=True, residual=0.0)
     return CriterionVerdict(
         max_total=max_total,

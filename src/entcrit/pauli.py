@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .states import DensityMatrix, InputError
+from .states import DensityMatrix, InputError, _frozen
 
 PAULI = np.array(
     [
@@ -34,12 +34,6 @@ FRAME_TOL = 1e-10
 _X_HAT = np.array([1.0, 0.0, 0.0])
 _Y_HAT = np.array([0.0, 1.0, 0.0])
 _Z_HAT = np.array([0.0, 0.0, 1.0])
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

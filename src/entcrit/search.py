@@ -1,22 +1,34 @@
-"""Multi-start derivative-free maximization shared by the criterion searches."""
+"""Seeded best-of-starts driver shared by the criterion ascents.
+
+Both criteria maximize a function that is multilinear in per-qubit unit
+vectors, so each supplies an exact sweep (one update per qubit) and this
+module repeats it from several starts until a fixed point.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
+
+from .states import InputError
+
+#: A start has reached its fixed point once a sweep gains at most this much,
+#: relative to max(1, value).
+GAIN_TOL = 1e-12
+#: Sweeps allowed per start; a start that hits the cap reports converged=False.
+MAX_SWEEPS = 2000
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
     restarts: int = 32
     seed: int = 0
-    xatol: float = 1e-9
-    fatol: float = 1e-12
-    maxiter: Optional[int] = None
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise InputError(f"restarts must be nonnegative, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -29,60 +41,43 @@ class SearchResult:
     residual: float
 
 
-def _simplex_diameter(simplex: np.ndarray) -> float:
-    diffs = simplex[:, None, :] - simplex[None, :, :]
-    return float(np.max(np.linalg.norm(diffs, axis=-1)))
+def _ascend(sweep: Callable, x: np.ndarray) -> SearchResult:
+    """Repeat `sweep` from x until its gain stalls or the sweep cap is hit."""
+    value = -np.inf
+    for count in range(1, MAX_SWEEPS + 1):
+        x, new = sweep(x)
+        gain = new - value
+        value = new
+        if gain <= GAIN_TOL * max(1.0, abs(value)):
+            return SearchResult(x, value, 1, count, True, abs(gain))
+    return SearchResult(x, value, 1, MAX_SWEEPS, False, abs(gain))
 
 
-def multistart_maximize(
-    fun: Callable[[np.ndarray], float],
-    lower,
-    upper,
+def maximize(
+    sweep: Callable[[np.ndarray], tuple[np.ndarray, float]],
+    warm_starts: Sequence[np.ndarray],
     options: Optional[OptimizerOptions] = None,
-    warm_starts: Sequence = (),
 ) -> SearchResult:
-    """Nelder-Mead refinement from warm starts plus scrambled-Halton points.
+    """Best fixed point of `sweep` over warm starts, then seeded random ones.
 
-    The highest refined value wins; ties keep the earliest start, so the
-    outcome is independent of evaluation order and fixed by the seed.
+    A start is an array of unit 3-vectors along its last axis; the random
+    starts, drawn from `np.random.default_rng(seed)`, copy the shape of the
+    first warm start.  `sweep(x)` returns the updated array and the objective
+    there.  A later start must beat the incumbent by a clear margin, so warm
+    starts win numerical ties and the outcome is fixed by the seed.
     """
     opts = options or OptimizerOptions()
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    dim = lower.size
-
-    starts = [np.asarray(w, dtype=float).reshape(dim) for w in warm_starts]
-    if opts.restarts > 0:
-        sampler = qmc.Halton(d=dim, scramble=True, seed=opts.seed)
-        unit = sampler.random(opts.restarts)
-        starts.extend(lower + unit * (upper - lower))
-    if not starts:
-        raise ValueError("need at least one start point")
-
-    nm_options = {"xatol": opts.xatol, "fatol": opts.fatol}
-    if opts.maxiter is not None:
-        nm_options["maxiter"] = opts.maxiter
+    rng = np.random.default_rng(opts.seed)
+    starts = [np.asarray(w, dtype=float) for w in warm_starts]
+    for _ in range(opts.restarts):
+        v = rng.standard_normal(starts[0].shape)
+        starts.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
 
     best = None
-    best_value = -np.inf
-    total_iterations = 0
+    sweeps = 0
     for x0 in starts:
-        res = optimize.minimize(
-            lambda x: -fun(x), x0, method="Nelder-Mead", options=nm_options
-        )
-        total_iterations += int(res.nit)
-        value = -float(res.fun)
-        # a later start must beat the incumbent by a clear margin, so warm
-        # starts win numerical ties and results stay reproducible
-        if best is None or value > best_value + 1e-9 * max(1.0, abs(best_value)):
-            best = res
-            best_value = value
-
-    return SearchResult(
-        x=np.asarray(best.x, dtype=float),
-        value=best_value,
-        starts=len(starts),
-        iterations=total_iterations,
-        converged=bool(best.success),
-        residual=_simplex_diameter(best.final_simplex[0]),
-    )
+        run = _ascend(sweep, x0)
+        sweeps += run.iterations
+        if best is None or run.value > best.value + 1e-9 * max(1.0, abs(best.value)):
+            best = run
+    return replace(best, starts=len(starts), iterations=sweeps)

@@ -46,12 +46,8 @@ from entcrit.werner import (
 
 SQ2 = np.sqrt(2.0)
 
-# warm starts carry the exact optima for every family used below, so looser
-# local tolerances only cost unreachable digits, never a false verdict
-BULK = OptimizerOptions(restarts=2, xatol=1e-6, fatol=1e-7, maxiter=600)
-# for pure upper-bound sweeps the found value only undershoots the true
-# maximum, so the cheapest search still cannot pass a violating state
-BOUND = OptimizerOptions(restarts=1, xatol=1e-5, fatol=1e-6, maxiter=250)
+BULK = OptimizerOptions(restarts=2)
+BOUND = OptimizerOptions(restarts=1)
 SEARCH = OptimizerOptions(restarts=6)
 
 

@@ -310,6 +310,21 @@ class TestMaximizeGeneralBell:
         assert a.lhs_general == b.lhs_general
         np.testing.assert_array_equal(sa.n1, sb.n1)
 
+    def test_member_search_rejects_qubit_mismatch(self):
+        t = correlation_tensor(build_preset(StatePreset("ghz", 3)))
+        with pytest.raises(InputError):
+            maximize_sign_function_value(t, belinskii_klyshko_sign_function(2), FAST)
+
+    def test_two_qubit_ratio_matches_closed_form(self):
+        # two qubits: the master ratio is sqrt(t1^2 + t2^2), t1 >= t2 the two
+        # largest singular values of the 3x3 Cartesian block (Horodecki 1995)
+        rng = np.random.default_rng(20)
+        for i in range(20):
+            t = correlation_tensor(random_density_matrix(rng, 2, terms=1 + i % 3))
+            sv = np.linalg.svd(t.cartesian(), compute_uv=False)
+            ev, _ = maximize_general_bell(t, FAST)
+            assert ev.violation_ratio == pytest.approx(np.hypot(sv[0], sv[1]), abs=1e-9)
+
 
 class TestNecsufLhs:
     def test_zero_alphas_leave_second_axis_term(self, rng):
@@ -369,7 +384,7 @@ class TestSufficientCondition:
 
     def test_implication_chain(self, rng):
         # condition holds => no violation; violation => information above one
-        loose = OptimizerOptions(restarts=2, xatol=1e-6, fatol=1e-7, maxiter=600)
+        loose = OptimizerOptions(restarts=2)
         for _ in range(12):
             n = int(rng.integers(2, 4))
             if rng.uniform() < 0.5:

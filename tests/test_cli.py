@@ -235,6 +235,28 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_negative_restarts_is_two(self, capsys):
+        code, _, err = run_inprocess(
+            capsys, "info", "--preset", "bell_phi_minus", "--restarts", "-1"
+        )
+        assert code == 2
+        assert "restarts" in err
+
+    def test_single_qubit_scan_is_two(self, capsys):
+        code, _, err = run_inprocess(capsys, "werner-scan", "--n", "1", "--grid", "3")
+        assert code == 2
+        assert "n >= 2" in err
+
+    def test_import_leaves_scipy_unloaded(self):
+        res = subprocess.run(
+            [sys.executable, "-c", "import sys, entcrit; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_subprocess_entry_point(self):
         res = run_cli("tensor", "--preset", "maximally_mixed", "--n", "1")
         assert res.returncode == 0

@@ -21,9 +21,7 @@ from entcrit.search import OptimizerOptions
 from entcrit.states import InputError, StatePreset, build_preset
 
 FAST = OptimizerOptions(restarts=6)
-# for bulk bound checks: warm starts carry the exact optima, so loose local
-# tolerances cannot produce false passes (found values only undershoot)
-LOOSE = OptimizerOptions(restarts=2, xatol=1e-6, fatol=1e-7, maxiter=600)
+LOOSE = OptimizerOptions(restarts=2)
 
 
 class TestInfoMeasure:
