@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .info import DECISION_TOLERANCE, maximize_corr_info
-from .pauli import CorrelationTensor, PlaneTensor
+from .info import DECISION_TOLERANCE, info_upper_bound, maximize_corr_info
+from .pauli import CorrelationTensor, PlaneTensor, unit_row_pair
 from .search import OptimizerOptions, maximize
 from .states import InputError, _frozen
 
@@ -44,18 +44,7 @@ class SettingsPair:
     n2: np.ndarray
 
     def __post_init__(self):
-        v1 = np.asarray(self.n1, dtype=float)
-        v2 = np.asarray(self.n2, dtype=float)
-        if v1.ndim != 2 or v1.shape[1] != 3 or v1.shape != v2.shape:
-            raise InputError(
-                f"settings must both have shape (N, 3), got {v1.shape} and {v2.shape}"
-            )
-        err = max(
-            float(np.max(np.abs(np.linalg.norm(v1, axis=1) - 1.0))),
-            float(np.max(np.abs(np.linalg.norm(v2, axis=1) - 1.0))),
-        )
-        if err > UNIT_TOL:
-            raise InputError(f"settings must be unit vectors (residual {err:.3e})")
+        v1, v2 = unit_row_pair(self.n1, self.n2, "settings")
         object.__setattr__(self, "n1", _frozen(v1))
         object.__setattr__(self, "n2", _frozen(v2))
 
@@ -256,24 +245,24 @@ def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 
 def _bell_warm_starts(t: CorrelationTensor) -> list[np.ndarray]:
-    """In-plane azimuth families known to be optimal for graph-like states,
-    plus the closed-form two-qubit construction from the Cartesian block.
+    """The closed-form two-qubit construction from the Cartesian block, then
+    in-plane azimuth families known to be optimal for graph-like states.
 
     Each start has shape (2, N, 3): first settings, then second settings.
     """
     n = t.n_qubits
     starts = []
-    for total in (0.0, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2, 3 * np.pi / 4, -3 * np.pi / 4, np.pi):
-        alpha = total / n
-        first = [np.cos(alpha), np.sin(alpha), 0.0]
-        second = [-np.sin(alpha), np.cos(alpha), 0.0]
-        starts.append(np.array([np.tile(first, (n, 1)), np.tile(second, (n, 1))]))
     if n == 2:
         u, s, vt = np.linalg.svd(t.cartesian())
         mu = float(np.arctan2(s[1], s[0]))
         b1 = np.cos(mu) * vt[0] + np.sin(mu) * vt[1]
         b2 = np.cos(mu) * vt[0] - np.sin(mu) * vt[1]
         starts.append(np.array([[u[:, 0], b1], [u[:, 1], b2]]))
+    for total in (0.0, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2, 3 * np.pi / 4, -3 * np.pi / 4, np.pi):
+        alpha = total / n
+        first = [np.cos(alpha), np.sin(alpha), 0.0]
+        second = [-np.sin(alpha), np.cos(alpha), 0.0]
+        starts.append(np.array([np.tile(first, (n, 1)), np.tile(second, (n, 1))]))
     return starts
 
 
@@ -288,7 +277,9 @@ def _seesaw(
     A given sign function is held fixed (negating one qubit's settings maps
     -S to S, so maximizing sum_s S(s) B(s) maximizes its modulus); without
     one, sigma = sign B is refreshed before every qubit update, which ascends
-    the master sum sum_s |B(s)|.
+    the master sum sum_s |B(s)|.  Either objective is at most the master sum,
+    and that is at most 2^N sqrt(info_upper_bound) by Cauchy-Schwarz over the
+    sign tuples, so the search ends at a start that meets this ceiling.
     """
     n = t.n_qubits
     cart = t.cartesian()
@@ -308,7 +299,8 @@ def _seesaw(
         b = _contract(cart, x)
         return x, float(np.sum(sigma(b) * b))
 
-    res = maximize(sweep, _bell_warm_starts(t), options or OptimizerOptions(restarts=64))
+    ceiling = 2.0**n * np.sqrt(info_upper_bound(t))
+    res = maximize(sweep, _bell_warm_starts(t), options or OptimizerOptions(restarts=64), ceiling)
     return SettingsPair(res.x[0], res.x[1])
 
 

@@ -92,12 +92,7 @@ def _load_state(args) -> DensityMatrix:
     if args.input and args.preset:
         raise InputError("give either --input or --preset, not both")
     if args.input:
-        path = Path(args.input)
-        try:
-            text = path.read_bytes()
-        except OSError as e:
-            raise InputError(f"cannot read {path}: {e}") from e
-        return parse_state_file(text)
+        return parse_state_file(_read_bytes(args.input))
     if args.preset:
         n = args.n or _PRESET_DEFAULT_N.get(args.preset)
         if n is None:
@@ -106,12 +101,15 @@ def _load_state(args) -> DensityMatrix:
     raise InputError("a state is required: give --input or --preset")
 
 
-def _load_settings(path: str, n_qubits: int):
+def _read_bytes(path: str) -> bytes:
     try:
-        text = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    return parse_settings_file(text, n_qubits)
+
+
+def _load_settings(path: str, n_qubits: int):
+    return parse_settings_file(_read_bytes(path), n_qubits)
 
 
 def _optimizer_options(args, default_restarts: int) -> OptimizerOptions:

@@ -100,10 +100,27 @@ def _project(cart: np.ndarray, normals, skip: Optional[int] = None) -> np.ndarra
     return work
 
 
+def _mode_gram(a: np.ndarray, mode: int) -> np.ndarray:
+    """The 3x3 Gram matrix of a's mode unfolding."""
+    m = np.moveaxis(a, mode, 0).reshape(3, -1)
+    return m @ m.T
+
+
 def _least_direction(a: np.ndarray, mode: int) -> np.ndarray:
     """Smallest eigenvector of the 3x3 Gram matrix of a's mode unfolding."""
-    m = np.moveaxis(a, mode, 0).reshape(3, -1)
-    return np.linalg.eigh(m @ m.T)[1][:, 0]
+    return np.linalg.eigh(_mode_gram(a, mode))[1][:, 0]
+
+
+def info_upper_bound(t: CorrelationTensor) -> float:
+    """Certified ceiling on the in-plane information sum over all planes.
+
+    The minimum over qubits of the two largest eigenvalues of the qubit's
+    mode Gram matrix: projecting the other modes onto planes can only shrink
+    that matrix, and one plane keeps at most its two largest eigenvalues
+    (Ky Fan).  At N=2 it is the closed-form maximum.
+    """
+    cart = t.cartesian()
+    return float(min(np.linalg.eigvalsh(_mode_gram(cart, j))[1:].sum() for j in range(t.n_qubits)))
 
 
 def plane_info_total(t: CorrelationTensor, normals) -> float:
@@ -129,7 +146,8 @@ def maximize_corr_info(
     smallest eigenvector of its mode Gram matrix, the other modes projected
     onto their current planes (De Lathauwer, De Moor & Vandewalle, SIAM J.
     Matrix Anal. Appl. 21, 1324 (2000)).  The HOSVD start, normals from the
-    unprojected Gram matrices, is already the closed form at N=2.
+    unprojected Gram matrices, goes first: it is already the closed form at
+    N=2, where it meets `info_upper_bound` and ends the search.
     Deterministic for a fixed seed.
     """
     n = t.n_qubits
@@ -141,10 +159,10 @@ def maximize_corr_info(
             normals[j] = _least_direction(_project(cart, normals, skip=j), j)
         return normals, plane_info_total(t, normals)
 
-    # z, x and y normals (the canonical x-y plane first), then HOSVD
-    warm = [np.tile(axis, (n, 1)) for axis in np.eye(3)[[2, 0, 1]]]
-    warm.append(np.array([_least_direction(cart, j) for j in range(n)]))
-    res = maximize(sweep, warm, options)
+    # HOSVD, then z, x and y normals (the canonical x-y plane first)
+    warm = [np.array([_least_direction(cart, j) for j in range(n)])]
+    warm += [np.tile(axis, (n, 1)) for axis in np.eye(3)[[2, 0, 1]]]
+    res = maximize(sweep, warm, options, info_upper_bound(t))
 
     report = OptimizerReport(
         restarts=res.starts,
@@ -169,8 +187,7 @@ def two_qubit_info_criterion(t: CorrelationTensor) -> CriterionVerdict:
     if t.n_qubits != 2:
         raise InputError(f"closed form requires 2 qubits, got {t.n_qubits}")
     cart = t.cartesian()
-    eigs = np.linalg.eigvalsh(cart.T @ cart)
-    max_total = float(eigs[-1] + eigs[-2])
+    max_total = info_upper_bound(t)
     frame = frame_from_normals([_least_direction(cart, j) for j in range(2)])
     report = OptimizerReport(restarts=0, iterations=0, converged=True, residual=0.0)
     return CriterionVerdict(

@@ -91,6 +91,18 @@ class PlaneTensor:
         return float(np.sum(self.values**2))
 
 
+def unit_row_pair(v1, v2, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two float arrays of the same shape (N, 3) whose rows are unit vectors."""
+    a1 = np.asarray(v1, dtype=float)
+    a2 = np.asarray(v2, dtype=float)
+    if a1.ndim != 2 or a1.shape[1] != 3 or a1.shape != a2.shape:
+        raise InputError(f"{what} must both have shape (N, 3), got {a1.shape} and {a2.shape}")
+    err = float(np.max(np.abs(np.linalg.norm(np.stack([a1, a2]), axis=-1) - 1.0)))
+    if err > FRAME_TOL:
+        raise InputError(f"{what} must be unit vectors (residual {err:.3e})")
+    return a1, a2
+
+
 @dataclass(frozen=True)
 class LocalFrame:
     """Per-qubit orthonormal in-plane direction pairs; rows are unit 3-vectors."""
@@ -99,16 +111,7 @@ class LocalFrame:
     axis2: np.ndarray
 
     def __post_init__(self):
-        a1 = np.asarray(self.axis1, dtype=float)
-        a2 = np.asarray(self.axis2, dtype=float)
-        if a1.ndim != 2 or a1.shape[1] != 3 or a1.shape != a2.shape:
-            raise InputError(f"frame axes must both have shape (N, 3), got {a1.shape} and {a2.shape}")
-        norm_err = max(
-            float(np.max(np.abs(np.linalg.norm(a1, axis=1) - 1.0))),
-            float(np.max(np.abs(np.linalg.norm(a2, axis=1) - 1.0))),
-        )
-        if norm_err > FRAME_TOL:
-            raise InputError(f"frame axes must be unit vectors (residual {norm_err:.3e})")
+        a1, a2 = unit_row_pair(self.axis1, self.axis2, "frame axes")
         dot_err = float(np.max(np.abs(np.sum(a1 * a2, axis=1))))
         if dot_err > FRAME_TOL:
             raise InputError(f"frame axes must be orthogonal (residual {dot_err:.3e})")
@@ -240,8 +243,6 @@ def canonical_two_qubit_frame(
         f = LocalFrame.canonical(2)
     block = plane_subtensor(t, f).values
     u, _, vt = np.linalg.svd(block)
-    u = u.copy()
-    vt = vt.copy()
     if np.linalg.det(u) < 0:
         u[:, 1] *= -1.0
     if np.linalg.det(vt) < 0:

@@ -19,6 +19,12 @@ from .states import InputError
 GAIN_TOL = 1e-12
 #: Sweeps allowed per start; a start that hits the cap reports converged=False.
 MAX_SWEEPS = 2000
+#: A later start must beat the incumbent by this much, relative to
+#: max(1, |incumbent|), so warm starts win numerical ties.
+TIE_TOL = 1e-9
+#: An incumbent this close to the ceiling, relative to max(1, |incumbent|),
+#: ends the search; being below TIE_TOL, no later start could displace it.
+CEILING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,7 @@ def maximize(
     sweep: Callable[[np.ndarray], tuple[np.ndarray, float]],
     warm_starts: Sequence[np.ndarray],
     options: Optional[OptimizerOptions] = None,
+    ceiling: float = np.inf,
 ) -> SearchResult:
     """Best fixed point of `sweep` over warm starts, then seeded random ones.
 
@@ -64,7 +71,9 @@ def maximize(
     starts, drawn from `np.random.default_rng(seed)`, copy the shape of the
     first warm start.  `sweep(x)` returns the updated array and the objective
     there.  A later start must beat the incumbent by a clear margin, so warm
-    starts win numerical ties and the outcome is fixed by the seed.
+    starts win numerical ties and the outcome is fixed by the seed.  Once the
+    incumbent meets `ceiling`, a certified upper bound on the objective, the
+    other starts could not win and are skipped; `starts` counts them all.
     """
     opts = options or OptimizerOptions()
     rng = np.random.default_rng(opts.seed)
@@ -78,6 +87,8 @@ def maximize(
     for x0 in starts:
         run = _ascend(sweep, x0)
         sweeps += run.iterations
-        if best is None or run.value > best.value + 1e-9 * max(1.0, abs(best.value)):
+        if best is None or run.value > best.value + TIE_TOL * max(1.0, abs(best.value)):
             best = run
+        if ceiling - best.value <= CEILING_TOL * max(1.0, abs(best.value)):
+            break
     return replace(best, starts=len(starts), iterations=sweeps)

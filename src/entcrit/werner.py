@@ -133,29 +133,26 @@ def visibility_scan(
     return rows
 
 
+def _row_dict(r: ScanRow) -> dict:
+    return {
+        "V": float(r.visibility),
+        "info_sum": float(r.info_sum),
+        "bell_lhs": float(r.bell_lhs),
+        "bell_ratio": float(r.bell_ratio),
+        "info_entangled": bool(r.info_entangled),
+        "bell_violated": bool(r.bell_violated),
+    }
+
+
+def _csv_cell(x) -> str:
+    return str(x).lower() if isinstance(x, bool) else f"{x:.17g}"
+
+
 def scan_to_csv(rows) -> str:
     lines = ["V,info_sum,bell_lhs,bell_ratio,info_entangled,bell_violated"]
-    for r in rows:
-        lines.append(
-            f"{r.visibility:.17g},{r.info_sum:.17g},{r.bell_lhs:.17g},"
-            f"{r.bell_ratio:.17g},{str(r.info_entangled).lower()},"
-            f"{str(r.bell_violated).lower()}"
-        )
+    lines += [",".join(_csv_cell(x) for x in _row_dict(r).values()) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def scan_to_json_dict(n: int, rows) -> dict:
-    return {
-        "n_qubits": int(n),
-        "rows": [
-            {
-                "V": float(r.visibility),
-                "info_sum": float(r.info_sum),
-                "bell_lhs": float(r.bell_lhs),
-                "bell_ratio": float(r.bell_ratio),
-                "info_entangled": bool(r.info_entangled),
-                "bell_violated": bool(r.bell_violated),
-            }
-            for r in rows
-        ],
-    }
+    return {"n_qubits": int(n), "rows": [_row_dict(r) for r in rows]}

@@ -30,7 +30,7 @@ from entcrit.bell import (
     signed_sums,
     sufficient_lr_condition,
 )
-from entcrit.info import maximize_corr_info
+from entcrit.info import info_upper_bound, maximize_corr_info
 from entcrit.pauli import LocalFrame, correlation_tensor, plane_subtensor, rotate_frame_in_plane
 from entcrit.search import OptimizerOptions
 from entcrit.states import InputError, StatePreset, build_preset
@@ -324,6 +324,27 @@ class TestMaximizeGeneralBell:
             sv = np.linalg.svd(t.cartesian(), compute_uv=False)
             ev, _ = maximize_general_bell(t, FAST)
             assert ev.violation_ratio == pytest.approx(np.hypot(sv[0], sv[1]), abs=1e-9)
+
+    def test_ratio_never_exceeds_root_of_info_ceiling(self, rng):
+        # Cauchy-Schwarz over the sign tuples: ratio <= sqrt(in-plane information)
+        for n in (2, 3, 4):
+            t = correlation_tensor(random_density_matrix(rng, n))
+            root = np.sqrt(info_upper_bound(t))
+            for _ in range(20):
+                v = random_unit_vectors(rng, 2 * n)
+                pair = SettingsPair(v[:n], v[n:])
+                assert general_bell_lhs(correlation_table(t, pair)).violation_ratio <= root + 1e-12
+            if n < 4:  # a four-qubit search alone takes seconds
+                assert maximize_general_bell(t, FAST)[0].violation_ratio <= root + 1e-12
+
+    def test_search_ends_at_the_ceiling_with_the_same_result(self, rng, monkeypatch):
+        t = correlation_tensor(random_density_matrix(rng, 2))
+        cut, s_cut = maximize_general_bell(t, FAST)
+        monkeypatch.setattr("entcrit.bell.info_upper_bound", lambda t: np.inf)
+        full, s_full = maximize_general_bell(t, FAST)
+        assert cut.lhs_general == full.lhs_general
+        np.testing.assert_array_equal(s_cut.n1, s_full.n1)
+        np.testing.assert_array_equal(s_cut.n2, s_full.n2)
 
 
 class TestNecsufLhs:

@@ -12,6 +12,7 @@ from entcrit.info import (
     DECISION_TOLERANCE,
     corr_info,
     info_from_probabilities,
+    info_upper_bound,
     maximize_corr_info,
     plane_info_total,
     two_qubit_info_criterion,
@@ -149,6 +150,36 @@ class TestMaximize:
         assert rep.restarts >= 3
         assert rep.iterations > 0
         assert rep.residual >= 0.0
+
+
+class TestUpperBound:
+    def test_bounds_every_plane_choice(self, rng):
+        for n in (2, 3, 4):
+            t = correlation_tensor(random_density_matrix(rng, n))
+            ceiling = info_upper_bound(t)
+            for _ in range(20):
+                assert plane_info_total(t, rng.standard_normal((n, 3))) <= ceiling + 1e-12
+            assert maximize_corr_info(t, LOOSE).max_total <= ceiling + 1e-12
+
+    def test_exact_for_two_qubits_and_ghz_werner(self, rng):
+        t = correlation_tensor(random_density_matrix(rng, 2))
+        assert info_upper_bound(t) == pytest.approx(
+            two_qubit_info_criterion(t).max_total, abs=1e-12
+        )
+        for n in (3, 4):
+            t = correlation_tensor(build_preset(StatePreset("werner_ghz", n, 0.7)))
+            assert info_upper_bound(t) == pytest.approx(2 ** (n - 1) * 0.49, abs=1e-12)
+
+    def test_search_ends_at_the_ceiling_with_the_same_result(self, rng, monkeypatch):
+        # two qubits: the HOSVD start meets the ceiling, so no other start runs
+        t = correlation_tensor(random_density_matrix(rng, 2))
+        cut = maximize_corr_info(t, FAST)
+        monkeypatch.setattr("entcrit.info.info_upper_bound", lambda t: np.inf)
+        full = maximize_corr_info(t, FAST)
+        assert cut.max_total == full.max_total
+        np.testing.assert_array_equal(cut.argmax_frame.axis1, full.argmax_frame.axis1)
+        assert cut.optimizer_report.restarts == full.optimizer_report.restarts
+        assert cut.optimizer_report.iterations <= 3 < full.optimizer_report.iterations
 
 
 class TestTwoQubitClosedForm:
