@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .info import DECISION_TOLERANCE, info_upper_bound, maximize_corr_info
+from .info import DECISION_TOLERANCE, info_upper_bound
 from .pauli import CorrelationTensor, PlaneTensor, unit_row_pair
 from .search import OptimizerOptions, maximize
-from .states import InputError, _frozen
+from .states import InputError, StateFormatError, _frozen, decode_json
 
 #: Margin above 2^N required before the bound is reported as violated.
 VIOLATION_TOLERANCE = 1e-7
@@ -353,14 +353,16 @@ def necsuf_lhs(pt: PlaneTensor, alphas) -> float:
     return float(np.abs(w * pt.values).sum())
 
 
-def sufficient_lr_condition(
-    t: CorrelationTensor, options: Optional[OptimizerOptions] = None
-) -> tuple[float, bool]:
-    """Delegate to the information criterion: a max at or below one bit
-    guarantees the master inequality holds at every setting choice."""
-    verdict = maximize_corr_info(t, options)
-    max_sum = float(verdict.max_total)
-    return max_sum, max_sum <= 1.0 + DECISION_TOLERANCE
+def sufficient_lr_condition(t: CorrelationTensor) -> tuple[float, bool]:
+    """The information ceiling and whether it certifies local realism.
+
+    An information sum of at most one bit over every choice of planes
+    guarantees the master inequality at every setting choice.  The ceiling
+    `info_upper_bound` is at least the true maximum, so the verdict is
+    certified; a search value, a lower bound, could not be.
+    """
+    upper = info_upper_bound(t)
+    return upper, upper <= 1.0 + DECISION_TOLERANCE
 
 
 def bell_report_dict(
@@ -382,18 +384,7 @@ def bell_report_dict(
 
 def parse_settings_file(text, n_qubits: int) -> SettingsPair:
     """Parse {"pairs": [{"n1": [x,y,z], "n2": [x,y,z]}, ...]}."""
-    import json
-
-    from .states import StateFormatError
-
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise StateFormatError(
-            f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
+    doc = decode_json(text)
     if not isinstance(doc, dict) or "pairs" not in doc:
         raise StateFormatError("settings file must be an object with a 'pairs' list")
     pairs = doc["pairs"]

@@ -11,14 +11,21 @@ which contributes nothing to any correlation function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
-from typing import Union
+from math import prod
+from typing import Iterator, Union
 
 import numpy as np
 
-from .bell import CorrelationTable, general_bell_lhs, sign_tuples, signed_sums
-from .states import InputError
+from .bell import (
+    _SIGN_WEIGHTS,
+    CorrelationTable,
+    SignFunction,
+    general_bell_lhs,
+    sign_tuples,
+    signed_sums,
+)
+from .states import InputError, _frozen
 
 MASS_TOL = 1e-10
 
@@ -57,37 +64,55 @@ class DeterministicStrategy:
 
 @dataclass(frozen=True)
 class LhvModel:
-    """Weighted deterministic strategies plus a uniform-noise remainder."""
+    """Sign-class masses p(s) and signs, shape (2,)*N, plus uniform noise.
+
+    Class s holds the 2^(N-1) strategies with a1 = s a2 and prod(a2) =
+    sign(s), each carrying p(s) / 2^(N-1).
+    """
 
     n_qubits: int
-    atoms: tuple
+    weights: np.ndarray
+    sign: SignFunction
     noise_weight: float
     noise_kind: str = "uniform_over_all_strategies"
 
     def __post_init__(self):
-        cleaned = []
-        for strategy, p in self.atoms:
-            if p < -1e-12:
-                raise InputError(f"atom probability must be nonnegative, got {p!r}")
-            if strategy.n_qubits != self.n_qubits:
-                raise InputError("atom strategy qubit count mismatch")
-            cleaned.append((strategy, max(0.0, float(p))))
-        object.__setattr__(self, "atoms", tuple(cleaned))
-        total = sum(p for _, p in self.atoms) + self.noise_weight
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (2,) * self.n_qubits:
+            raise InputError(f"expected weights shape {(2,) * self.n_qubits}, got {w.shape}")
+        if self.sign.n_qubits != self.n_qubits:
+            raise InputError("sign function qubit count mismatch")
+        if w.min() < -1e-12:
+            raise InputError(f"class probability must be nonnegative, got {w.min()!r}")
+        object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0)))
+        total = self.total_atom_mass() + self.noise_weight
         if abs(total - 1.0) > MASS_TOL:
             raise InputError(f"probability mass must sum to 1, got {total!r}")
         if self.noise_weight < -1e-12:
             raise InputError("noise weight must be nonnegative")
 
     def total_atom_mass(self) -> float:
-        return float(sum(p for _, p in self.atoms))
+        return float(self.weights.sum())
+
+    def atoms(self) -> Iterator[tuple[DeterministicStrategy, float]]:
+        """Every (strategy, probability) pair, class by class in sign_tuples
+        order; classes without mass are skipped."""
+        n = self.n_qubits
+        weights = self.weights.ravel().tolist()
+        for s, p, sign in zip(sign_tuples(n), weights, self.sign.values.ravel().tolist()):
+            if p == 0.0:
+                continue
+            for a2 in product((1, -1), repeat=n):
+                if prod(a2) == sign:
+                    a1 = tuple(sj * a2j for sj, a2j in zip(s, a2))
+                    yield DeterministicStrategy(a1, a2), p / 2.0 ** (n - 1)
 
     def to_json_dict(self) -> dict:
         return {
             "n_qubits": int(self.n_qubits),
             "atoms": [
                 {"a1": list(s.a1), "a2": list(s.a2), "p": float(p)}
-                for s, p in self.atoms
+                for s, p in self.atoms()
             ],
             "noise_weight": float(self.noise_weight),
         }
@@ -96,47 +121,31 @@ class LhvModel:
 def construct_lhv(table: CorrelationTable) -> LhvModel:
     """Build the explicit local model for a table within the master bound.
 
-    Sign tuples whose signed sum vanishes carry no mass, so the sign
-    constraint is moot there and they are skipped.
+    The table is refused when it violates the bound or when its class
+    masses sum past 1 + MASS_TOL, which a table inside the bound's
+    tolerance can still do.
     """
     evaluation = general_bell_lhs(table)
-    if evaluation.violated:
-        raise BellBoundError(evaluation.lhs_general, evaluation.bound)
     n = table.n_qubits
     b = signed_sums(table)
-    atoms = []
-    for s, b_val in zip(sign_tuples(n), b.ravel()):
-        p = abs(float(b_val)) / 2.0**n
-        if p == 0.0:
-            continue
-        target = 1 if b_val > 0 else -1
-        share = p / 2.0 ** (n - 1)
-        for a2 in product((1, -1), repeat=n):
-            prod_a2 = 1
-            for v in a2:
-                prod_a2 *= v
-            if prod_a2 != target:
-                continue
-            a1 = tuple(sj * a2j for sj, a2j in zip(s, a2))
-            atoms.append((DeterministicStrategy(a1, a2), share))
-    noise_weight = max(0.0, 1.0 - sum(p for _, p in atoms))
-    return LhvModel(n, tuple(atoms), noise_weight)
+    weights = np.abs(b) / 2.0**n
+    if evaluation.violated or weights.sum() - 1.0 > MASS_TOL:
+        raise BellBoundError(evaluation.lhs_general, evaluation.bound)
+    sign = SignFunction(n, np.where(b > 0, 1.0, -1.0))
+    return LhvModel(n, weights, sign, max(0.0, 1.0 - weights.sum()))
 
 
 def lhv_correlation_table(model: LhvModel) -> CorrelationTable:
-    """Correlation table the model realizes.
+    """Correlation table the model realizes: E(k) = sum_s p(s) sign(s) s^k.
 
-    The uniform noise term averages every single-qubit outcome to zero and
-    therefore adds nothing to any entry.
+    Every strategy of class s gives the outcome product sign(s) s^k at
+    setting choice k, and the uniform noise term averages every outcome to
+    zero, so one contraction per qubit is exact.
     """
-    n = model.n_qubits
-    acc = np.zeros((2,) * n)
-    for strategy, p in model.atoms:
-        per_qubit = [
-            np.array([strategy.a1[q], strategy.a2[q]], dtype=float) for q in range(n)
-        ]
-        acc += p * reduce(np.multiply.outer, per_qubit)
-    return CorrelationTable(n, acc)
+    work = model.weights * model.sign.values
+    for _ in range(model.n_qubits):
+        work = np.tensordot(work, _SIGN_WEIGHTS, axes=([0], [0]))
+    return CorrelationTable(model.n_qubits, work)
 
 
 def verify_lhv(model: LhvModel, table: CorrelationTable) -> float:
@@ -158,43 +167,38 @@ def sample_outcome_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw predetermined outcomes for both settings, shapes (size, N).
 
-    Vectorized companion of sample_strategy for Monte-Carlo demonstrations.
+    A draw picks a sign class s (or the noise) by weight, then a2 uniformly
+    among the tuples with prod(a2) = sign(s), and sets a1 = s a2; noise
+    draws both tuples uniformly.
     """
     gen = _as_generator(rng)
     n = model.n_qubits
-    probs = np.array([p for _, p in model.atoms] + [model.noise_weight])
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    picks = gen.choice(len(probs), size=size, p=probs)
-    a1 = np.empty((size, n), dtype=np.int8)
-    a2 = np.empty((size, n), dtype=np.int8)
-    for i, (strategy, _) in enumerate(model.atoms):
-        mask = picks == i
-        if mask.any():
-            a1[mask] = strategy.a1
-            a2[mask] = strategy.a2
-    noise_mask = picks == len(model.atoms)
-    count = int(noise_mask.sum())
-    if count:
-        a1[noise_mask] = gen.integers(0, 2, size=(count, n)) * 2 - 1
-        a2[noise_mask] = gen.integers(0, 2, size=(count, n)) * 2 - 1
+    probs = np.clip(np.append(model.weights.ravel(), model.noise_weight), 0.0, None)
+    picks = gen.choice(probs.size, size=size, p=probs / probs.sum())
+    a1 = (gen.integers(0, 2, size=(size, n)) * 2 - 1).astype(np.int8)
+    a2 = (gen.integers(0, 2, size=(size, n)) * 2 - 1).astype(np.int8)
+    rows = picks < model.weights.size
+    cls = picks[rows]
+    a2[rows, -1] = model.sign.values.ravel()[cls] * a2[rows, :-1].prod(axis=1)
+    # bit q of the class index (qubit 1 most significant) is 1 where s_q = -1
+    s = 1 - 2 * ((cls[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    a1[rows] = s * a2[rows]
     return a1, a2
 
 
 def sample_strategy(
     model: LhvModel, rng: Union[int, np.random.Generator]
 ) -> DeterministicStrategy:
-    """Draw one strategy from the atom distribution joined with the noise."""
+    """Draw one strategy from the class distribution joined with the noise."""
     a1, a2 = sample_outcome_arrays(model, 1, rng)
     return DeterministicStrategy(tuple(int(v) for v in a1[0]), tuple(int(v) for v in a2[0]))
 
 
 def empirical_table(a1: np.ndarray, a2: np.ndarray) -> CorrelationTable:
-    """Monte-Carlo estimate of the correlation table from sampled outcomes."""
+    """Monte-Carlo estimate of the correlation table from sampled +-1 outcomes."""
     size, n = a1.shape
-    acc = np.zeros((2,) * n)
-    outcomes = np.stack([a1.astype(float), a2.astype(float)], axis=1)  # (size, 2, n)
-    for pos, k in enumerate(product((0, 1), repeat=n)):
-        cols = np.stack([outcomes[:, k[q], q] for q in range(n)], axis=1)
-        acc.ravel()[pos] = cols.prod(axis=1).mean()
-    return CorrelationTable(n, np.clip(acc, -1.0, 1.0))
+    outcomes = np.stack([a1, a2], axis=-1).astype(np.int8)  # (size, n, 2)
+    work = np.ones((size,), dtype=np.int8)
+    for q in range(n):
+        work = np.einsum("i...,ij->i...j", work, outcomes[:, q])
+    return CorrelationTable(n, np.clip(work.mean(axis=0), -1.0, 1.0))

@@ -10,8 +10,6 @@ Flat storage is C order, so the last qubit's index varies fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import product
 
 import numpy as np
 
@@ -154,33 +152,19 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     return CorrelationTensor(n, work.real.copy())
 
 
-@lru_cache(maxsize=8)
-def _pauli_basis(n: int) -> np.ndarray:
-    """Stack of all 4^n Pauli products, shape (4^n, 2^n, 2^n)."""
-    if n == 1:
-        return PAULI.copy()
-    prev = _pauli_basis(n - 1)
-    out = np.einsum("aij,bkl->abikjl", PAULI, prev)
-    return out.reshape(4**n, 2**n, 2**n)
-
-
 def density_from_tensor(t: CorrelationTensor) -> DensityMatrix:
     """Rebuild rho = 2^-N sum_x T_x (s_x1 x ... x s_xN) from its tensor.
 
-    Deliberately computed from explicit Kronecker products, so it serves as
-    an independent inverse of correlation_tensor.
+    The mirror of correlation_tensor: the tensor is contracted with the
+    single-qubit Pauli stack once per qubit, which leaves axes (row_1, col_1,
+    ..., row_N, col_N); rows are then moved ahead of columns.
     """
     n = t.n_qubits
-    flat = t.values.ravel()
-    if n <= 5:
-        rho = np.tensordot(flat, _pauli_basis(n), axes=1)
-    else:
-        rho = np.zeros((2**n, 2**n), dtype=complex)
-        for pos, idx in enumerate(product(range(4), repeat=n)):
-            if flat[pos] == 0.0:
-                continue
-            op = reduce(np.kron, (PAULI[x] for x in idx))
-            rho += flat[pos] * op
+    work = t.values
+    for _ in range(n):
+        work = np.tensordot(work, PAULI, axes=([0], [0]))
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    rho = work.transpose(order).reshape(2**n, 2**n)
     return DensityMatrix(n, rho / 2.0**n)
 
 

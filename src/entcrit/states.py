@@ -274,20 +274,26 @@ def _parse_n_qubits(doc: dict, where: str) -> int:
     return n
 
 
+def decode_json(text):
+    """Decode a UTF-8 JSON document (str or bytes); syntax errors become
+    StateFormatError with their line and column."""
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode("utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise StateFormatError(
+            f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from e
+
+
 def parse_state_file(text) -> DensityMatrix:
     """Parse the JSON state-file format into a validated density matrix.
 
     The document must carry exactly one of the top-level keys "matrix",
     "vector", or "preset".
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise StateFormatError(
-            f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
+    doc = decode_json(text)
     if not isinstance(doc, dict):
         raise StateFormatError("top level of a state file must be a JSON object")
     present = [k for k in ("matrix", "vector", "preset") if k in doc]

@@ -384,14 +384,14 @@ class TestNecsufLhs:
 class TestSufficientCondition:
     def test_werner_below_root_half(self):
         t = correlation_tensor(build_preset(StatePreset("werner_ghz", 2, 0.6)))
-        max_sum, holds = sufficient_lr_condition(t, FAST)
+        max_sum, holds = sufficient_lr_condition(t)
         assert holds
         ev, _ = maximize_general_bell(t, FAST)
         assert not ev.violated
 
     def test_bell_state_fails_condition(self):
         t = correlation_tensor(build_preset(StatePreset("bell_phi_minus", 2)))
-        max_sum, holds = sufficient_lr_condition(t, FAST)
+        max_sum, holds = sufficient_lr_condition(t)
         assert not holds
         assert max_sum == pytest.approx(2.0, abs=1e-6)
 
@@ -399,7 +399,7 @@ class TestSufficientCondition:
         from conftest import random_product_state
 
         t = correlation_tensor(random_product_state(rng, 2))
-        max_sum, holds = sufficient_lr_condition(t, FAST)
+        max_sum, holds = sufficient_lr_condition(t)
         assert holds
         assert max_sum == pytest.approx(1.0, abs=1e-6)
 
@@ -414,7 +414,7 @@ class TestSufficientCondition:
                 v = float(rng.uniform(0.3, 1.0))
                 dm = build_preset(StatePreset("werner_ghz", n, v))
             t = correlation_tensor(dm)
-            max_sum, holds = sufficient_lr_condition(t, loose)
+            max_sum, holds = sufficient_lr_condition(t)
             ev, _ = maximize_general_bell(t, loose)
             if holds:
                 assert not ev.violated

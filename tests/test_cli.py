@@ -151,6 +151,20 @@ class TestLhvCommand:
         assert doc["refused"] is True
         assert doc["lhs"] > doc["bound"]
 
+    def test_mass_past_tolerance_refused(self, capsys):
+        # the master sum sits inside the violation tolerance (not violated),
+        # yet the exact model would carry 1 + 1e-8 of mass: refuse, exit 0
+        code, out, _ = run_inprocess(
+            capsys, "analyze", "--preset", "werner_ghz", "--n", "2",
+            "--visibility", "0.7071067882",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["bell"]["violated"] is False
+        assert doc["lhv"]["lhs"] > doc["lhv"]["bound"]
+        assert doc["lhv"]["refused"] is True
+        assert "model" not in doc["lhv"]
+
     def test_settings_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_inprocess(capsys, "lhv", "--preset", "bell_phi_minus")

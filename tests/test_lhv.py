@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from entcrit.bell import (
     CorrelationTable,
     SettingsPair,
     correlation_table,
+    SignFunction,
     general_bell_lhs,
     signed_sums,
 )
@@ -35,10 +37,23 @@ def build_table_from_state(rng, n):
     return correlation_table(correlation_tensor(dm), random_settings(rng, n))
 
 
+PLUS_SIGNS = SignFunction(2, np.ones((2, 2)))
+
+
+def pure_noise_model(n):
+    return LhvModel(n, np.zeros((2,) * n), SignFunction(n, np.ones((2,) * n)), 1.0)
+
+
+def one_class_weights(index, p):
+    weights = np.zeros((2,) * len(index))
+    weights[index] = p
+    return weights
+
+
 class TestConstruct:
     def test_zero_table_is_pure_noise(self):
         model = construct_lhv(CorrelationTable(2, np.zeros((2, 2))))
-        assert model.atoms == ()
+        assert list(model.atoms()) == []
         assert model.noise_weight == pytest.approx(1.0)
         assert model.noise_kind == "uniform_over_all_strategies"
 
@@ -69,7 +84,7 @@ class TestConstruct:
         assert model.total_atom_mass() == pytest.approx(expected_mass, abs=1e-12)
         # 2^(N-1) strategies per populated sign class
         per_class = {}
-        for strategy, p in model.atoms:
+        for strategy, p in model.atoms():
             s = tuple(
                 a1 * a2 for a1, a2 in zip(strategy.a1, strategy.a2)
             )
@@ -82,7 +97,7 @@ class TestConstruct:
         table = build_table_from_state(rng, 3)
         model = construct_lhv(table)
         b = signed_sums(table)
-        for strategy, _ in model.atoms:
+        for strategy, _ in model.atoms():
             s = tuple(a1 * a2 for a1, a2 in zip(strategy.a1, strategy.a2))
             idx = tuple(0 if sj == 1 else 1 for sj in s)
             target = 1 if b[idx] > 0 else -1
@@ -115,21 +130,21 @@ class TestVerify:
             checked += 1
 
     def test_pure_noise_vs_zero_table(self):
-        model = LhvModel(2, (), 1.0)
+        model = pure_noise_model(2)
         assert verify_lhv(model, CorrelationTable(2, np.zeros((2, 2)))) == 0.0
 
     def test_perturbed_model_detected(self, rng):
         # halve the correlations so noise mass exists, then shift weight onto
-        # one atom; the realized table must drift off target
+        # one sign class; the realized table must drift off target
         table = build_table_from_state(rng, 2)
         if general_bell_lhs(table).violated:
             pytest.skip("rare violating draw")
         damped = CorrelationTable(2, 0.5 * table.values)
         model = construct_lhv(damped)
         assert model.noise_weight > 0.1
-        strategy, p = model.atoms[0]
-        atoms = ((strategy, p + 0.1),) + model.atoms[1:]
-        broken = LhvModel(2, atoms, model.noise_weight - 0.1)
+        weights = model.weights.copy()
+        weights[0, 0] += 0.1
+        broken = LhvModel(2, weights, model.sign, model.noise_weight - 0.1)
         assert verify_lhv(broken, damped) > 1e-3
 
     def test_noise_contributes_zero_exactly(self):
@@ -146,26 +161,23 @@ class TestVerify:
             np.testing.assert_array_equal(acc, 0.0)
 
     def test_qubit_count_mismatch(self):
-        model = LhvModel(2, (), 1.0)
+        model = pure_noise_model(2)
         with pytest.raises(InputError):
             verify_lhv(model, CorrelationTable(3, np.zeros((2, 2, 2))))
 
 
 class TestModelType:
     def test_mass_must_sum_to_one(self):
-        strategy = DeterministicStrategy((1, 1), (1, -1))
         with pytest.raises(InputError):
-            LhvModel(2, ((strategy, 0.5),), 0.6)
+            LhvModel(2, one_class_weights((0, 1), 0.5), PLUS_SIGNS, 0.6)
 
     def test_negative_probability_rejected(self):
-        strategy = DeterministicStrategy((1, 1), (1, -1))
         with pytest.raises(InputError):
-            LhvModel(2, ((strategy, -0.2),), 1.2)
+            LhvModel(2, one_class_weights((0, 1), -0.2), PLUS_SIGNS, 1.2)
 
     def test_tiny_negative_clamped(self):
-        strategy = DeterministicStrategy((1, 1), (1, -1))
-        model = LhvModel(2, ((strategy, -1e-14),), 1.0)
-        assert model.atoms[0][1] == 0.0
+        model = LhvModel(2, one_class_weights((0, 1), -1e-14), PLUS_SIGNS, 1.0)
+        assert model.weights[0, 1] == 0.0
 
     def test_strategy_outcomes_validated(self):
         with pytest.raises(InputError):
@@ -183,14 +195,19 @@ class TestModelType:
 
 class TestSampling:
     def test_single_atom_model(self):
-        strategy = DeterministicStrategy((1, -1), (-1, 1))
-        model = LhvModel(2, ((strategy, 1.0),), 0.0)
+        # all mass on the class s = (-1, -1), whose strategies have a2 products -1
+        model = LhvModel(2, one_class_weights((1, 1), 1.0), SignFunction(2, -np.ones((2, 2))), 0.0)
+        strategies = [strategy for strategy, _ in model.atoms()]
+        assert strategies == [
+            DeterministicStrategy((-1, 1), (1, -1)),
+            DeterministicStrategy((1, -1), (-1, 1)),
+        ]
         for seed in range(5):
             drawn = sample_strategy(model, seed)
-            assert drawn == strategy
+            assert drawn in strategies
 
     def test_pure_noise_frequencies(self):
-        model = LhvModel(2, (), 1.0)
+        model = pure_noise_model(2)
         rng = np.random.default_rng(5)
         a1, a2 = sample_outcome_arrays(model, 10**6, rng)
         keys = (
@@ -225,3 +242,31 @@ class TestSampling:
         assert np.max(np.abs(realized.values - table.values)) == pytest.approx(
             verify_lhv(model, table), abs=1e-15
         )
+
+
+def within_bound_table(rng, n):
+    while True:
+        table = build_table_from_state(rng, n)
+        if not general_bell_lhs(table).violated:
+            return table
+
+
+class TestOracles:
+    def test_explicit_enumeration(self, rng):
+        # sum of p * (a1_q, a2_q) outer products over the expanded strategies
+        for n in (2, 3, 4):
+            table = within_bound_table(rng, n)
+            model = construct_lhv(table)
+            acc = np.zeros((2,) * n)
+            for strategy, p in model.atoms():
+                per_qubit = [np.array([strategy.a1[q], strategy.a2[q]], dtype=float) for q in range(n)]
+                acc += p * reduce(np.multiply.outer, per_qubit)
+            assert np.max(np.abs(acc - lhv_correlation_table(model).values)) <= 1e-12
+            assert np.max(np.abs(acc - table.values)) <= 1e-12
+
+    def test_monte_carlo_random_table(self, rng):
+        table = within_bound_table(rng, 3)
+        model = construct_lhv(table)
+        size = 10**5
+        sampled = empirical_table(*sample_outcome_arrays(model, size, 31))
+        assert np.max(np.abs(sampled.values - table.values)) <= 6.0 / np.sqrt(size)

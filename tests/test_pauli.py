@@ -83,6 +83,14 @@ class TestCorrelationTensor:
             back = density_from_tensor(correlation_tensor(dm))
             assert np.max(np.abs(back.matrix - dm.matrix)) <= 1e-10
 
+    def test_inverse_matches_brute_force_oracle(self, rng):
+        # tensors from explicit Pauli products and traces, not from
+        # correlation_tensor; N=6 is the first size past the old cached basis
+        for n in range(1, 7):
+            dm = random_density_matrix(rng, n)
+            back = density_from_tensor(CorrelationTensor(n, brute_force_tensor(dm)))
+            assert np.max(np.abs(back.matrix - dm.matrix)) <= 1e-10
+
     def test_identity_component_enforced(self):
         bad = np.zeros((4, 4))
         bad[0, 0] = 0.5
