@@ -19,7 +19,6 @@ from .bell import (
     maximize_general_bell,
     maximize_sign_function_value,
     necsuf_lhs,
-    quantum_correlation,
     sign_function_inequality,
     sufficient_lr_condition,
 )
@@ -36,14 +35,11 @@ from .lhv import (
     DeterministicStrategy,
     LhvModel,
     construct_lhv,
-    sample_strategy,
     verify_lhv,
 )
 from .pauli import (
     CorrelationTensor,
     LocalFrame,
-    PlaneTensor,
-    canonical_two_qubit_frame,
     correlation_tensor,
     density_from_tensor,
     plane_subtensor,

@@ -18,14 +18,19 @@ from typing import Optional
 import numpy as np
 
 from .info import DECISION_TOLERANCE, info_upper_bound
-from .pauli import CorrelationTensor, PlaneTensor, unit_row_pair
+from .pauli import (
+    CorrelationTable,
+    CorrelationTensor,
+    direction_table,
+    frozen_table,
+    mode_product,
+    unit_row_pair,
+)
 from .search import OptimizerOptions, maximize
 from .states import InputError, StateFormatError, _frozen, decode_json
 
 #: Margin above 2^N required before the bound is reported as violated.
 VIOLATION_TOLERANCE = 1e-7
-
-UNIT_TOL = 1e-10
 
 # rows: s = +1, s = -1; columns: exponent k = 1 (picks s), k = 2 (picks 1)
 _SIGN_WEIGHTS = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -60,28 +65,6 @@ class SettingsPair:
 
 
 @dataclass(frozen=True)
-class CorrelationTable:
-    """Correlation function values over all setting choices, shape (2,)*N.
-
-    Axis index 0 selects each qubit's first setting, index 1 its second.
-    """
-
-    n_qubits: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (2,) * self.n_qubits:
-            raise InputError(
-                f"expected table shape {(2,) * self.n_qubits}, got {vals.shape}"
-            )
-        top = float(np.max(np.abs(vals)))
-        if top > 1.0 + 1e-9:
-            raise InputError(f"correlation value out of range: max |E| = {top!r}")
-        object.__setattr__(self, "values", _frozen(vals))
-
-
-@dataclass(frozen=True)
 class SignFunction:
     """A +-1 assignment per sign tuple; axis index 0 means s = +1."""
 
@@ -89,28 +72,10 @@ class SignFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (2,) * self.n_qubits:
-            raise InputError(
-                f"expected sign table shape {(2,) * self.n_qubits}, got {vals.shape}"
-            )
+        vals = frozen_table(self.n_qubits, self.values, "sign table")
         if not np.all(np.abs(vals) == 1.0):
             raise InputError("sign function values must be exactly +1 or -1")
-        object.__setattr__(self, "values", _frozen(vals))
-
-    @classmethod
-    def from_mapping(cls, n_qubits: int, mapping: dict) -> "SignFunction":
-        vals = np.empty((2,) * n_qubits)
-        for pos, s in enumerate(sign_tuples(n_qubits)):
-            if s not in mapping:
-                raise InputError(f"sign function table is missing tuple {s}")
-            vals.ravel()[pos] = mapping[s]
-        return cls(n_qubits, vals)
-
-    def as_mapping(self) -> dict:
-        return {
-            s: int(v) for s, v in zip(sign_tuples(self.n_qubits), self.values.ravel())
-        }
+        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -122,42 +87,14 @@ class BellEvaluation:
     violation_ratio: float
 
 
-def quantum_correlation(t: CorrelationTensor, directions) -> float:
-    """Expectation of the product of spin projections along one direction per qubit."""
-    dirs = np.asarray(directions, dtype=float).reshape(t.n_qubits, 3)
-    err = float(np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)))
-    if err > UNIT_TOL:
-        raise InputError(f"directions must be unit vectors (residual {err:.3e})")
-    work = t.cartesian()
-    for q in range(t.n_qubits):
-        work = np.tensordot(work, dirs[q], axes=([0], [0]))
-    return float(work)
-
-
 def correlation_table(t: CorrelationTensor, s: SettingsPair) -> CorrelationTable:
     """Correlation function at every combination of the two settings per qubit."""
-    if s.n_qubits != t.n_qubits:
-        raise InputError(
-            f"settings have {s.n_qubits} qubits but tensor has {t.n_qubits}"
-        )
-    work = _table_values(t.cartesian(), s.n1, s.n2, t.n_qubits)
-    return CorrelationTable(t.n_qubits, work)
-
-
-def _table_values(cart: np.ndarray, n1: np.ndarray, n2: np.ndarray, n: int) -> np.ndarray:
-    work = cart
-    for q in range(n):
-        pair = np.stack([n1[q], n2[q]])
-        work = np.tensordot(work, pair, axes=([0], [1]))
-    return work
+    return direction_table(t, s.n1, s.n2, "settings")
 
 
 def signed_sums(table: CorrelationTable) -> np.ndarray:
     """B(s) = sum_k s1^k1 ... sN^kN E(k) for every sign tuple, shape (2,)*N."""
-    work = table.values
-    for _ in range(table.n_qubits):
-        work = np.tensordot(work, _SIGN_WEIGHTS, axes=([0], [1]))
-    return work
+    return mode_product(table.values, [_SIGN_WEIGHTS] * table.n_qubits)
 
 
 def general_bell_lhs(table: CorrelationTable) -> BellEvaluation:
@@ -197,18 +134,13 @@ def belinskii_klyshko_sign_function(n_qubits: int) -> SignFunction:
     1e-12 indicates a construction bug.
     """
     orient = 1.0 if n_qubits % 2 == 0 else -1.0
-    vals = np.empty((2,) * n_qubits)
-    flat = vals.ravel()
-    for pos, s in enumerate(sign_tuples(n_qubits)):
-        raw = np.sqrt(2.0) * np.cos(
-            -np.pi / 4.0 + orient * (sum(s) - n_qubits) * np.pi / 4.0
-        )
-        snapped = float(np.sign(raw))
-        if abs(raw - snapped) > 1e-12:
-            raise ArithmeticError(
-                f"sign function value {raw!r} at {s} is not exactly +-1"
-            )
-        flat[pos] = snapped
+    # s1+...+sN - N = -2m, where m counts the s_j = -1 (axis index 1)
+    m = np.indices((2,) * n_qubits).sum(axis=0)
+    raw = np.sqrt(2.0) * np.cos(-np.pi / 4.0 + orient * (-2 * m) * np.pi / 4.0)
+    vals = np.sign(raw)
+    err = float(np.max(np.abs(raw - vals)))
+    if err > 1e-12:
+        raise ArithmeticError(f"sign function values miss +-1 by up to {err!r}")
     return SignFunction(n_qubits, vals)
 
 
@@ -231,11 +163,8 @@ def _sign_rows(x: np.ndarray, q: int) -> np.ndarray:
 
 def _contract(cart: np.ndarray, x: np.ndarray, skip: Optional[int] = None) -> np.ndarray:
     """B(s) over all sign tuples, or with qubit `skip` left as a Cartesian axis."""
-    work = cart
-    for q in range(cart.ndim):
-        rows = np.eye(3) if q == skip else _sign_rows(x, q)
-        work = np.tensordot(work, rows, axes=([0], [1]))
-    return work
+    rows = [np.eye(3) if q == skip else _sign_rows(x, q) for q in range(cart.ndim)]
+    return mode_product(cart, rows)
 
 
 def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -335,7 +264,7 @@ def maximize_sign_function_value(
     return sign_function_inequality(correlation_table(t, settings), sgn), settings
 
 
-def necsuf_lhs(pt: PlaneTensor, alphas) -> float:
+def necsuf_lhs(pt: CorrelationTable, alphas) -> float:
     """Cosine-weighted absolute in-plane sum deciding local realism.
 
     Correlations admit a local realistic description exactly when this sum

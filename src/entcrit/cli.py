@@ -108,6 +108,13 @@ def _read_bytes(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {e}") from e
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from e
+
+
 def _load_settings(path: str, n_qubits: int):
     return parse_settings_file(_read_bytes(path), n_qubits)
 
@@ -228,15 +235,15 @@ def main(argv=None) -> int:
         if args.command != "werner-scan" and getattr(args, "out_format", None) == "csv":
             raise InputError("csv output is only available for werner-scan")
         text = _DISPATCH[args.command](args)
+        if args.out:
+            _write_text(args.out, text)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001
         print(f"internal error: {e}", file=sys.stderr)
         return 1
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -20,6 +20,7 @@ from .pauli import (
     CorrelationTensor,
     LocalFrame,
     frame_from_normals,
+    mode_product,
     plane_subtensor,
 )
 from .search import OptimizerOptions, maximize
@@ -93,11 +94,9 @@ def corr_info(t: CorrelationTensor, f: LocalFrame) -> CorrInfoResult:
 
 def _project(cart: np.ndarray, normals, skip: Optional[int] = None) -> np.ndarray:
     """The Cartesian tensor with every mode but `skip` projected onto its plane."""
-    work = cart
-    for q, nq in enumerate(normals):
-        proj = np.eye(3) if q == skip else np.eye(3) - np.outer(nq, nq)
-        work = np.tensordot(work, proj, axes=([0], [0]))
-    return work
+    eye = np.eye(3)
+    projs = [eye if q == skip else eye - np.outer(nq, nq) for q, nq in enumerate(normals)]
+    return mode_product(cart, projs)
 
 
 def _mode_gram(a: np.ndarray, mode: int) -> np.ndarray:

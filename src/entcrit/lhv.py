@@ -19,12 +19,12 @@ import numpy as np
 
 from .bell import (
     _SIGN_WEIGHTS,
-    CorrelationTable,
     SignFunction,
     general_bell_lhs,
     sign_tuples,
     signed_sums,
 )
+from .pauli import CorrelationTable, frozen_table, mode_product
 from .states import InputError, _frozen
 
 MASS_TOL = 1e-10
@@ -77,9 +77,7 @@ class LhvModel:
     noise_kind: str = "uniform_over_all_strategies"
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (2,) * self.n_qubits:
-            raise InputError(f"expected weights shape {(2,) * self.n_qubits}, got {w.shape}")
+        w = frozen_table(self.n_qubits, self.weights, "weights")
         if self.sign.n_qubits != self.n_qubits:
             raise InputError("sign function qubit count mismatch")
         if w.min() < -1e-12:
@@ -142,9 +140,7 @@ def lhv_correlation_table(model: LhvModel) -> CorrelationTable:
     setting choice k, and the uniform noise term averages every outcome to
     zero, so one contraction per qubit is exact.
     """
-    work = model.weights * model.sign.values
-    for _ in range(model.n_qubits):
-        work = np.tensordot(work, _SIGN_WEIGHTS, axes=([0], [0]))
+    work = mode_product(model.weights * model.sign.values, [_SIGN_WEIGHTS.T] * model.n_qubits)
     return CorrelationTable(model.n_qubits, work)
 
 
@@ -158,10 +154,6 @@ def verify_lhv(model: LhvModel, table: CorrelationTable) -> float:
     return float(np.max(np.abs(realized.values - table.values)))
 
 
-def _as_generator(rng: Union[int, np.random.Generator]) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 def sample_outcome_arrays(
     model: LhvModel, size: int, rng: Union[int, np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +163,7 @@ def sample_outcome_arrays(
     among the tuples with prod(a2) = sign(s), and sets a1 = s a2; noise
     draws both tuples uniformly.
     """
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(rng)  # a Generator passes through unchanged
     n = model.n_qubits
     probs = np.clip(np.append(model.weights.ravel(), model.noise_weight), 0.0, None)
     picks = gen.choice(probs.size, size=size, p=probs / probs.sum())
@@ -184,14 +176,6 @@ def sample_outcome_arrays(
     s = 1 - 2 * ((cls[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     a1[rows] = s * a2[rows]
     return a1, a2
-
-
-def sample_strategy(
-    model: LhvModel, rng: Union[int, np.random.Generator]
-) -> DeterministicStrategy:
-    """Draw one strategy from the class distribution joined with the noise."""
-    a1, a2 = sample_outcome_arrays(model, 1, rng)
-    return DeterministicStrategy(tuple(int(v) for v in a1[0]), tuple(int(v) for v in a2[0]))
 
 
 def empirical_table(a1: np.ndarray, a2: np.ndarray) -> CorrelationTable:

@@ -5,6 +5,11 @@ for every multi-index in {0,1,2,3}^N (0 = identity, 1/2/3 = x/y/z).  It fully
 determines the state: rho = 2^-N sum_x T_x (s_x1 x ... x s_xN).
 
 Flat storage is C order, so the last qubit's index varies fastest.
+
+Every per-qubit contraction in the package is one n-mode product
+(`mode_product`): the Pauli traces and their inverse, the in-plane and
+setting tables, the sign sums of the Bell inequality and the plane
+projections of the information search.
 """
 
 from __future__ import annotations
@@ -32,6 +37,31 @@ FRAME_TOL = 1e-10
 _X_HAT = np.array([1.0, 0.0, 0.0])
 _Y_HAT = np.array([0.0, 1.0, 0.0])
 _Z_HAT = np.array([0.0, 0.0, 1.0])
+
+# Tr[rho s_x] = sum_(r,c) rho[r, c] s_x[c, r], with (r, c) one axis of length 4
+_TRACE = PAULI.transpose(0, 2, 1).reshape(4, 4)
+# the inverse map x -> s_x[r, c], up to the 2^-N
+_EXPAND = PAULI.reshape(4, 4).T
+
+
+def mode_product(a: np.ndarray, mats) -> np.ndarray:
+    """The n-mode product: axis q of `a` mapped through the matrix mats[q].
+
+    mats[q] has shape (new, old), with old the length of axis q; the axes
+    keep their order (Kolda & Bader, SIAM Rev. 51, 455 (2009)).
+    """
+    for m in mats:
+        # each step consumes the leading axis and appends its image
+        a = np.tensordot(a, m, axes=([0], [1]))
+    return a
+
+
+def frozen_table(n_qubits: int, values, what: str) -> np.ndarray:
+    """`values` as a read-only float array of shape (2,)*n_qubits."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (2,) * n_qubits:
+        raise InputError(f"expected {what} shape {(2,) * n_qubits}, got {vals.shape}")
+    return _frozen(vals)
 
 
 @dataclass(frozen=True)
@@ -68,22 +98,23 @@ class CorrelationTensor:
 
 
 @dataclass(frozen=True)
-class PlaneTensor:
-    """In-plane correlation components over {1,2}^N (1 = first axis, 2 = second)."""
+class CorrelationTable:
+    """Correlation function values over two directions per qubit, shape (2,)*N.
+
+    Axis index 0 selects each qubit's first direction (a setting n1, or a
+    frame's axis1), index 1 its second; a frame's in-plane tensor is the
+    table at the settings (axis1, axis2).
+    """
 
     n_qubits: int
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (2,) * self.n_qubits:
-            raise InputError(
-                f"expected plane tensor shape {(2,) * self.n_qubits}, got {vals.shape}"
-            )
-        top = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if top > 1.0 + ENTRY_TOL:
-            raise InputError(f"plane tensor entry out of range: max |T| = {top!r}")
-        object.__setattr__(self, "values", _frozen(vals))
+        vals = frozen_table(self.n_qubits, self.values, "table")
+        top = float(np.max(np.abs(vals)))
+        if not top <= 1.0 + ENTRY_TOL:
+            raise InputError(f"correlation value out of range: max |E| = {top!r}")
+        object.__setattr__(self, "values", vals)
 
     def squared_sum(self) -> float:
         return float(np.sum(self.values**2))
@@ -96,7 +127,7 @@ def unit_row_pair(v1, v2, what: str) -> tuple[np.ndarray, np.ndarray]:
     if a1.ndim != 2 or a1.shape[1] != 3 or a1.shape != a2.shape:
         raise InputError(f"{what} must both have shape (N, 3), got {a1.shape} and {a2.shape}")
     err = float(np.max(np.abs(np.linalg.norm(np.stack([a1, a2]), axis=-1) - 1.0)))
-    if err > FRAME_TOL:
+    if not err <= FRAME_TOL:
         raise InputError(f"{what} must be unit vectors (residual {err:.3e})")
     return a1, a2
 
@@ -133,16 +164,15 @@ class LocalFrame:
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     """Compute every Pauli-product expectation value of a state.
 
-    Works qubit by qubit: the density matrix, viewed as a (2,)*2N tensor,
-    is contracted with the single-qubit Pauli stack once per qubit, which
-    avoids materializing any of the 4^N product operators.
+    Each qubit's row and column indices are paired into one axis of length
+    4, which one mode product maps to the Pauli index, so none of the 4^N
+    product operators is materialized.
     """
     n = rho.n_qubits
-    work = rho.matrix.reshape((2,) * (2 * n))
-    for q in range(n):
-        rem = n - q
-        # row index pairs with the Pauli column, column index with the row
-        work = np.tensordot(work, PAULI, axes=([0, rem], [2, 1]))
+    # (row_1..row_N, col_1..col_N) -> (row_1, col_1, ..., row_N, col_N)
+    order = [k for q in range(n) for k in (q, n + q)]
+    paired = rho.matrix.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+    work = mode_product(paired, [_TRACE] * n)
     imag = float(np.max(np.abs(work.imag)))
     if imag > IMAG_TOL:
         raise InputError(
@@ -155,30 +185,31 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
 def density_from_tensor(t: CorrelationTensor) -> DensityMatrix:
     """Rebuild rho = 2^-N sum_x T_x (s_x1 x ... x s_xN) from its tensor.
 
-    The mirror of correlation_tensor: the tensor is contracted with the
-    single-qubit Pauli stack once per qubit, which leaves axes (row_1, col_1,
-    ..., row_N, col_N); rows are then moved ahead of columns.
+    The mirror of correlation_tensor: one mode product maps each Pauli index
+    to the qubit's (row, col) pair, and rows are then moved ahead of columns.
     """
     n = t.n_qubits
-    work = t.values
-    for _ in range(n):
-        work = np.tensordot(work, PAULI, axes=([0], [0]))
+    work = mode_product(t.values, [_EXPAND] * n).reshape((2,) * (2 * n))
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     rho = work.transpose(order).reshape(2**n, 2**n)
     return DensityMatrix(n, rho / 2.0**n)
 
 
-def plane_subtensor(t: CorrelationTensor, f: LocalFrame) -> PlaneTensor:
-    """Contract the Cartesian part of the tensor with each qubit's frame axes."""
-    if f.n_qubits != t.n_qubits:
-        raise InputError(
-            f"frame has {f.n_qubits} qubits but tensor has {t.n_qubits}"
-        )
-    work = t.cartesian()
-    for q in range(t.n_qubits):
-        axes_q = np.stack([f.axis1[q], f.axis2[q]])
-        work = np.tensordot(work, axes_q, axes=([0], [1]))
-    return PlaneTensor(t.n_qubits, work)
+def direction_table(t: CorrelationTensor, d1, d2, what: str) -> CorrelationTable:
+    """The Cartesian tensor contracted with two unit directions per qubit.
+
+    Entry k is the correlation of the product observable that measures
+    qubit q along d1[q] where k_q = 0 and along d2[q] where k_q = 1.
+    """
+    if len(d1) != t.n_qubits:
+        raise InputError(f"{what} cover {len(d1)} qubits but the tensor has {t.n_qubits}")
+    work = mode_product(t.cartesian(), np.stack([d1, d2], axis=1))
+    return CorrelationTable(t.n_qubits, work)
+
+
+def plane_subtensor(t: CorrelationTensor, f: LocalFrame) -> CorrelationTable:
+    """The in-plane tensor: the table at the frame axes (axis1, axis2)."""
+    return direction_table(t, f.axis1, f.axis2, "frame axes")
 
 
 def rotate_frame_in_plane(f: LocalFrame, angles) -> LocalFrame:
@@ -210,28 +241,3 @@ def frame_from_normals(normals) -> LocalFrame:
         a1[j] = v / np.linalg.norm(v)
         a2[j] = np.cross(unit, a1[j])
     return LocalFrame(a1, a2)
-
-
-def canonical_two_qubit_frame(
-    t: CorrelationTensor, f: LocalFrame | None = None
-) -> tuple[LocalFrame, PlaneTensor]:
-    """Rotate a two-qubit frame in-plane so the 2x2 block becomes diagonal.
-
-    The rotation angles come from the singular value decomposition of the
-    in-plane block; only the vanishing off-diagonals are guaranteed, signs
-    of the diagonal carry the correlation physics and are left alone.
-    """
-    if t.n_qubits != 2:
-        raise InputError(f"canonical form is defined for 2 qubits, got {t.n_qubits}")
-    if f is None:
-        f = LocalFrame.canonical(2)
-    block = plane_subtensor(t, f).values
-    u, _, vt = np.linalg.svd(block)
-    if np.linalg.det(u) < 0:
-        u[:, 1] *= -1.0
-    if np.linalg.det(vt) < 0:
-        vt[1, :] *= -1.0
-    theta1 = float(np.arctan2(u[1, 0], u[0, 0]))
-    theta2 = float(np.arctan2(vt[0, 1], vt[0, 0]))
-    rotated = rotate_frame_in_plane(f, [theta1, theta2])
-    return rotated, plane_subtensor(t, rotated)

@@ -107,10 +107,6 @@ class StateVector:
             raise InputError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -138,10 +134,6 @@ class DensityMatrix:
         if not np.all(np.isfinite(m.view(np.float64))):
             raise InputError("matrix entries must be finite")
         object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bell import VIOLATION_TOLERANCE, maximize_general_bell
 from .info import DECISION_TOLERANCE
-from .pauli import PlaneTensor, correlation_tensor
+from .pauli import CorrelationTable, correlation_tensor
 from .search import OptimizerOptions
 from .states import InputError, StatePreset, build_preset, _check_qubit_count
 
@@ -42,7 +42,7 @@ class WernerAnalysis:
         }
 
 
-def werner_inplane_tensor(n: int, v: float) -> PlaneTensor:
+def werner_inplane_tensor(n: int, v: float) -> CorrelationTable:
     """Closed-form in-plane correlations V cos(m_y pi/2).
 
     Entries with an odd count of second-axis indices are exactly zero;
@@ -53,7 +53,7 @@ def werner_inplane_tensor(n: int, v: float) -> PlaneTensor:
         raise InputError(f"visibility must lie in [0, 1], got {v!r}")
     m_y = np.indices((2,) * n).sum(axis=0)
     signs = np.where(m_y % 2 == 1, 0.0, np.where(m_y % 4 == 0, 1.0, -1.0))
-    return PlaneTensor(n, v * signs)
+    return CorrelationTable(n, v * signs)
 
 
 def count_nonzero_inplane(n: int) -> int:

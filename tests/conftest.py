@@ -69,6 +69,22 @@ def pauli_product(indices):
     return op
 
 
+def kron_trace_table(dm, d1, d2):
+    """Correlation table by explicit operators: entry k is the trace of rho
+    times the product over qubits of (d1[q] or d2[q]) . sigma, per k_q."""
+    n = dm.n_qubits
+    out = np.empty((2,) * n)
+    for k in np.ndindex(*(2,) * n):
+        op = np.array([[1.0]], dtype=complex)
+        for q in range(n):
+            d = (d1, d2)[k[q]][q]
+            op = np.kron(op, sum(d[i] * PAULI_MATRICES[i + 1] for i in range(3)))
+        val = np.trace(dm.matrix @ op)
+        assert abs(val.imag) < 1e-10
+        out[k] = val.real
+    return out
+
+
 def brute_force_tensor(dm):
     """Tensor entries by explicit operator construction and trace."""
     n = dm.n_qubits

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    pauli_product,
+    kron_trace_table,
     random_density_matrix,
     random_separable_state,
     random_unit_vectors,
@@ -24,7 +24,6 @@ from entcrit.bell import (
     maximize_sign_function_value,
     necsuf_lhs,
     parse_settings_file,
-    quantum_correlation,
     sign_function_inequality,
     sign_tuples,
     signed_sums,
@@ -67,35 +66,41 @@ def strategy_table(a1, a2):
 
 
 class TestQuantumCorrelation:
+    """Single entries of correlation_table: the quantum correlation function
+    along one direction per qubit."""
+
     def test_bell_state_xx(self):
         t = correlation_tensor(build_preset(StatePreset("bell_phi_minus", 2)))
         x = [1.0, 0.0, 0.0]
         y = [0.0, 1.0, 0.0]
-        assert quantum_correlation(t, [x, x]) == pytest.approx(-1.0, abs=1e-12)
-        assert quantum_correlation(t, [y, y]) == pytest.approx(1.0, abs=1e-12)
+        table = correlation_table(t, SettingsPair([x, x], [y, y]))
+        assert table.values[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert table.values[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_zero(self, rng):
         t = correlation_tensor(build_preset(StatePreset("maximally_mixed", 3)))
-        dirs = random_unit_vectors(rng, 3)
-        assert quantum_correlation(t, dirs) == pytest.approx(0.0, abs=1e-12)
+        pair = SettingsPair(random_unit_vectors(rng, 3), random_unit_vectors(rng, 3))
+        np.testing.assert_allclose(correlation_table(t, pair).values, 0.0, atol=1e-12)
 
-    def test_non_unit_direction_rejected(self, rng):
-        t = correlation_tensor(build_preset(StatePreset("maximally_mixed", 2)))
+    def test_non_unit_direction_rejected(self):
         with pytest.raises(InputError):
-            quantum_correlation(t, [[1.0, 0, 0], [2.0, 0, 0]])
+            SettingsPair([[1.0, 0, 0], [2.0, 0, 0]], [[1.0, 0, 0], [1.0, 0, 0]])
+
+    def test_nan_direction_rejected(self):
+        with pytest.raises(InputError):
+            SettingsPair([[np.nan, 0, 0], [1.0, 0, 0]], [[0, 1.0, 0], [0, 1.0, 0]])
 
     def test_matches_direct_trace(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            dm = random_density_matrix(rng, n)
-            t = correlation_tensor(dm)
-            dirs = random_unit_vectors(rng, n)
-            op = np.array([[1.0]], dtype=complex)
-            for q in range(n):
-                local = sum(dirs[q][i] * pauli_product((i + 1,)) for i in range(3))
-                op = np.kron(op, local)
-            direct = float(np.trace(dm.matrix @ op).real)
-            assert quantum_correlation(t, dirs) == pytest.approx(direct, abs=1e-10)
+        # every entry, at independent n1 != n2, against Kronecker products
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                dm = random_density_matrix(rng, n)
+                n1 = random_unit_vectors(rng, n)
+                n2 = random_unit_vectors(rng, n)
+                table = correlation_table(correlation_tensor(dm), SettingsPair(n1, n2))
+                np.testing.assert_allclose(
+                    table.values, kron_trace_table(dm, n1, n2), rtol=0, atol=1e-10
+                )
 
 
 class TestCorrelationTable:
@@ -126,6 +131,10 @@ class TestCorrelationTable:
         np.testing.assert_allclose(np.abs(vals), 1.0 / SQ2, atol=1e-12)
         chsh = abs(vals[0, 0] + vals[0, 1] + vals[1, 0] - vals[1, 1])
         assert chsh == pytest.approx(2.0 * SQ2, abs=1e-12)
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(InputError):
+            CorrelationTable(2, [[np.nan, 0.0], [0.0, 0.0]])
 
 
 class TestGeneralBell:
@@ -232,11 +241,6 @@ class TestSignFunctions:
             lhs = general_bell_lhs(table).lhs_general
             for sgn in sign_functions:
                 assert sign_function_inequality(table, sgn) <= lhs + 1e-12
-
-    def test_mapping_round_trip(self):
-        sgn = belinskii_klyshko_sign_function(3)
-        rebuilt = SignFunction.from_mapping(3, sgn.as_mapping())
-        np.testing.assert_array_equal(rebuilt.values, sgn.values)
 
 
 class TestMaximizeGeneralBell:

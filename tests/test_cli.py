@@ -1,11 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entcrit
 from entcrit.cli import main
+
+# child interpreters import the same entcrit as this one, installed or not
+SRC = str(Path(entcrit.__file__).resolve().parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
+}
 
 
 def run_cli(*args):
@@ -14,6 +24,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=120,
+        env=CHILD_ENV,
     )
 
 
@@ -267,9 +278,34 @@ class TestExitCodes:
             capture_output=True,
             text=True,
             timeout=120,
+            env=CHILD_ENV,
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+    def test_nan_settings_is_two(self, tmp_path, capsys):
+        # json accepts NaN; it must not pass the unit-vector check
+        path = tmp_path / "settings.json"
+        path.write_text(
+            '{"pairs": [{"n1": [NaN, 0, 0], "n2": [0, 1, 0]}, {"n1": [1, 0, 0], "n2": [0, 1, 0]}]}'
+        )
+        for command in ("bell", "lhv", "analyze"):
+            code, out, err = run_inprocess(
+                capsys, command, "--preset", "bell_phi_minus", "--settings", str(path)
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
+    def test_unwritable_out_is_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_inprocess(
+            capsys, "tensor", "--preset", "ghz", "--n", "2", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not target.exists()
 
     def test_subprocess_entry_point(self):
         res = run_cli("tensor", "--preset", "maximally_mixed", "--n", "1")

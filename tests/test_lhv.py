@@ -21,7 +21,6 @@ from entcrit.lhv import (
     empirical_table,
     lhv_correlation_table,
     sample_outcome_arrays,
-    sample_strategy,
     verify_lhv,
 )
 from entcrit.pauli import correlation_tensor
@@ -203,8 +202,9 @@ class TestSampling:
             DeterministicStrategy((1, -1), (-1, 1)),
         ]
         for seed in range(5):
-            drawn = sample_strategy(model, seed)
-            assert drawn in strategies
+            a1, a2 = sample_outcome_arrays(model, 20, seed)
+            for row1, row2 in zip(a1, a2):
+                assert DeterministicStrategy(tuple(row1), tuple(row2)) in strategies
 
     def test_pure_noise_frequencies(self):
         model = pure_noise_model(2)

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_tensor,
+    kron_trace_table,
     random_density_matrix,
     random_product_state,
 )
 from entcrit.pauli import (
     CorrelationTensor,
     LocalFrame,
-    canonical_two_qubit_frame,
     correlation_tensor,
     density_from_tensor,
     frame_from_normals,
@@ -136,6 +136,17 @@ class TestPlaneSubtensor:
         with pytest.raises(InputError):
             plane_subtensor(t, LocalFrame.canonical(3))
 
+    def test_matches_direct_trace(self, rng):
+        # every entry at random frames against Kronecker products of the axes
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                dm = random_density_matrix(rng, n)
+                frame = frame_from_normals(rng.standard_normal((n, 3)))
+                pt = plane_subtensor(correlation_tensor(dm), frame)
+                np.testing.assert_allclose(
+                    pt.values, kron_trace_table(dm, frame.axis1, frame.axis2), rtol=0, atol=1e-10
+                )
+
 
 class TestFrames:
     def test_zero_angles_identity(self):
@@ -178,56 +189,6 @@ class TestFrames:
         frame = frame_from_normals([[0.0, 0.0, 1.0]])
         np.testing.assert_allclose(frame.axis1, [[1, 0, 0]], atol=1e-12)
         np.testing.assert_allclose(frame.axis2, [[0, 1, 0]], atol=1e-12)
-
-
-class TestCanonicalTwoQubitFrame:
-    def test_already_diagonal_block(self, rng):
-        # diagonal positive block: rotations reduce to identity up to signs
-        t = correlation_tensor(build_preset(StatePreset("maximally_mixed", 2)))
-        frame, pt = canonical_two_qubit_frame(t)
-        assert abs(pt.values[0, 1]) <= 1e-10
-        assert abs(pt.values[1, 0]) <= 1e-10
-
-    def test_antidiagonal_block(self):
-        # plane tensor [[0,1],[1,0]] comes from an xy/yx-correlated state;
-        # build it directly from a tensor with T_xy = T_yx = 1
-        vals = np.zeros((4, 4))
-        vals[0, 0] = 1.0
-        vals[1, 2] = 1.0
-        vals[2, 1] = 1.0
-        t = CorrelationTensor(2, vals)
-        _, pt = canonical_two_qubit_frame(t)
-        assert abs(pt.values[0, 1]) <= 1e-10
-        assert abs(pt.values[1, 0]) <= 1e-10
-        diag = sorted([abs(pt.values[0, 0]), abs(pt.values[1, 1])])
-        assert diag == pytest.approx([1.0, 1.0], abs=1e-10)
-
-    def test_bell_state_canonical_plane(self):
-        t = correlation_tensor(build_preset(StatePreset("bell_phi_minus", 2)))
-        _, pt = canonical_two_qubit_frame(t)
-        assert abs(pt.values[0, 1]) <= 1e-10
-        assert abs(pt.values[1, 0]) <= 1e-10
-        assert pt.values[0, 0] ** 2 + pt.values[1, 1] ** 2 == pytest.approx(2.0, abs=1e-10)
-
-    def test_random_states_match_svd(self, rng):
-        for _ in range(20):
-            t = correlation_tensor(random_density_matrix(rng, 2))
-            block = plane_subtensor(t, LocalFrame.canonical(2)).values
-            singular = np.linalg.svd(block, compute_uv=False)
-            _, pt = canonical_two_qubit_frame(t)
-            assert abs(pt.values[0, 1]) <= 1e-10
-            assert abs(pt.values[1, 0]) <= 1e-10
-            diag = np.sort(np.abs([pt.values[0, 0], pt.values[1, 1]]))[::-1]
-            np.testing.assert_allclose(diag, singular, atol=1e-10)
-            # squared singular values survive the rotation
-            assert pt.values[0, 0] ** 2 + pt.values[1, 1] ** 2 == pytest.approx(
-                float(np.sum(singular**2)), abs=1e-10
-            )
-
-    def test_requires_two_qubits(self, rng):
-        t = correlation_tensor(random_density_matrix(rng, 3))
-        with pytest.raises(InputError):
-            canonical_two_qubit_frame(t)
 
 
 class TestExport:
