@@ -80,13 +80,13 @@ class LhvModel:
         w = frozen_table(self.n_qubits, self.weights, "weights")
         if self.sign.n_qubits != self.n_qubits:
             raise InputError("sign function qubit count mismatch")
-        if w.min() < -1e-12:
+        if not w.min() >= -1e-12:
             raise InputError(f"class probability must be nonnegative, got {w.min()!r}")
         object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0)))
         total = self.total_atom_mass() + self.noise_weight
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise InputError(f"probability mass must sum to 1, got {total!r}")
-        if self.noise_weight < -1e-12:
+        if not self.noise_weight >= -1e-12:
             raise InputError("noise weight must be nonnegative")
 
     def total_atom_mass(self) -> float:
@@ -178,11 +178,26 @@ def sample_outcome_arrays(
     return a1, a2
 
 
+def _outcome_products(outcomes: np.ndarray) -> np.ndarray:
+    """Per-sample outcome products over a block of qubits: (k, 2, size)
+    int8 to (2^k, size), the setting choices in C order."""
+    work = np.ones((1, outcomes.shape[-1]), dtype=np.int8)
+    for q in outcomes:
+        work = (work[:, None] * q).reshape(-1, work.shape[-1])
+    return work
+
+
 def empirical_table(a1: np.ndarray, a2: np.ndarray) -> CorrelationTable:
-    """Monte-Carlo estimate of the correlation table from sampled +-1 outcomes."""
+    """Monte-Carlo estimate of the correlation table from sampled +-1 outcomes.
+
+    The qubits split into two halves; the per-sample products over each
+    half meet in one matrix product.  Every sum is an integer of magnitude
+    at most `size`, so the float64 product is exact.
+    """
     size, n = a1.shape
-    outcomes = np.stack([a1, a2], axis=-1).astype(np.int8)  # (size, n, 2)
-    work = np.ones((size,), dtype=np.int8)
-    for q in range(n):
-        work = np.einsum("i...,ij->i...j", work, outcomes[:, q])
-    return CorrelationTable(n, np.clip(work.mean(axis=0), -1.0, 1.0))
+    # (n, 2, size), samples contiguous
+    outcomes = np.array([a1.T, a2.T], dtype=np.int8).swapaxes(0, 1)
+    left = _outcome_products(outcomes[: n // 2]).astype(float)
+    right = _outcome_products(outcomes[n // 2 :]).astype(float)
+    work = (left @ right.T).reshape((2,) * n) / size
+    return CorrelationTable(n, np.clip(work, -1.0, 1.0))

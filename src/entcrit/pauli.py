@@ -78,9 +78,9 @@ class CorrelationTensor:
                 f"expected tensor shape {(4,) * self.n_qubits}, got {vals.shape}"
             )
         top = float(np.max(np.abs(vals)))
-        if top > 1.0 + ENTRY_TOL:
+        if not top <= 1.0 + ENTRY_TOL:
             raise InputError(f"tensor entry out of range: max |T| = {top!r}")
-        if abs(vals[(0,) * self.n_qubits] - 1.0) > 1e-10:
+        if not abs(vals[(0,) * self.n_qubits] - 1.0) <= 1e-10:
             raise InputError("identity component of the tensor must equal 1")
         object.__setattr__(self, "values", _frozen(vals))
 

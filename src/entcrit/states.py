@@ -26,6 +26,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 NORM_TOL = 1e-8
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 KET_PLUS_Z = np.array([1.0, 0.0], dtype=complex)
 KET_MINUS_Z = np.array([0.0, 1.0], dtype=complex)
@@ -103,7 +104,7 @@ class StateVector:
                 f"expected {dim} amplitudes for {self.n_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.all(np.isfinite(amps)):
             raise InputError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -131,7 +132,7 @@ class DensityMatrix:
                 f"expected a {dim}x{dim} matrix for {self.n_qubits} qubits, "
                 f"got shape {m.shape}"
             )
-        if not np.all(np.isfinite(m.view(np.float64))):
+        if not np.all(np.isfinite(m)):
             raise InputError("matrix entries must be finite")
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -153,10 +154,39 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     trace_residual = float(abs(np.trace(m) - 1.0))
     if trace_residual > TRACE_TOL:
         report.append(InvariantViolation("trace", trace_residual))
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-    if min_eig < -PSD_TOL:
-        report.append(InvariantViolation("positive_semidefinite", -min_eig))
+    if not _cholesky_certifies_psd(m):
+        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+        if min_eig < -PSD_TOL:
+            report.append(InvariantViolation("positive_semidefinite", -min_eig))
     return report
+
+
+def _cholesky_certifies_psd(m: np.ndarray) -> bool:
+    """True when a Cholesky factorization proves that eigvalsh would find
+    no eigenvalue of H = (m + m^H)/2 below -PSD_TOL.
+
+    Cholesky of A = H + (PSD_TOL/2) I that runs to completion is exact for
+    some A + dA with ||dA||_2 <= ~n(n+1) u ||A||_2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.5), so then
+    lambda_min(H) >= -PSD_TOL/2 - ||dA||_2.
+    """
+    n = m.shape[0]
+    # Factor only where 4 n(n+1) u ||A||_2 <= PSD_TOL/4, the 4 covering
+    # complex arithmetic and ||A||_2 <= ||m||_F + PSD_TOL/2.  Success then
+    # gives lambda_min(H) >= -3 PSD_TOL/4, leaving PSD_TOL/4 for the error
+    # of eigvalsh, so both tests give the same verdict.  A unit-trace state
+    # has ||m||_F = sqrt(purity) <= 1: every state passes up to N = 9
+    # (1.2e-10 at n = 512), and at N = 10 only below purity ~0.29.
+    norm_bound = np.linalg.norm(m) + PSD_TOL / 2.0
+    if 4.0 * n * (n + 1) * _UNIT_ROUNDOFF * norm_bound > PSD_TOL / 4.0:
+        return False
+    a = (m + m.conj().T) / 2.0
+    a.flat[:: n + 1] += PSD_TOL / 2.0
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def from_state_vector(v: StateVector) -> DensityMatrix:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from entcrit.states import DensityMatrix
+from entcrit.states import (
+    HERMITICITY_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    InvariantViolation,
+)
 
 PAULI_MATRICES = [
     np.eye(2, dtype=complex),
@@ -94,6 +100,52 @@ def brute_force_tensor(dm):
         assert abs(val.imag) < 1e-10
         out[idx] = val.real
     return out
+
+
+def full_rank_state(rng, n):
+    """G G^H / Tr, G a complex Gaussian square matrix: rank 2^N almost surely."""
+    dim = 2**n
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+def prescribed_spectrum_matrix(rng, n, min_eig):
+    """Unit-trace Hermitian matrix, random eigenbasis, smallest eigenvalue min_eig."""
+    dim = 2**n
+    lam = rng.uniform(0.1, 1.0, dim)
+    lam *= (1.0 - min_eig) / (lam.sum() - lam[0])
+    lam[0] = min_eig
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    m = (q * lam) @ q.conj().T
+    return DensityMatrix(n, (m + m.conj().T) / 2.0)
+
+
+def eigvalsh_validate(dm):
+    """Density-matrix invariants with the smallest eigenvalue from eigvalsh
+    on every input: the PSD gate as it stood before the Cholesky certificate."""
+    report = []
+    m = dm.matrix
+    herm_residual = float(np.max(np.abs(m - m.conj().T)))
+    if herm_residual > HERMITICITY_TOL:
+        report.append(InvariantViolation("hermiticity", herm_residual))
+    trace_residual = float(abs(np.trace(m) - 1.0))
+    if trace_residual > TRACE_TOL:
+        report.append(InvariantViolation("trace", trace_residual))
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    if min_eig < -PSD_TOL:
+        report.append(InvariantViolation("positive_semidefinite", -min_eig))
+    return report
+
+
+def einsum_empirical_table(a1, a2):
+    """Monte-Carlo table as an N-step int8 outer product over the samples."""
+    size, n = a1.shape
+    outcomes = np.stack([a1, a2], axis=-1).astype(np.int8)  # (size, n, 2)
+    work = np.ones((size,), dtype=np.int8)
+    for q in range(n):
+        work = np.einsum("i...,ij->i...j", work, outcomes[:, q])
+    return np.clip(work.mean(axis=0), -1.0, 1.0)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_unit_vectors
+from conftest import einsum_empirical_table, random_density_matrix, random_unit_vectors
 from entcrit.bell import (
     CorrelationTable,
     SettingsPair,
@@ -174,6 +174,14 @@ class TestModelType:
         with pytest.raises(InputError):
             LhvModel(2, one_class_weights((0, 1), -0.2), PLUS_SIGNS, 1.2)
 
+    def test_nan_class_mass_rejected(self):
+        with pytest.raises(InputError, match="nonnegative"):
+            LhvModel(2, [[np.nan, 0.0], [0.0, 0.0]], PLUS_SIGNS, 0.0)
+
+    def test_nan_noise_weight_rejected(self):
+        with pytest.raises(InputError):
+            LhvModel(1, [0.5, 0.0], SignFunction(1, np.ones(2)), np.nan)
+
     def test_tiny_negative_clamped(self):
         model = LhvModel(2, one_class_weights((0, 1), -1e-14), PLUS_SIGNS, 1.0)
         assert model.weights[0, 1] == 0.0
@@ -232,6 +240,14 @@ class TestSampling:
         a1, a2 = sample_outcome_arrays(model, 10**6, rng)
         empirical = empirical_table(a1, a2)
         assert empirical.values[0, 0] == pytest.approx(-1.0, abs=0.005)
+
+    @pytest.mark.parametrize("size", [1, 7, 4000])
+    def test_empirical_table_matches_einsum_oracle(self, rng, size):
+        for n in range(1, 10):
+            a1, a2 = sample_outcome_arrays(construct_lhv(within_bound_table(rng, n)), size, rng)
+            assert empirical_table(a1, a2).values.tobytes() == einsum_empirical_table(a1, a2).tobytes()
+            a1, a2 = (rng.integers(0, 2, (2, size, n)) * 2 - 1).astype(np.int8)
+            assert empirical_table(a1, a2).values.tobytes() == einsum_empirical_table(a1, a2).tobytes()
 
     def test_realized_table_matches_verify(self, rng):
         table = build_table_from_state(rng, 3)

@@ -91,6 +91,14 @@ class TestCorrelationTensor:
             back = density_from_tensor(CorrelationTensor(n, brute_force_tensor(dm)))
             assert np.max(np.abs(back.matrix - dm.matrix)) <= 1e-10
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(InputError, match="out of range"):
+            CorrelationTensor(1, [1.0, np.nan, 0.0, 0.0])
+
+    def test_nan_identity_component_rejected(self):
+        with pytest.raises(InputError):
+            CorrelationTensor(1, [np.nan, 0.0, 0.0, 0.0])
+
     def test_identity_component_enforced(self):
         bad = np.zeros((4, 4))
         bad[0, 0] = 0.5

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix
+from conftest import (
+    eigvalsh_validate,
+    full_rank_state,
+    prescribed_spectrum_matrix,
+    random_density_matrix,
+    random_pure_state,
+)
 from entcrit.states import (
+    PSD_TOL,
     DensityMatrix,
     InputError,
     StateFormatError,
@@ -66,6 +73,83 @@ class TestValidation:
         ]
         for p in presets:
             assert validate_density_matrix(build_preset(p)) == []
+
+
+class TestPsdGate:
+    """The Cholesky certificate gives eigvalsh's report on every input."""
+
+    @pytest.mark.parametrize("factor", [-0.4, -0.6, -0.99, -1.01, -2.0])
+    def test_prescribed_min_eigenvalue_matches_oracle(self, rng, factor):
+        for n in range(1, 8):
+            dm = prescribed_spectrum_matrix(rng, n, factor * PSD_TOL)
+            report = validate_density_matrix(dm)
+            assert report == eigvalsh_validate(dm)
+            assert [v.invariant for v in report] == (
+                ["positive_semidefinite"] if factor < -1.0 else []
+            )
+
+    def test_states_up_to_nine_qubits_match_oracle(self, rng):
+        for n in range(1, 10):
+            for dm in (
+                random_pure_state(rng, n),
+                random_density_matrix(rng, n, terms=4),
+                full_rank_state(rng, n),
+            ):
+                assert validate_density_matrix(dm) == eigvalsh_validate(dm) == []
+
+    def test_trace_off_matches_oracle(self, rng):
+        dm = DensityMatrix(3, 1.5 * random_density_matrix(rng, 3).matrix)
+        report = validate_density_matrix(dm)
+        assert report == eigvalsh_validate(dm)
+        assert [v.invariant for v in report] == ["trace"]
+
+    def test_non_hermitian_matches_oracle(self, rng):
+        m = random_density_matrix(rng, 3).matrix.copy()
+        m[0, 1] += 1e-3
+        dm = DensityMatrix(3, m)
+        report = validate_density_matrix(dm)
+        assert report == eigvalsh_validate(dm)
+        assert report[0].invariant == "hermiticity"
+
+    def test_eigvalsh_skipped_through_nine_qubits(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        assert validate_density_matrix(random_pure_state(rng, 9)) == []
+        assert validate_density_matrix(full_rank_state(rng, 9)) == []
+        assert calls == []
+        # a pure state's Frobenius norm is 1, beyond the certificate's bound at n = 1024
+        assert validate_density_matrix(random_pure_state(rng, 10)) == []
+        assert len(calls) == 1
+
+
+class TestMemoryLayout:
+    def test_fortran_order_matrix_builds(self):
+        m = (np.eye(2) / 2 + 0j).T.copy(order="F")
+        dm = DensityMatrix(1, m)
+        assert dm.matrix.flags.c_contiguous
+        assert validate_density_matrix(dm) == []
+
+    def test_reversed_column_view_builds(self):
+        m = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)[:, ::-1]
+        np.testing.assert_array_equal(DensityMatrix(1, m).matrix, np.eye(2) / 2)
+
+    def test_conjugate_transpose_of_state_builds(self, rng):
+        rho = random_density_matrix(rng, 3).matrix
+        dm = DensityMatrix(3, rho.conj().T)
+        np.testing.assert_array_equal(dm.matrix, rho.conj().T)
+        assert validate_density_matrix(dm) == []
+
+    def test_fortran_order_non_finite_rejected(self):
+        m = np.asfortranarray(np.array([[0.5, np.nan], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(InputError, match="finite"):
+            DensityMatrix(1, m)
+
+    def test_reversed_vector_slice_builds(self):
+        v = StateVector(1, np.array([0.0, 1.0], dtype=complex)[::-1])
+        np.testing.assert_array_equal(v.amplitudes, [1.0, 0.0])
+        with pytest.raises(InputError, match="finite"):
+            StateVector(1, np.array([np.inf, 1.0], dtype=complex)[::-1])
 
 
 class TestFromStateVector:
