@@ -32,7 +32,6 @@ from .info import (
 )
 from .lhv import (
     BellBoundError,
-    DeterministicStrategy,
     LhvModel,
     construct_lhv,
     verify_lhv,

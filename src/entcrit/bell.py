@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -27,18 +26,21 @@ from .pauli import (
     unit_row_pair,
 )
 from .search import OptimizerOptions, maximize
-from .states import InputError, StateFormatError, _frozen, decode_json
+from .states import InputError, StateFormatError, _as_number, _frozen, decode_json
 
 #: Margin above 2^N required before the bound is reported as violated.
 VIOLATION_TOLERANCE = 1e-7
+#: Random starts the Bell see-saw adds to its warm starts by default.
+BELL_RESTARTS = 64
 
 # rows: s = +1, s = -1; columns: exponent k = 1 (picks s), k = 2 (picks 1)
 _SIGN_WEIGHTS = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
-def sign_tuples(n_qubits: int) -> list[tuple[int, ...]]:
-    """All sign tuples, ordered to match raveled (2,)*N arrays (+1 first)."""
-    return list(product((1, -1), repeat=n_qubits))
+def sign_grid(n_qubits: int) -> np.ndarray:
+    """All sign tuples as +-1 rows, shape (2^N, N): row i is the tuple at
+    flat C-order index i of a (2,)*N array, axis index 0 meaning +1."""
+    return 1 - 2 * np.indices((2,) * n_qubits, dtype=np.int8).reshape(n_qubits, -1).T
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def general_bell_lhs(table: CorrelationTable) -> BellEvaluation:
     moduli = np.abs(b)
     lhs = float(moduli.sum())
     bound = float(2**n)
-    per_s = {s: float(m) for s, m in zip(sign_tuples(n), moduli.ravel())}
+    per_s = {tuple(s): float(m) for s, m in zip(sign_grid(n).tolist(), moduli.ravel())}
     return BellEvaluation(
         lhs_general=lhs,
         per_s_moduli=per_s,
@@ -156,14 +158,10 @@ def belinskii_klyshko_value(table: CorrelationTable) -> float:
     return raw / 2.0 ** (table.n_qubits - 1)
 
 
-def _sign_rows(x: np.ndarray, q: int) -> np.ndarray:
-    """Rows n2 + s n1 for s = +1, -1; B(s) contracts qubit q's axis with row s."""
-    return np.stack([x[1, q] + x[0, q], x[1, q] - x[0, q]])
-
-
 def _contract(cart: np.ndarray, x: np.ndarray, skip: Optional[int] = None) -> np.ndarray:
-    """B(s) over all sign tuples, or with qubit `skip` left as a Cartesian axis."""
-    rows = [np.eye(3) if q == skip else _sign_rows(x, q) for q in range(cart.ndim)]
+    """B(s) over all sign tuples, or with qubit `skip` left as a Cartesian axis;
+    qubit q contracts with its rows n2 + s n1, `_SIGN_WEIGHTS @ x[:, q]`."""
+    rows = [np.eye(3) if q == skip else _SIGN_WEIGHTS @ x[:, q] for q in range(cart.ndim)]
     return mode_product(cart, rows)
 
 
@@ -202,7 +200,8 @@ def _seesaw(
 
     With every other qubit fixed, qubit j enters linearly as n1.(G+ - G-)
     + n2.(G+ + G-), where G+- sums sigma(s) times the rest of the contraction
-    over the tuples with s_j = +-1, so both settings have an exact update.
+    over the tuples with s_j = +-1, so both settings have an exact update:
+    the rows of `_SIGN_WEIGHTS.T @ (G+, G-)`.
     A given sign function is held fixed (negating one qubit's settings maps
     -S to S, so maximizing sum_s S(s) B(s) maximizes its modulus); without
     one, sigma = sign B is refreshed before every qubit update, which ascends
@@ -221,15 +220,14 @@ def _seesaw(
         x = x.copy()
         for j in range(n):
             rest = np.moveaxis(_contract(cart, x, skip=j), j, -1)
-            b = np.moveaxis(rest @ _sign_rows(x, j).T, -1, j)
+            b = np.moveaxis(rest @ (_SIGN_WEIGHTS @ x[:, j]).T, -1, j)
             g = np.tensordot(np.moveaxis(sigma(b), j, -1), rest, axes=(axes, axes))
-            x[0, j] = _unit(g[0] - g[1], x[0, j])
-            x[1, j] = _unit(g[0] + g[1], x[1, j])
+            x[:, j] = [_unit(v, old) for v, old in zip(_SIGN_WEIGHTS.T @ g, x[:, j])]
         b = _contract(cart, x)
         return x, float(np.sum(sigma(b) * b))
 
     ceiling = 2.0**n * np.sqrt(info_upper_bound(t))
-    res = maximize(sweep, _bell_warm_starts(t), options or OptimizerOptions(restarts=64), ceiling)
+    res = maximize(sweep, _bell_warm_starts(t), options, ceiling, BELL_RESTARTS)
     return SettingsPair(res.x[0], res.x[1])
 
 
@@ -331,5 +329,5 @@ def parse_settings_file(text, n_qubits: int) -> SettingsPair:
             vec = item[key]
             if not isinstance(vec, list) or len(vec) != 3:
                 raise StateFormatError(f"pairs[{i}].{key} must be a 3-vector")
-            dest.append([float(c) for c in vec])
+            dest.append([_as_number(c, f"pairs[{i}].{key}") for c in vec])
     return SettingsPair(np.array(n1), np.array(n2))

@@ -119,12 +119,9 @@ def _load_settings(path: str, n_qubits: int):
     return parse_settings_file(_read_bytes(path), n_qubits)
 
 
-def _optimizer_options(args, default_restarts: int) -> OptimizerOptions:
-    restarts = getattr(args, "restarts", None)
-    return OptimizerOptions(
-        restarts=restarts if restarts is not None else default_restarts,
-        seed=args.seed,
-    )
+def _optimizer_options(args) -> OptimizerOptions:
+    # without --restarts each search takes its own default count
+    return OptimizerOptions(restarts=args.restarts, seed=args.seed)
 
 
 def _lhv_section(table, n_qubits: int) -> dict:
@@ -152,7 +149,7 @@ def _cmd_tensor(args) -> str:
 
 def _cmd_info(args) -> str:
     dm = _load_state(args)
-    verdict = maximize_corr_info(correlation_tensor(dm), _optimizer_options(args, 32))
+    verdict = maximize_corr_info(correlation_tensor(dm), _optimizer_options(args))
     return _to_json(verdict.to_json_dict())
 
 
@@ -163,9 +160,7 @@ def _cmd_bell(args) -> str:
         settings = _load_settings(args.settings, dm.n_qubits)
         evaluation = general_bell_lhs(correlation_table(tensor, settings))
     else:
-        evaluation, settings = maximize_general_bell(
-            tensor, _optimizer_options(args, 64)
-        )
+        evaluation, settings = maximize_general_bell(tensor, _optimizer_options(args))
     return _to_json(bell_report_dict(dm.n_qubits, evaluation, settings))
 
 
@@ -180,7 +175,7 @@ def _cmd_lhv(args) -> str:
 
 
 def _cmd_werner_scan(args) -> str:
-    rows = visibility_scan(args.n, args.grid, _optimizer_options(args, 64))
+    rows = visibility_scan(args.n, args.grid, _optimizer_options(args))
     if args.out_format == "json":
         return _to_json(scan_to_json_dict(args.n, rows))
     return scan_to_csv(rows)
@@ -189,10 +184,8 @@ def _cmd_werner_scan(args) -> str:
 def _cmd_analyze(args) -> str:
     dm = _load_state(args)
     tensor = correlation_tensor(dm)
-    verdict = maximize_corr_info(tensor, _optimizer_options(args, 32))
-    evaluation, found_settings = maximize_general_bell(
-        tensor, _optimizer_options(args, 64)
-    )
+    verdict = maximize_corr_info(tensor, _optimizer_options(args))
+    evaluation, found_settings = maximize_general_bell(tensor, _optimizer_options(args))
     if args.settings:
         lhv_settings = _load_settings(args.settings, dm.n_qubits)
     else:

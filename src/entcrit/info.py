@@ -29,6 +29,8 @@ from .states import InputError
 #: Margin above 1 required before a state is called entangled, so boundary
 #: states do not flip verdicts on numerical noise.
 DECISION_TOLERANCE = 1e-7
+#: Random starts the information search adds to its warm starts by default.
+INFO_RESTARTS = 32
 
 PROB_SUM_TOL = 1e-9
 
@@ -161,7 +163,7 @@ def maximize_corr_info(
     # HOSVD, then z, x and y normals (the canonical x-y plane first)
     warm = [np.array([_least_direction(cart, j) for j in range(n)])]
     warm += [np.tile(axis, (n, 1)) for axis in np.eye(3)[[2, 0, 1]]]
-    res = maximize(sweep, warm, options, info_upper_bound(t))
+    res = maximize(sweep, warm, options, info_upper_bound(t), INFO_RESTARTS)
 
     report = OptimizerReport(
         restarts=res.starts,

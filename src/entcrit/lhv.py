@@ -11,9 +11,7 @@ which contributes nothing to any correlation function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import prod
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from .bell import (
     _SIGN_WEIGHTS,
     SignFunction,
     general_bell_lhs,
-    sign_tuples,
+    sign_grid,
     signed_sums,
 )
 from .pauli import CorrelationTable, frozen_table, mode_product
@@ -42,27 +40,6 @@ class BellBoundError(InputError):
 
 
 @dataclass(frozen=True)
-class DeterministicStrategy:
-    """Predetermined +-1 outcomes per qubit for each of the two settings."""
-
-    a1: tuple
-    a2: tuple
-
-    def __post_init__(self):
-        for name in ("a1", "a2"):
-            vals = tuple(int(v) for v in getattr(self, name))
-            if any(v not in (-1, 1) for v in vals):
-                raise InputError(f"strategy outcomes must be +-1, got {vals}")
-            object.__setattr__(self, name, vals)
-        if len(self.a1) != len(self.a2):
-            raise InputError("both outcome tuples must cover the same qubits")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.a1)
-
-
-@dataclass(frozen=True)
 class LhvModel:
     """Sign-class masses p(s) and signs, shape (2,)*N, plus uniform noise.
 
@@ -74,7 +51,6 @@ class LhvModel:
     weights: np.ndarray
     sign: SignFunction
     noise_weight: float
-    noise_kind: str = "uniform_over_all_strategies"
 
     def __post_init__(self):
         w = frozen_table(self.n_qubits, self.weights, "weights")
@@ -92,26 +68,23 @@ class LhvModel:
     def total_atom_mass(self) -> float:
         return float(self.weights.sum())
 
-    def atoms(self) -> Iterator[tuple[DeterministicStrategy, float]]:
-        """Every (strategy, probability) pair, class by class in sign_tuples
-        order; classes without mass are skipped."""
-        n = self.n_qubits
-        weights = self.weights.ravel().tolist()
-        for s, p, sign in zip(sign_tuples(n), weights, self.sign.values.ravel().tolist()):
-            if p == 0.0:
-                continue
-            for a2 in product((1, -1), repeat=n):
-                if prod(a2) == sign:
-                    a1 = tuple(sj * a2j for sj, a2j in zip(s, a2))
-                    yield DeterministicStrategy(a1, a2), p / 2.0 ** (n - 1)
-
     def to_json_dict(self) -> dict:
+        """{a1, a2, p} atoms and the noise weight.  Classes with mass come in
+        flat C order; class s lists a2 over the sign-grid rows with prod(a2) =
+        sign(s), with a1 = s a2 and p = p(s) / 2^(N-1)."""
+        n = self.n_qubits
+        grid = sign_grid(n)
+        even = grid.prod(axis=1) > 0
+        mass = self.weights.ravel()
+        live = mass != 0.0
+        plus = (self.sign.values.ravel()[live] > 0)[:, None, None]
+        a2 = np.where(plus, grid[even], grid[~even])
+        a1 = grid[live][:, None, :] * a2
+        p = np.repeat(mass[live] / 2.0 ** (n - 1), a2.shape[1])
+        rows = zip(a1.reshape(-1, n).tolist(), a2.reshape(-1, n).tolist(), p.tolist())
         return {
-            "n_qubits": int(self.n_qubits),
-            "atoms": [
-                {"a1": list(s.a1), "a2": list(s.a2), "p": float(p)}
-                for s, p in self.atoms()
-            ],
+            "n_qubits": int(n),
+            "atoms": [{"a1": x, "a2": y, "p": q} for x, y, q in rows],
             "noise_weight": float(self.noise_weight),
         }
 
@@ -172,9 +145,7 @@ def sample_outcome_arrays(
     rows = picks < model.weights.size
     cls = picks[rows]
     a2[rows, -1] = model.sign.values.ravel()[cls] * a2[rows, :-1].prod(axis=1)
-    # bit q of the class index (qubit 1 most significant) is 1 where s_q = -1
-    s = 1 - 2 * ((cls[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-    a1[rows] = s * a2[rows]
+    a1[rows] = sign_grid(n)[cls] * a2[rows]
     return a1, a2
 
 

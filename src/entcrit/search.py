@@ -29,11 +29,14 @@ CEILING_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    restarts: int = 32
+    """Random starts after the warm ones, and their seed; restarts None takes
+    the search's own default (`info.INFO_RESTARTS`, `bell.BELL_RESTARTS`)."""
+
+    restarts: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
+        if self.restarts is not None and self.restarts < 0:
             raise InputError(f"restarts must be nonnegative, got {self.restarts}")
 
 
@@ -62,13 +65,15 @@ def _ascend(sweep: Callable, x: np.ndarray) -> SearchResult:
 def maximize(
     sweep: Callable[[np.ndarray], tuple[np.ndarray, float]],
     warm_starts: Sequence[np.ndarray],
-    options: Optional[OptimizerOptions] = None,
-    ceiling: float = np.inf,
+    options: Optional[OptimizerOptions],
+    ceiling: float,
+    default_restarts: int,
 ) -> SearchResult:
     """Best fixed point of `sweep` over warm starts, then seeded random ones.
 
     A start is an array of unit 3-vectors along its last axis; the random
-    starts, drawn from `np.random.default_rng(seed)`, copy the shape of the
+    starts, `options.restarts` of them (`default_restarts` when that is
+    None), drawn from `np.random.default_rng(seed)`, copy the shape of the
     first warm start.  `sweep(x)` returns the updated array and the objective
     there.  A later start must beat the incumbent by a clear margin, so warm
     starts win numerical ties and the outcome is fixed by the seed.  Once the
@@ -78,7 +83,7 @@ def maximize(
     opts = options or OptimizerOptions()
     rng = np.random.default_rng(opts.seed)
     starts = [np.asarray(w, dtype=float) for w in warm_starts]
-    for _ in range(opts.restarts):
+    for _ in range(default_restarts if opts.restarts is None else opts.restarts):
         v = rng.standard_normal(starts[0].shape)
         starts.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
 

@@ -28,13 +28,6 @@ PSD_TOL = 1e-9
 NORM_TOL = 1e-8
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
-KET_PLUS_Z = np.array([1.0, 0.0], dtype=complex)
-KET_MINUS_Z = np.array([0.0, 1.0], dtype=complex)
-KET_PLUS_X = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-KET_MINUS_X = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-KET_PLUS_Y = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-KET_MINUS_Y = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
-
 PRESET_KINDS = (
     "ghz",
     "bell_phi_minus",
@@ -148,44 +141,51 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     """
     report: list[InvariantViolation] = []
     m = dm.matrix
-    herm_residual = float(np.max(np.abs(m - m.conj().T)))
+    m_h = m.conj().T
+    herm_residual = float(np.max(np.abs(m - m_h)))
     if herm_residual > HERMITICITY_TOL:
         report.append(InvariantViolation("hermiticity", herm_residual))
     trace_residual = float(abs(np.trace(m) - 1.0))
     if trace_residual > TRACE_TOL:
         report.append(InvariantViolation("trace", trace_residual))
-    if not _cholesky_certifies_psd(m):
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    h = m + m_h
+    del m_h  # H = (m + m^H)/2 in place: one n x n temporary at a time
+    h /= 2.0
+    if not _cholesky_certifies_psd(h, np.linalg.norm(m)):
+        min_eig = float(np.linalg.eigvalsh(h)[0])
         if min_eig < -PSD_TOL:
             report.append(InvariantViolation("positive_semidefinite", -min_eig))
     return report
 
 
-def _cholesky_certifies_psd(m: np.ndarray) -> bool:
+def _cholesky_certifies_psd(h: np.ndarray, m_norm: float) -> bool:
     """True when a Cholesky factorization proves that eigvalsh would find
-    no eigenvalue of H = (m + m^H)/2 below -PSD_TOL.
+    no eigenvalue of the Hermitian part h of m below -PSD_TOL; m_norm is
+    ||m||_F.  h is shifted in place for the factorization and restored.
 
     Cholesky of A = H + (PSD_TOL/2) I that runs to completion is exact for
     some A + dA with ||dA||_2 <= ~n(n+1) u ||A||_2 (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Thm 10.5), so then
     lambda_min(H) >= -PSD_TOL/2 - ||dA||_2.
     """
-    n = m.shape[0]
+    n = h.shape[0]
     # Factor only where 4 n(n+1) u ||A||_2 <= PSD_TOL/4, the 4 covering
     # complex arithmetic and ||A||_2 <= ||m||_F + PSD_TOL/2.  Success then
     # gives lambda_min(H) >= -3 PSD_TOL/4, leaving PSD_TOL/4 for the error
     # of eigvalsh, so both tests give the same verdict.  A unit-trace state
     # has ||m||_F = sqrt(purity) <= 1: every state passes up to N = 9
     # (1.2e-10 at n = 512), and at N = 10 only below purity ~0.29.
-    norm_bound = np.linalg.norm(m) + PSD_TOL / 2.0
+    norm_bound = m_norm + PSD_TOL / 2.0
     if 4.0 * n * (n + 1) * _UNIT_ROUNDOFF * norm_bound > PSD_TOL / 4.0:
         return False
-    a = (m + m.conj().T) / 2.0
-    a.flat[:: n + 1] += PSD_TOL / 2.0
+    diagonal = h.diagonal().copy()
+    h.flat[:: n + 1] += PSD_TOL / 2.0
     try:
-        np.linalg.cholesky(a)
+        np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        h.flat[:: n + 1] = diagonal
     return True
 
 

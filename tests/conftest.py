@@ -1,5 +1,8 @@
 """Shared random-state generators and oracle helpers."""
 
+import itertools
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,24 @@ def einsum_empirical_table(a1, a2):
     for q in range(n):
         work = np.einsum("i...,ij->i...j", work, outcomes[:, q])
     return np.clip(work.mean(axis=0), -1.0, 1.0)
+
+
+def enumerated_atoms(model):
+    """The local model's strategies by explicit enumeration: classes s in
+    itertools order (+1 first), then every a2 with prod(a2) = sign(s), a1 =
+    s a2, each carrying p(s) / 2^(N-1); classes without mass are skipped."""
+    n = model.n_qubits
+    atoms = []
+    weights = model.weights.ravel().tolist()
+    signs = model.sign.values.ravel().tolist()
+    for s, p, sign in zip(itertools.product((1, -1), repeat=n), weights, signs):
+        if p == 0.0:
+            continue
+        for a2 in itertools.product((1, -1), repeat=n):
+            if prod(a2) == sign:
+                a1 = [sj * a2j for sj, a2j in zip(s, a2)]
+                atoms.append({"a1": a1, "a2": list(a2), "p": p / 2.0 ** (n - 1)})
+    return atoms
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from entcrit.bell import (
     necsuf_lhs,
     parse_settings_file,
     sign_function_inequality,
-    sign_tuples,
+    sign_grid,
     signed_sums,
     sufficient_lr_condition,
 )
@@ -181,13 +181,21 @@ class TestGeneralBell:
         table = random_table(rng, 3)
         ev = general_bell_lhs(table)
         assert ev.lhs_general == pytest.approx(sum(ev.per_s_moduli.values()), abs=1e-12)
+        assert list(ev.per_s_moduli) == list(itertools.product((1, -1), repeat=3))
+
+    def test_sign_grid_is_product_order(self):
+        # row i is the sign tuple at flat C-order index i, +1 first
+        for n in range(1, 8):
+            grid = sign_grid(n)
+            assert grid.shape == (2**n, n)
+            assert grid.tolist() == [list(s) for s in itertools.product((1, -1), repeat=n)]
 
     def test_signed_sums_match_explicit_expansion(self, rng):
         # coefficients in the orthogonal sign-monomial basis equal B(s)
         for _ in range(50):
             table = random_table(rng, 2)
             b = signed_sums(table)
-            for pos, s in enumerate(sign_tuples(2)):
+            for pos, s in enumerate(sign_grid(2).tolist()):
                 manual = 0.0
                 for k_pos, k in enumerate(itertools.product((1, 2), repeat=2)):
                     coeff = 1.0

@@ -284,18 +284,20 @@ class TestExitCodes:
         assert res.stdout.strip() == "False"
 
     def test_nan_settings_is_two(self, tmp_path, capsys):
-        # json accepts NaN; it must not pass the unit-vector check
+        # json accepts NaN, which must not pass the unit-vector check; strings,
+        # lists and booleans are not numbers
         path = tmp_path / "settings.json"
-        path.write_text(
-            '{"pairs": [{"n1": [NaN, 0, 0], "n2": [0, 1, 0]}, {"n1": [1, 0, 0], "n2": [0, 1, 0]}]}'
-        )
-        for command in ("bell", "lhv", "analyze"):
-            code, out, err = run_inprocess(
-                capsys, command, "--preset", "bell_phi_minus", "--settings", str(path)
+        for n1 in ("[NaN, 0, 0]", '["abc", 0, 0]', "[[1], 0, 0]", '["1", false, 0]'):
+            path.write_text(
+                f'{{"pairs": [{{"n1": {n1}, "n2": [0, 1, 0]}}, {{"n1": [1, 0, 0], "n2": [0, 1, 0]}}]}}'
             )
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error:")
+            for command in ("bell", "lhv", "analyze"):
+                code, out, err = run_inprocess(
+                    capsys, command, "--preset", "bell_phi_minus", "--settings", str(path)
+                )
+                assert code == 2
+                assert out == ""
+                assert err.startswith("error:")
 
     def test_unwritable_out_is_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"

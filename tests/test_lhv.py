@@ -1,10 +1,16 @@
 import itertools
+import json
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from conftest import einsum_empirical_table, random_density_matrix, random_unit_vectors
+from conftest import (
+    einsum_empirical_table,
+    enumerated_atoms,
+    random_density_matrix,
+    random_unit_vectors,
+)
 from entcrit.bell import (
     CorrelationTable,
     SettingsPair,
@@ -15,7 +21,6 @@ from entcrit.bell import (
 )
 from entcrit.lhv import (
     BellBoundError,
-    DeterministicStrategy,
     LhvModel,
     construct_lhv,
     empirical_table,
@@ -43,6 +48,10 @@ def pure_noise_model(n):
     return LhvModel(n, np.zeros((2,) * n), SignFunction(n, np.ones((2,) * n)), 1.0)
 
 
+def json_atoms(model):
+    return model.to_json_dict()["atoms"]
+
+
 def one_class_weights(index, p):
     weights = np.zeros((2,) * len(index))
     weights[index] = p
@@ -52,9 +61,8 @@ def one_class_weights(index, p):
 class TestConstruct:
     def test_zero_table_is_pure_noise(self):
         model = construct_lhv(CorrelationTable(2, np.zeros((2, 2))))
-        assert list(model.atoms()) == []
+        assert json_atoms(model) == []
         assert model.noise_weight == pytest.approx(1.0)
-        assert model.noise_kind == "uniform_over_all_strategies"
 
     def test_pr_box_like_table_refused(self):
         vals = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -83,11 +91,9 @@ class TestConstruct:
         assert model.total_atom_mass() == pytest.approx(expected_mass, abs=1e-12)
         # 2^(N-1) strategies per populated sign class
         per_class = {}
-        for strategy, p in model.atoms():
-            s = tuple(
-                a1 * a2 for a1, a2 in zip(strategy.a1, strategy.a2)
-            )
-            per_class.setdefault(s, []).append(p)
+        for atom in json_atoms(model):
+            s = tuple(a1 * a2 for a1, a2 in zip(atom["a1"], atom["a2"]))
+            per_class.setdefault(s, []).append(atom["p"])
         for s, probs in per_class.items():
             assert len(probs) == 2
             assert np.ptp(probs) <= 1e-15
@@ -96,12 +102,12 @@ class TestConstruct:
         table = build_table_from_state(rng, 3)
         model = construct_lhv(table)
         b = signed_sums(table)
-        for strategy, _ in model.atoms():
-            s = tuple(a1 * a2 for a1, a2 in zip(strategy.a1, strategy.a2))
+        for atom in json_atoms(model):
+            s = tuple(a1 * a2 for a1, a2 in zip(atom["a1"], atom["a2"]))
             idx = tuple(0 if sj == 1 else 1 for sj in s)
             target = 1 if b[idx] > 0 else -1
             prod = 1
-            for v in strategy.a2:
+            for v in atom["a2"]:
                 prod *= v
             assert prod == target
 
@@ -186,10 +192,6 @@ class TestModelType:
         model = LhvModel(2, one_class_weights((0, 1), -1e-14), PLUS_SIGNS, 1.0)
         assert model.weights[0, 1] == 0.0
 
-    def test_strategy_outcomes_validated(self):
-        with pytest.raises(InputError):
-            DeterministicStrategy((1, 0), (1, 1))
-
     def test_json_export_schema(self, rng):
         table = build_table_from_state(rng, 2)
         if general_bell_lhs(table).violated:
@@ -199,20 +201,42 @@ class TestModelType:
         for atom in doc["atoms"]:
             assert set(atom) == {"a1", "a2", "p"}
 
+    def test_json_atoms_match_enumeration_oracle(self, rng):
+        # same atoms in the same order, with int outcomes and bit-equal masses
+        for n in range(1, 7):
+            for _ in range(4):
+                weights = rng.random((2,) * n) * (rng.random((2,) * n) < 0.6)
+                weights *= rng.uniform(0.2, 1.0) / max(weights.sum(), 1.0)
+                sign = SignFunction(n, np.where(rng.random((2,) * n) < 0.5, 1.0, -1.0))
+                model = LhvModel(n, weights, sign, 1.0 - weights.sum())
+                expected = enumerated_atoms(model)
+                assert len(expected) == 2 ** (n - 1) * np.count_nonzero(weights)
+                assert json.dumps(json_atoms(model)) == json.dumps(expected)
+            model = construct_lhv(within_bound_table(rng, n))
+            assert json.dumps(json_atoms(model)) == json.dumps(enumerated_atoms(model))
+
 
 class TestSampling:
     def test_single_atom_model(self):
         # all mass on the class s = (-1, -1), whose strategies have a2 products -1
         model = LhvModel(2, one_class_weights((1, 1), 1.0), SignFunction(2, -np.ones((2, 2))), 0.0)
-        strategies = [strategy for strategy, _ in model.atoms()]
-        assert strategies == [
-            DeterministicStrategy((-1, 1), (1, -1)),
-            DeterministicStrategy((1, -1), (-1, 1)),
-        ]
+        strategies = [(atom["a1"], atom["a2"]) for atom in json_atoms(model)]
+        assert strategies == [([-1, 1], [1, -1]), ([1, -1], [-1, 1])]
         for seed in range(5):
             a1, a2 = sample_outcome_arrays(model, 20, seed)
-            for row1, row2 in zip(a1, a2):
-                assert DeterministicStrategy(tuple(row1), tuple(row2)) in strategies
+            for row1, row2 in zip(a1.tolist(), a2.tolist()):
+                assert (row1, row2) in strategies
+
+    def test_sampled_rows_are_atoms(self, rng):
+        # no noise mass, so every draw is an atom of a class with mass
+        for n in range(1, 7):
+            weights = rng.random((2,) * n) * (rng.random((2,) * n) < 0.6)
+            weights[(0,) * n] += 0.1
+            sign = SignFunction(n, np.where(rng.random((2,) * n) < 0.5, 1.0, -1.0))
+            model = LhvModel(n, weights / weights.sum(), sign, 0.0)
+            atoms = {(tuple(a["a1"]), tuple(a["a2"])) for a in json_atoms(model)}
+            a1, a2 = sample_outcome_arrays(model, 500, rng)
+            assert {(tuple(x), tuple(y)) for x, y in zip(a1.tolist(), a2.tolist())} <= atoms
 
     def test_pure_noise_frequencies(self):
         model = pure_noise_model(2)
@@ -274,9 +298,9 @@ class TestOracles:
             table = within_bound_table(rng, n)
             model = construct_lhv(table)
             acc = np.zeros((2,) * n)
-            for strategy, p in model.atoms():
-                per_qubit = [np.array([strategy.a1[q], strategy.a2[q]], dtype=float) for q in range(n)]
-                acc += p * reduce(np.multiply.outer, per_qubit)
+            for atom in json_atoms(model):
+                per_qubit = [np.array([atom["a1"][q], atom["a2"][q]], dtype=float) for q in range(n)]
+                acc += atom["p"] * reduce(np.multiply.outer, per_qubit)
             assert np.max(np.abs(acc - lhv_correlation_table(model).values)) <= 1e-12
             assert np.max(np.abs(acc - table.values)) <= 1e-12
 
