@@ -99,14 +99,16 @@ def signed_sums(table: CorrelationTable) -> np.ndarray:
     return mode_product(table.values, [_SIGN_WEIGHTS] * table.n_qubits)
 
 
+def _master_sum(b: np.ndarray) -> tuple[float, float]:
+    """The master sum of |B(s)| over the signed sums B(s), and its bound 2^N."""
+    return float(np.abs(b).sum()), float(2**b.ndim)
+
+
 def general_bell_lhs(table: CorrelationTable) -> BellEvaluation:
     """Evaluate the master inequality: sum of |B(s)| against the bound 2^N."""
-    n = table.n_qubits
     b = signed_sums(table)
-    moduli = np.abs(b)
-    lhs = float(moduli.sum())
-    bound = float(2**n)
-    per_s = {tuple(s): float(m) for s, m in zip(sign_grid(n).tolist(), moduli.ravel())}
+    lhs, bound = _master_sum(b)
+    per_s = dict(zip(map(tuple, sign_grid(b.ndim).tolist()), np.abs(b).ravel().tolist()))
     return BellEvaluation(
         lhs_general=lhs,
         per_s_moduli=per_s,
@@ -189,7 +191,7 @@ def _bell_warm_starts(t: CorrelationTensor) -> list[np.ndarray]:
         alpha = total / n
         first = [np.cos(alpha), np.sin(alpha), 0.0]
         second = [-np.sin(alpha), np.cos(alpha), 0.0]
-        starts.append(np.array([np.tile(first, (n, 1)), np.tile(second, (n, 1))]))
+        starts.append(np.array([[first] * n, [second] * n]))
     return starts
 
 
@@ -211,20 +213,24 @@ def _seesaw(
     """
     n = t.n_qubits
     cart = t.cartesian()
-    axes = list(range(n - 1))
+    # per qubit j, the axis order that moves j's axis last
+    moved = [(*range(j), *range(j + 1, n), j) for j in range(n)]
+    last_first = (n - 1, *range(n - 1))
 
-    def sigma(b: np.ndarray) -> np.ndarray:
-        return sign if sign is not None else np.where(b >= 0.0, 1.0, -1.0)
+    def sigma(b: np.ndarray, axes) -> np.ndarray:
+        return np.where(b >= 0.0, 1.0, -1.0) if sign is None else sign.transpose(axes)
 
     def sweep(x: np.ndarray) -> tuple[np.ndarray, float]:
         x = x.copy()
         for j in range(n):
-            rest = np.moveaxis(_contract(cart, x, skip=j), j, -1)
-            b = np.moveaxis(rest @ (_SIGN_WEIGHTS @ x[:, j]).T, -1, j)
-            g = np.tensordot(np.moveaxis(sigma(b), j, -1), rest, axes=(axes, axes))
+            # the rest of the contraction, and B(s), with qubit j's axis last
+            rest = _contract(cart, x, skip=j).transpose(moved[j])
+            b = rest @ (_SIGN_WEIGHTS @ x[:, j]).T
+            # G+- is one product of unfoldings: sigma with j's axis first, and rest
+            g = np.dot(sigma(b, moved[j]).transpose(last_first).reshape(2, -1), rest.reshape(-1, 3))
             x[:, j] = [_unit(v, old) for v, old in zip(_SIGN_WEIGHTS.T @ g, x[:, j])]
         b = _contract(cart, x)
-        return x, float(np.sum(sigma(b) * b))
+        return x, float(np.sum(sigma(b, range(n)) * b))
 
     ceiling = 2.0**n * np.sqrt(info_upper_bound(t))
     res = maximize(sweep, _bell_warm_starts(t), options, ceiling, BELL_RESTARTS)

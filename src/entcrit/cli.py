@@ -7,19 +7,22 @@ Exit codes: 0 success, 2 malformed input (file, schema, or flag combination),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .bell import (
+    _master_sum,
     bell_report_dict,
     correlation_table,
     general_bell_lhs,
     maximize_general_bell,
     parse_settings_file,
+    signed_sums,
 )
 from .info import maximize_corr_info
-from .lhv import BellBoundError, construct_lhv, verify_lhv
+from .lhv import BellBoundError, _model_from_sums, verify_lhv
 from .pauli import correlation_tensor
 from .search import OptimizerOptions
 from .states import (
@@ -49,7 +52,9 @@ def _add_common_arguments(sp: argparse.ArgumentParser, with_restarts: bool = Tru
     sp.add_argument("--out", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="entcrit",
         description="Entanglement analysis of N-qubit states via correlation "
@@ -125,14 +130,11 @@ def _optimizer_options(args) -> OptimizerOptions:
 
 
 def _lhv_section(table, n_qubits: int) -> dict:
-    evaluation = general_bell_lhs(table)
-    section = {
-        "n_qubits": int(n_qubits),
-        "lhs": float(evaluation.lhs_general),
-        "bound": float(evaluation.bound),
-    }
+    b = signed_sums(table)
+    lhs, bound = _master_sum(b)
+    section = {"n_qubits": int(n_qubits), "lhs": lhs, "bound": bound}
     try:
-        model = construct_lhv(table)
+        model = _model_from_sums(b)
     except BellBoundError:
         section["refused"] = True
         return section
@@ -186,10 +188,7 @@ def _cmd_analyze(args) -> str:
     tensor = correlation_tensor(dm)
     verdict = maximize_corr_info(tensor, _optimizer_options(args))
     evaluation, found_settings = maximize_general_bell(tensor, _optimizer_options(args))
-    if args.settings:
-        lhv_settings = _load_settings(args.settings, dm.n_qubits)
-    else:
-        lhv_settings = found_settings
+    lhv_settings = _load_settings(args.settings, dm.n_qubits) if args.settings else found_settings
     lhv = _lhv_section(correlation_table(tensor, lhv_settings), dm.n_qubits)
 
     report = {

@@ -103,7 +103,7 @@ def _project(cart: np.ndarray, normals, skip: Optional[int] = None) -> np.ndarra
 
 def _mode_gram(a: np.ndarray, mode: int) -> np.ndarray:
     """The 3x3 Gram matrix of a's mode unfolding."""
-    m = np.moveaxis(a, mode, 0).reshape(3, -1)
+    m = a.reshape(3**mode, 3, -1).transpose(1, 0, 2).reshape(3, -1)
     return m @ m.T
 
 
@@ -134,7 +134,7 @@ def plane_info_total(t: CorrelationTensor, normals) -> float:
     nv = np.asarray(normals, dtype=float).reshape(-1, 3)
     cart = t.cartesian()
     work = _project(cart, nv / np.linalg.norm(nv, axis=1, keepdims=True))
-    return float(np.tensordot(work, cart, axes=t.n_qubits))
+    return float(np.vdot(work, cart))
 
 
 def maximize_corr_info(

@@ -17,8 +17,9 @@ import numpy as np
 
 from .bell import (
     _SIGN_WEIGHTS,
+    VIOLATION_TOLERANCE,
     SignFunction,
-    general_bell_lhs,
+    _master_sum,
     sign_grid,
     signed_sums,
 )
@@ -96,14 +97,17 @@ def construct_lhv(table: CorrelationTable) -> LhvModel:
     masses sum past 1 + MASS_TOL, which a table inside the bound's
     tolerance can still do.
     """
-    evaluation = general_bell_lhs(table)
-    n = table.n_qubits
-    b = signed_sums(table)
-    weights = np.abs(b) / 2.0**n
-    if evaluation.violated or weights.sum() - 1.0 > MASS_TOL:
-        raise BellBoundError(evaluation.lhs_general, evaluation.bound)
-    sign = SignFunction(n, np.where(b > 0, 1.0, -1.0))
-    return LhvModel(n, weights, sign, max(0.0, 1.0 - weights.sum()))
+    return _model_from_sums(signed_sums(table))
+
+
+def _model_from_sums(b: np.ndarray) -> LhvModel:
+    """`construct_lhv` from the table's signed sums B(s), shape (2,)*N."""
+    lhs, bound = _master_sum(b)
+    weights = np.abs(b) / bound
+    if lhs > bound + VIOLATION_TOLERANCE or weights.sum() - 1.0 > MASS_TOL:
+        raise BellBoundError(lhs, bound)
+    sign = SignFunction(b.ndim, np.where(b > 0, 1.0, -1.0))
+    return LhvModel(b.ndim, weights, sign, max(0.0, 1.0 - weights.sum()))
 
 
 def lhv_correlation_table(model: LhvModel) -> CorrelationTable:

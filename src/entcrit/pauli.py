@@ -51,8 +51,8 @@ def mode_product(a: np.ndarray, mats) -> np.ndarray:
     keep their order (Kolda & Bader, SIAM Rev. 51, 455 (2009)).
     """
     for m in mats:
-        # each step consumes the leading axis and appends its image
-        a = np.tensordot(a, m, axes=([0], [1]))
+        # one matrix product consumes the leading axis and appends its image
+        a = (a.reshape(a.shape[0], -1).T @ m.T).reshape(a.shape[1:] + (m.shape[0],))
     return a
 
 

@@ -73,27 +73,32 @@ def maximize(
 
     A start is an array of unit 3-vectors along its last axis; the random
     starts, `options.restarts` of them (`default_restarts` when that is
-    None), drawn from `np.random.default_rng(seed)`, copy the shape of the
-    first warm start.  `sweep(x)` returns the updated array and the objective
-    there.  A later start must beat the incumbent by a clear margin, so warm
-    starts win numerical ties and the outcome is fixed by the seed.  Once the
-    incumbent meets `ceiling`, a certified upper bound on the objective, the
-    other starts could not win and are skipped; `starts` counts them all.
+    None), copy the shape of the first warm start and are drawn from
+    `np.random.default_rng(seed)` only when the loop reaches them.
+    `sweep(x)` returns the updated array and the objective there.  A later
+    start must beat the incumbent by a clear margin, so warm starts win
+    numerical ties and the outcome is fixed by the seed.  Once the incumbent
+    meets `ceiling`, a certified upper bound on the objective, the other
+    starts could not win and are skipped; `starts` counts them all.
     """
     opts = options or OptimizerOptions()
-    rng = np.random.default_rng(opts.seed)
-    starts = [np.asarray(w, dtype=float) for w in warm_starts]
-    for _ in range(default_restarts if opts.restarts is None else opts.restarts):
-        v = rng.standard_normal(starts[0].shape)
-        starts.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
+    restarts = default_restarts if opts.restarts is None else opts.restarts
+    warm = [np.asarray(w, dtype=float) for w in warm_starts]
+
+    def starts():
+        yield from warm
+        rng = np.random.default_rng(opts.seed)
+        for _ in range(restarts):
+            v = rng.standard_normal(warm[0].shape)
+            yield v / np.linalg.norm(v, axis=-1, keepdims=True)
 
     best = None
     sweeps = 0
-    for x0 in starts:
+    for x0 in starts():
         run = _ascend(sweep, x0)
         sweeps += run.iterations
         if best is None or run.value > best.value + TIE_TOL * max(1.0, abs(best.value)):
             best = run
         if ceiling - best.value <= CEILING_TOL * max(1.0, abs(best.value)):
             break
-    return replace(best, starts=len(starts), iterations=sweeps)
+    return replace(best, starts=len(warm) + restarts, iterations=sweeps)

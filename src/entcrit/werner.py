@@ -11,7 +11,7 @@ to be violated, so both criteria coincide on this family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def analyze_werner(n: int, v: float) -> WernerAnalysis:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     visibility: float
     info_sum: float
     bell_lhs: float
@@ -115,33 +114,20 @@ def visibility_scan(
     full_lhs = full_eval.lhs_general
     count = count_nonzero_inplane(n)
     bound = float(2**n)
-    rows = []
-    for v in np.linspace(0.0, 1.0, grid):
-        v = float(v)
-        info_sum = count * v * v
-        lhs = full_lhs * v
-        rows.append(
-            ScanRow(
-                visibility=v,
-                info_sum=info_sum,
-                bell_lhs=lhs,
-                bell_ratio=lhs / bound,
-                info_entangled=info_sum > 1.0 + DECISION_TOLERANCE,
-                bell_violated=lhs > bound + VIOLATION_TOLERANCE,
-            )
-        )
-    return rows
+    # each column rounds as the scalar formula does, entry by entry
+    v = np.linspace(0.0, 1.0, grid)
+    info_sum = count * v * v
+    lhs = full_lhs * v
+    columns = (v, info_sum, lhs, lhs / bound, info_sum > 1.0 + DECISION_TOLERANCE,
+               lhs > bound + VIOLATION_TOLERANCE)
+    return list(map(ScanRow, *(c.tolist() for c in columns)))
+
+
+_COLUMNS = ("V", "info_sum", "bell_lhs", "bell_ratio", "info_entangled", "bell_violated")
 
 
 def _row_dict(r: ScanRow) -> dict:
-    return {
-        "V": float(r.visibility),
-        "info_sum": float(r.info_sum),
-        "bell_lhs": float(r.bell_lhs),
-        "bell_ratio": float(r.bell_ratio),
-        "info_entangled": bool(r.info_entangled),
-        "bell_violated": bool(r.bell_violated),
-    }
+    return dict(zip(_COLUMNS, (*map(float, r[:4]), *map(bool, r[4:]))))
 
 
 def _csv_cell(x) -> str:
@@ -149,7 +135,7 @@ def _csv_cell(x) -> str:
 
 
 def scan_to_csv(rows) -> str:
-    lines = ["V,info_sum,bell_lhs,bell_ratio,info_entangled,bell_violated"]
+    lines = [",".join(_COLUMNS)]
     lines += [",".join(_csv_cell(x) for x in _row_dict(r).values()) for r in rows]
     return "\n".join(lines) + "\n"
 

@@ -1,11 +1,16 @@
 """Shared random-state generators and oracle helpers."""
 
 import itertools
+from dataclasses import replace
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from entcrit.bell import VIOLATION_TOLERANCE
+from entcrit.info import DECISION_TOLERANCE
+from entcrit.search import CEILING_TOL, TIE_TOL, OptimizerOptions, _ascend
 from entcrit.states import (
     HERMITICITY_TOL,
     PSD_TOL,
@@ -172,3 +177,81 @@ def enumerated_atoms(model):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def tensordot_mode_product(a, mats):
+    """The n-mode product as a chain of tensordots, one per leading axis."""
+    for m in mats:
+        a = np.tensordot(a, m, axes=([0], [1]))
+    return a
+
+
+def einsum_mode_product(a, mats):
+    """The n-mode product as one einsum: out[J...] = sum_I a[I...] prod m_q[J_q, I_q]."""
+    n = a.ndim
+    old = "abcdefghi"[:n]
+    new = "ABCDEFGHI"[:n]
+    terms = [old] + [new[q] + old[q] for q in range(n)]
+    return np.einsum(",".join(terms) + "->" + new, a, *mats)
+
+
+def eager_maximize(sweep, warm_starts, options, ceiling, default_restarts):
+    """`search.maximize` with every random start drawn before the first ascent."""
+    opts = options or OptimizerOptions()
+    rng = np.random.default_rng(opts.seed)
+    starts = [np.asarray(w, dtype=float) for w in warm_starts]
+    for _ in range(default_restarts if opts.restarts is None else opts.restarts):
+        v = rng.standard_normal(starts[0].shape)
+        starts.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
+    best = None
+    sweeps = 0
+    for x0 in starts:
+        run = _ascend(sweep, x0)
+        sweeps += run.iterations
+        if best is None or run.value > best.value + TIE_TOL * max(1.0, abs(best.value)):
+            best = run
+        if ceiling - best.value <= CEILING_TOL * max(1.0, abs(best.value)):
+            break
+    return replace(best, starts=len(starts), iterations=sweeps)
+
+
+def loop_scan_rows(n, grid, full_lhs):
+    """Visibility-scan rows by the scalar formulas, one row at a time."""
+    count = 2 ** (n - 1)
+    bound = float(2**n)
+    rows = []
+    for v in np.linspace(0.0, 1.0, grid):
+        v = float(v)
+        info_sum = count * v * v
+        lhs = full_lhs * v
+        rows.append(
+            SimpleNamespace(
+                visibility=v,
+                info_sum=info_sum,
+                bell_lhs=lhs,
+                bell_ratio=lhs / bound,
+                info_entangled=info_sum > 1.0 + DECISION_TOLERANCE,
+                bell_violated=lhs > bound + VIOLATION_TOLERANCE,
+            )
+        )
+    return rows
+
+
+def loop_scan_reports(n, rows):
+    """CSV text and JSON dict of scan rows, written field by field."""
+    dicts = [
+        {
+            "V": float(r.visibility),
+            "info_sum": float(r.info_sum),
+            "bell_lhs": float(r.bell_lhs),
+            "bell_ratio": float(r.bell_ratio),
+            "info_entangled": bool(r.info_entangled),
+            "bell_violated": bool(r.bell_violated),
+        }
+        for r in rows
+    ]
+    lines = ["V,info_sum,bell_lhs,bell_ratio,info_entangled,bell_violated"]
+    for d in dicts:
+        cells = [str(x).lower() if isinstance(x, bool) else f"{x:.17g}" for x in d.values()]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n", {"n_qubits": n, "rows": dicts}

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import entcrit
-from entcrit.cli import main
+from entcrit import bell
+from entcrit.cli import build_parser, main
 
 # child interpreters import the same entcrit as this one, installed or not
 SRC = str(Path(entcrit.__file__).resolve().parents[1])
@@ -18,13 +19,13 @@ CHILD_ENV = {
 }
 
 
-def run_cli(*args):
+def run_cli(*args, env=CHILD_ENV):
     return subprocess.run(
         [sys.executable, "-m", "entcrit", *args],
         capture_output=True,
         text=True,
         timeout=120,
-        env=CHILD_ENV,
+        env=env,
     )
 
 
@@ -313,3 +314,69 @@ class TestExitCodes:
         res = run_cli("tensor", "--preset", "maximally_mixed", "--n", "1")
         assert res.returncode == 0
         assert json.loads(res.stdout)["entries"] == [1.0, 0.0, 0.0, 0.0]
+
+
+class TestCachedParser:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_in_process_sequence_matches_fresh_processes(self, capsys, monkeypatch):
+        # argparse wraps its usage text at $COLUMNS; pin it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        analyze = ["analyze", "--preset", "werner_ghz", "--n", "3", "--visibility", "0.6",
+                   "--restarts", "2"]
+        sequence = [
+            analyze,
+            ["analyze", "--preset", "ghz", "--n", "two"],  # argparse error
+            ["analyze", "--preset", "ghz"],  # InputError: the preset needs --n
+            ["werner-scan", "--n", "2", "--grid", "5", "--format", "csv"],
+            analyze,
+        ]
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            fresh = run_cli(*argv, env={**CHILD_ENV, "COLUMNS": "80"})
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+        assert code == 0
+
+
+def _count_signed_sums(monkeypatch) -> list:
+    """Wrap bell.signed_sums wherever entcrit binds it; the list collects calls."""
+    calls = []
+    original = bell.signed_sums
+
+    def counted(table):
+        calls.append(table.n_qubits)
+        return original(table)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entcrit") and getattr(module, "signed_sums", None) is original:
+            monkeypatch.setattr(module, "signed_sums", counted)
+    return calls
+
+
+class TestSignedSumsOncePerSection:
+    def test_lhv_command_forms_b_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 4}))
+        calls = _count_signed_sums(monkeypatch)
+        code, out, _ = run_inprocess(
+            capsys, "lhv", "--preset", "werner_ghz", "--n", "4", "--visibility", "0.3",
+            "--settings", str(path),
+        )
+        assert code == 0 and json.loads(out)["refused"] is False
+        assert calls == [4]
+
+    def test_analyze_forms_b_once_per_section(self, capsys, monkeypatch):
+        calls = _count_signed_sums(monkeypatch)
+        code, out, _ = run_inprocess(
+            capsys, "analyze", "--preset", "ghz", "--n", "3", "--restarts", "2"
+        )
+        assert code == 0 and json.loads(out)["lhv"]["refused"] is True
+        # one for the bell section, one for the local-model section
+        assert calls == [3, 3]

@@ -5,16 +5,21 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_tensor,
+    einsum_mode_product,
     kron_trace_table,
     random_density_matrix,
     random_product_state,
+    tensordot_mode_product,
 )
 from entcrit.pauli import (
+    _EXPAND,
+    _TRACE,
     CorrelationTensor,
     LocalFrame,
     correlation_tensor,
     density_from_tensor,
     frame_from_normals,
+    mode_product,
     plane_subtensor,
     rotate_frame_in_plane,
 )
@@ -27,6 +32,57 @@ from entcrit.states import (
 from entcrit.werner import werner_inplane_tensor
 
 SQ2 = np.sqrt(2.0)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestModeProduct:
+    @pytest.mark.parametrize("kind", ["2x3", "3x3", "complex4x4"])
+    def test_matches_einsum_oracle(self, rng, kind):
+        for n in range(1, 7):
+            if kind == "complex4x4":
+                a = _complex_normal(rng, (4,) * n)
+                mats = [_complex_normal(rng, (4, 4)) for _ in range(n)]
+            else:
+                a = rng.standard_normal((3,) * n)
+                mats = [rng.standard_normal((int(kind[0]), 3)) for _ in range(n)]
+            got = mode_product(a, mats)
+            want = einsum_mode_product(a, mats)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_empty_mats_return_input(self, rng):
+        a = rng.standard_normal((3, 3))
+        assert mode_product(a, []) is a
+
+    @pytest.mark.parametrize("layout", ["transposed", "fortran"])
+    def test_non_contiguous_input(self, rng, layout):
+        for n in range(2, 7):
+            c = rng.standard_normal((3,) * n)
+            a = c.T if layout == "transposed" else np.asfortranarray(c)
+            assert not a.flags.c_contiguous
+            mats = [rng.standard_normal((2, 3)) for _ in range(n)]
+            got = mode_product(a, mats)
+            assert np.array_equal(got, mode_product(np.ascontiguousarray(a), mats))
+            assert np.allclose(got, einsum_mode_product(a, mats), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("matrix", ["trace", "expand"])
+    def test_bitwise_equal_to_tensordot_loop(self, rng, matrix):
+        m = _TRACE if matrix == "trace" else _EXPAND
+        for n in range(1, 10):
+            a = _complex_normal(rng, (4,) * n)
+            got = mode_product(a, [m] * n)
+            want = tensordot_mode_product(a, [m] * n)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            # real input, as the inverse map takes it
+            real = a.real.copy()
+            assert np.array_equal(mode_product(real, [m] * n), tensordot_mode_product(real, [m] * n))
+            d = rng.standard_normal((n, 2, 3))
+            cart = rng.standard_normal((3,) * n)
+            assert np.array_equal(mode_product(cart, d), tensordot_mode_product(cart, d))
 
 
 class TestCorrelationTensor:

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import loop_scan_reports, loop_scan_rows
+from entcrit.bell import maximize_general_bell
 from entcrit.info import maximize_corr_info
 from entcrit.pauli import LocalFrame, correlation_tensor, plane_subtensor
 from entcrit.search import OptimizerOptions
@@ -8,7 +12,9 @@ from entcrit.states import InputError, StatePreset, build_preset
 from entcrit.werner import (
     analyze_werner,
     count_nonzero_inplane,
+    ScanRow,
     scan_to_csv,
+    scan_to_json_dict,
     visibility_scan,
     visibility_threshold,
     werner_inplane_tensor,
@@ -148,6 +154,23 @@ class TestScan:
     def test_grid_validation(self):
         with pytest.raises(InputError):
             visibility_scan(2, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_bitwise_equal_to_scalar_formulas(self, n):
+        tensor = correlation_tensor(build_preset(StatePreset("ghz", n)))
+        full_lhs = maximize_general_bell(tensor, FAST)[0].lhs_general
+        for grid in (2, 11, 1001):
+            rows = visibility_scan(n, grid, FAST)
+            want = loop_scan_rows(n, grid, full_lhs)
+            assert len(rows) == grid
+            for row, ref in zip(rows, want):
+                for field in ScanRow._fields:
+                    got, exp = getattr(row, field), getattr(ref, field)
+                    assert type(got) is type(exp)
+                    assert got == exp and np.signbit(got) == np.signbit(exp)
+            csv, doc = loop_scan_reports(n, want)
+            assert scan_to_csv(rows) == csv
+            assert json.dumps(scan_to_json_dict(n, rows), indent=2) == json.dumps(doc, indent=2)
 
 
 class TestOptimizerAgreement:
