@@ -130,22 +130,14 @@ def sign_function_inequality(table: CorrelationTable, sgn: SignFunction) -> floa
 def belinskii_klyshko_sign_function(n_qubits: int) -> SignFunction:
     """Sign function of the Belinskii-Klyshko series.
 
-    Evaluates sqrt(2) cos(-pi/4 + (s1+...+sN - N) pi/4), with the step
-    orientation flipped for odd N so that N=2 lands on the CHSH combination
-    E(1,1)+E(1,2)+E(2,1)-E(2,2) and N=3 on the Mermin combination
-    E(1,2,2)+E(2,1,2)+E(2,2,1)-E(1,1,1).  The cosine arguments are odd
-    multiples of pi/4, so every value is exactly +-1; any residue beyond
-    1e-12 indicates a construction bug.
+    Its value at s is sqrt(2) cos(-pi/4 + (s1+...+sN - N) pi/4), with the
+    step orientation flipped for odd N so that N=2 lands on the CHSH
+    combination E(1,1)+E(1,2)+E(2,1)-E(2,2) and N=3 on the Mermin combination
+    E(1,2,2)+E(2,1,2)+E(2,2,1)-E(1,1,1).  With m the count of s_j = -1,
+    s1+...+sN - N = -2m, so the value has period 4 in m: a table of 4 signs.
     """
-    orient = 1.0 if n_qubits % 2 == 0 else -1.0
-    # s1+...+sN - N = -2m, where m counts the s_j = -1 (axis index 1)
-    m = np.indices((2,) * n_qubits).sum(axis=0)
-    raw = np.sqrt(2.0) * np.cos(-np.pi / 4.0 + orient * (-2 * m) * np.pi / 4.0)
-    vals = np.sign(raw)
-    err = float(np.max(np.abs(raw - vals)))
-    if err > 1e-12:
-        raise ArithmeticError(f"sign function values miss +-1 by up to {err!r}")
-    return SignFunction(n_qubits, vals)
+    period = (1.0, -1.0, -1.0, 1.0) if n_qubits % 2 == 0 else (1.0, 1.0, -1.0, -1.0)
+    return SignFunction(n_qubits, np.take(period, np.indices((2,) * n_qubits).sum(axis=0) % 4))
 
 
 def belinskii_klyshko_value(table: CorrelationTable) -> float:

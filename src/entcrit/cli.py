@@ -13,16 +13,14 @@ import sys
 from pathlib import Path
 
 from .bell import (
-    _master_sum,
     bell_report_dict,
     correlation_table,
     general_bell_lhs,
     maximize_general_bell,
     parse_settings_file,
-    signed_sums,
 )
 from .info import maximize_corr_info
-from .lhv import BellBoundError, _model_from_sums, verify_lhv
+from .lhv import BellBoundError, construct_lhv, verify_lhv
 from .pauli import correlation_tensor
 from .search import OptimizerOptions
 from .states import (
@@ -32,7 +30,7 @@ from .states import (
     build_preset,
     parse_state_file,
 )
-from .werner import scan_to_csv, scan_to_json_dict, visibility_scan
+from .werner import analyze_werner, scan_to_csv, scan_to_json_dict, visibility_scan
 
 _PRESET_DEFAULT_N = {"bell_phi_minus": 2, "product_plus_x_minus_x": 2}
 
@@ -99,7 +97,7 @@ def _load_state(args) -> DensityMatrix:
     if args.input:
         return parse_state_file(_read_bytes(args.input))
     if args.preset:
-        n = args.n or _PRESET_DEFAULT_N.get(args.preset)
+        n = _PRESET_DEFAULT_N.get(args.preset) if args.n is None else args.n
         if n is None:
             raise InputError(f"preset {args.preset!r} needs --n")
         return build_preset(StatePreset(args.preset, n, args.visibility))
@@ -129,16 +127,16 @@ def _optimizer_options(args) -> OptimizerOptions:
     return OptimizerOptions(restarts=args.restarts, seed=args.seed)
 
 
-def _lhv_section(table, n_qubits: int) -> dict:
-    b = signed_sums(table)
-    lhs, bound = _master_sum(b)
-    section = {"n_qubits": int(n_qubits), "lhs": lhs, "bound": bound}
+def _lhv_section(table) -> dict:
+    section = {"n_qubits": int(table.n_qubits)}
     try:
-        model = _model_from_sums(b)
-    except BellBoundError:
-        section["refused"] = True
+        model = construct_lhv(table)
+    except BellBoundError as e:
+        section.update(lhs=e.lhs, bound=e.bound, refused=True)
         return section
-    section["refused"] = False
+    # the class masses are |B(s)| / 2^N: scaling back by 2^N is exact
+    bound = float(2**table.n_qubits)
+    section.update(lhs=model.total_atom_mass() * bound, bound=bound, refused=False)
     section["model"] = model.to_json_dict()
     section["verify_max_abs_error"] = float(verify_lhv(model, table))
     return section
@@ -171,7 +169,7 @@ def _cmd_lhv(args) -> str:
     tensor = correlation_tensor(dm)
     settings = _load_settings(args.settings, dm.n_qubits)
     table = correlation_table(tensor, settings)
-    report = _lhv_section(table, dm.n_qubits)
+    report = _lhv_section(table)
     report["settings"] = settings.to_json_list()
     return _to_json(report)
 
@@ -189,7 +187,7 @@ def _cmd_analyze(args) -> str:
     verdict = maximize_corr_info(tensor, _optimizer_options(args))
     evaluation, found_settings = maximize_general_bell(tensor, _optimizer_options(args))
     lhv_settings = _load_settings(args.settings, dm.n_qubits) if args.settings else found_settings
-    lhv = _lhv_section(correlation_table(tensor, lhv_settings), dm.n_qubits)
+    lhv = _lhv_section(correlation_table(tensor, lhv_settings))
 
     report = {
         "n_qubits": int(dm.n_qubits),
@@ -201,8 +199,6 @@ def _cmd_analyze(args) -> str:
         "lhv": lhv,
     }
     if args.preset == "werner_ghz":
-        from .werner import analyze_werner
-
         report["werner"] = analyze_werner(args.n, args.visibility).to_json_dict()
     return _to_json(report)
 

@@ -23,7 +23,7 @@ from .pauli import (
     mode_product,
     plane_subtensor,
 )
-from .search import OptimizerOptions, maximize
+from .search import OptimizerOptions, SearchResult, maximize
 from .states import InputError
 
 #: Margin above 1 required before a state is called entangled, so boundary
@@ -47,14 +47,6 @@ def info_from_probabilities(p_plus: float, p_minus: float) -> float:
 
 
 @dataclass(frozen=True)
-class OptimizerReport:
-    restarts: int
-    iterations: int
-    converged: bool
-    residual: float
-
-
-@dataclass(frozen=True)
 class CorrInfoResult:
     """Per-observable information measures for one choice of local planes."""
 
@@ -68,7 +60,7 @@ class CriterionVerdict:
     max_total: float
     argmax_frame: LocalFrame
     entangled_by_info_criterion: bool
-    optimizer_report: OptimizerReport
+    optimizer_report: SearchResult
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,20 +155,7 @@ def maximize_corr_info(
     # HOSVD, then z, x and y normals (the canonical x-y plane first)
     warm = [np.array([_least_direction(cart, j) for j in range(n)])]
     warm += [np.tile(axis, (n, 1)) for axis in np.eye(3)[[2, 0, 1]]]
-    res = maximize(sweep, warm, options, info_upper_bound(t), INFO_RESTARTS)
-
-    report = OptimizerReport(
-        restarts=res.starts,
-        iterations=res.iterations,
-        converged=res.converged,
-        residual=res.residual,
-    )
-    return CriterionVerdict(
-        max_total=res.value,
-        argmax_frame=frame_from_normals(res.x),
-        entangled_by_info_criterion=res.value > 1.0 + DECISION_TOLERANCE,
-        optimizer_report=report,
-    )
+    return _verdict(maximize(sweep, warm, options, info_upper_bound(t), INFO_RESTARTS))
 
 
 def two_qubit_info_criterion(t: CorrelationTensor) -> CriterionVerdict:
@@ -188,12 +167,15 @@ def two_qubit_info_criterion(t: CorrelationTensor) -> CriterionVerdict:
     if t.n_qubits != 2:
         raise InputError(f"closed form requires 2 qubits, got {t.n_qubits}")
     cart = t.cartesian()
-    max_total = info_upper_bound(t)
-    frame = frame_from_normals([_least_direction(cart, j) for j in range(2)])
-    report = OptimizerReport(restarts=0, iterations=0, converged=True, residual=0.0)
+    normals = np.array([_least_direction(cart, j) for j in range(2)])
+    return _verdict(SearchResult(normals, info_upper_bound(t), 0, 0, True, 0.0))
+
+
+def _verdict(res: SearchResult) -> CriterionVerdict:
+    """The verdict at a search's best plane normals; the search is its report."""
     return CriterionVerdict(
-        max_total=max_total,
-        argmax_frame=frame,
-        entangled_by_info_criterion=max_total > 1.0 + DECISION_TOLERANCE,
-        optimizer_report=report,
+        max_total=res.value,
+        argmax_frame=frame_from_normals(res.x),
+        entangled_by_info_criterion=res.value > 1.0 + DECISION_TOLERANCE,
+        optimizer_report=res,
     )

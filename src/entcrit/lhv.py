@@ -95,13 +95,9 @@ def construct_lhv(table: CorrelationTable) -> LhvModel:
 
     The table is refused when it violates the bound or when its class
     masses sum past 1 + MASS_TOL, which a table inside the bound's
-    tolerance can still do.
+    tolerance can still do.  A refusal carries the master sum and its bound.
     """
-    return _model_from_sums(signed_sums(table))
-
-
-def _model_from_sums(b: np.ndarray) -> LhvModel:
-    """`construct_lhv` from the table's signed sums B(s), shape (2,)*N."""
+    b = signed_sums(table)
     lhs, bound = _master_sum(b)
     weights = np.abs(b) / bound
     if lhs > bound + VIOLATION_TOLERANCE or weights.sum() - 1.0 > MASS_TOL:

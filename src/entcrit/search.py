@@ -38,13 +38,17 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.restarts is not None and self.restarts < 0:
             raise InputError(f"restarts must be nonnegative, got {self.restarts}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's best point and value, with the starts and sweeps it counted."""
+
     x: np.ndarray
     value: float
-    starts: int
+    restarts: int
     iterations: int
     converged: bool
     residual: float
@@ -79,7 +83,7 @@ def maximize(
     start must beat the incumbent by a clear margin, so warm starts win
     numerical ties and the outcome is fixed by the seed.  Once the incumbent
     meets `ceiling`, a certified upper bound on the objective, the other
-    starts could not win and are skipped; `starts` counts them all.
+    starts could not win and are skipped; `restarts` counts them all.
     """
     opts = options or OptimizerOptions()
     restarts = default_restarts if opts.restarts is None else opts.restarts
@@ -101,4 +105,4 @@ def maximize(
             best = run
         if ceiling - best.value <= CEILING_TOL * max(1.0, abs(best.value)):
             break
-    return replace(best, starts=len(warm) + restarts, iterations=sweeps)
+    return replace(best, restarts=len(warm) + restarts, iterations=sweeps)

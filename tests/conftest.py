@@ -212,7 +212,17 @@ def eager_maximize(sweep, warm_starts, options, ceiling, default_restarts):
             best = run
         if ceiling - best.value <= CEILING_TOL * max(1.0, abs(best.value)):
             break
-    return replace(best, starts=len(starts), iterations=sweeps)
+    return replace(best, restarts=len(starts), iterations=sweeps)
+
+
+def cosine_bk_signs(n):
+    """Belinskii-Klyshko signs by the cosine formula: the sign of
+    sqrt(2) cos(-pi/4 + orient (s1+...+sN - N) pi/4), orient -1 for odd N."""
+    orient = 1.0 if n % 2 == 0 else -1.0
+    m = np.indices((2,) * n).sum(axis=0)
+    raw = np.sqrt(2.0) * np.cos(-np.pi / 4.0 + orient * (-2 * m) * np.pi / 4.0)
+    assert np.max(np.abs(raw - np.sign(raw))) <= 1e-12
+    return np.sign(raw)
 
 
 def loop_scan_rows(n, grid, full_lhs):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cosine_bk_signs,
     kron_trace_table,
     random_density_matrix,
     random_separable_state,
@@ -231,6 +232,13 @@ class TestSignFunctions:
         for n in range(1, 7):
             sgn = belinskii_klyshko_sign_function(n)
             assert np.all(np.abs(sgn.values) == 1.0)
+
+    def test_bk_lookup_bitwise_equal_to_cosine_formula(self):
+        for n in range(1, 13):
+            got = belinskii_klyshko_sign_function(n).values
+            want = cosine_bk_signs(n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), n
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import entcrit
-from entcrit import bell
+from conftest import random_density_matrix
+from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
+from entcrit.pauli import CorrelationTable
+from entcrit.states import serialize_state
 
 # child interpreters import the same entcrit as this one, installed or not
 SRC = str(Path(entcrit.__file__).resolve().parents[1])
@@ -268,6 +271,22 @@ class TestExitCodes:
         assert code == 2
         assert "restarts" in err
 
+    def test_zero_qubits_is_two(self, capsys):
+        # --n 0 is a given qubit count, not an absent one
+        for preset in ("bell_phi_minus", "ghz"):
+            code, out, err = run_inprocess(capsys, "tensor", "--preset", preset, "--n", "0")
+            assert (code, out) == (2, "")
+            assert "positive integer" in err
+
+    def test_negative_seed_is_two(self, tmp_path, capsys):
+        # rejected whether or not the search would reach a random start
+        path = tmp_path / "state.json"
+        path.write_text(serialize_state(random_density_matrix(np.random.default_rng(5), 3)))
+        for state in (["--preset", "ghz", "--n", "2"], ["-i", str(path)]):
+            code, out, err = run_inprocess(capsys, "info", *state, "--seed", "-1")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: seed must be nonnegative")
+
     def test_single_qubit_scan_is_two(self, capsys):
         code, _, err = run_inprocess(capsys, "werner-scan", "--n", "1", "--grid", "3")
         assert code == 2
@@ -380,3 +399,78 @@ class TestSignedSumsOncePerSection:
         assert code == 0 and json.loads(out)["lhv"]["refused"] is True
         # one for the bell section, one for the local-model section
         assert calls == [3, 3]
+
+
+def _count_construct_lhv(monkeypatch) -> list:
+    """Wrap lhv.construct_lhv wherever entcrit binds it; the list collects calls."""
+    calls = []
+    original = lhv.construct_lhv
+
+    def counted(table):
+        calls.append(table.n_qubits)
+        return original(table)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entcrit") and getattr(module, "construct_lhv", None) is original:
+            monkeypatch.setattr(module, "construct_lhv", counted)
+    return calls
+
+
+class TestOneLocalModelConstructor:
+    def test_one_construct_per_lhv_run(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 4}))
+        calls = _count_construct_lhv(monkeypatch)
+        code, out, _ = run_inprocess(
+            capsys, "lhv", "--preset", "werner_ghz", "--n", "4", "--visibility", "0.3",
+            "--settings", str(path),
+        )
+        assert code == 0 and json.loads(out)["refused"] is False
+        assert calls == [4]
+
+    def test_one_construct_per_analyze_run(self, capsys, monkeypatch):
+        calls = _count_construct_lhv(monkeypatch)
+        code, out, _ = run_inprocess(
+            capsys, "analyze", "--preset", "ghz", "--n", "3", "--restarts", "2"
+        )
+        assert code == 0 and json.loads(out)["lhv"]["refused"] is True
+        assert calls == [3]
+
+    def test_section_lhs_bitwise_equal_to_master_sum(self):
+        rng = np.random.default_rng(20261018)
+        for n in range(1, 9):
+            vals = rng.uniform(-1.0, 1.0, (2,) * n)
+            lhs = bell.general_bell_lhs(CorrelationTable(n, vals)).lhs_general
+            # deep inside, at the edge, in the mass band, and outside the bound
+            scales = [2.0 ** (-n / 2)] + [c * 2.0**n / lhs for c in (1 - 1e-9, 1 + 5e-9, 1.5)]
+            seen = set()
+            for scale in scales:
+                if scale > 1.0:
+                    continue
+                table = CorrelationTable(n, vals * scale)
+                section = cli._lhv_section(table)
+                evaluation = bell.general_bell_lhs(table)
+                assert type(section["lhs"]) is float
+                assert section["lhs"] == evaluation.lhs_general, (n, scale)
+                assert section["bound"] == evaluation.bound
+                seen.add(section["refused"])
+            assert seen == ({False} if n == 1 else {False, True}), n
+
+    def test_boundary_band_lhv_command(self, tmp_path, capsys):
+        # inside the bound's tolerance, yet the model would carry too much mass
+        code, out, _ = run_inprocess(
+            capsys, "analyze", "--preset", "werner_ghz", "--n", "2", "--visibility", "0.7071067882"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps({"pairs": doc["bell"]["settings"]}))
+        code, out, _ = run_inprocess(
+            capsys, "lhv", "--preset", "werner_ghz", "--n", "2", "--visibility", "0.7071067882",
+            "--settings", str(path),
+        )
+        assert code == 0
+        section = json.loads(out)
+        assert section["refused"] is True and doc["bell"]["violated"] is False
+        assert section["lhs"] == doc["lhv"]["lhs"] == doc["bell"]["lhs"]
+        assert section["bound"] == 4.0

@@ -18,7 +18,7 @@ from entcrit.info import (
     two_qubit_info_criterion,
 )
 from entcrit.pauli import LocalFrame, correlation_tensor, rotate_frame_in_plane
-from entcrit.search import OptimizerOptions
+from entcrit.search import OptimizerOptions, SearchResult
 from entcrit.states import InputError, StatePreset, build_preset
 
 FAST = OptimizerOptions(restarts=6)
@@ -150,6 +150,23 @@ class TestMaximize:
         assert rep.restarts >= 3
         assert rep.iterations > 0
         assert rep.residual >= 0.0
+
+    def test_report_is_the_search_result(self):
+        # sweeps of the HOOI search at restarts=3, seed=1, as reported before
+        # the search result became the report; 4 warm starts + 3 random ones
+        rng = np.random.default_rng(31)
+        for n, sweeps in ((2, 2), (3, 124), (4, 99)):
+            t = correlation_tensor(random_density_matrix(rng, n))
+            verdict = maximize_corr_info(t, OptimizerOptions(restarts=3, seed=1))
+            rep = verdict.optimizer_report
+            assert isinstance(rep, SearchResult)
+            assert (rep.restarts, rep.iterations, rep.converged) == (7, sweeps, True)
+            assert rep.value == verdict.max_total
+            if n == 2:
+                closed = two_qubit_info_criterion(t).optimizer_report
+                assert isinstance(closed, SearchResult)
+                assert (closed.restarts, closed.iterations, closed.converged) == (0, 0, True)
+                assert closed.residual == 0.0
 
 
 class TestUpperBound:

@@ -4,6 +4,7 @@ import pytest
 from conftest import eager_maximize
 from entcrit.pauli import mode_product
 from entcrit.search import OptimizerOptions, maximize
+from entcrit.states import InputError
 
 
 def _rank_one_sweep(cart):
@@ -24,8 +25,8 @@ def _rank_one_sweep(cart):
 
 def _assert_same(got, want):
     assert np.array_equal(got.x, want.x)
-    assert (got.value, got.starts, got.iterations, got.converged, got.residual) == (
-        want.value, want.starts, want.iterations, want.converged, want.residual
+    assert (got.value, got.restarts, got.iterations, got.converged, got.residual) == (
+        want.value, want.restarts, want.iterations, want.converged, want.residual
     )
 
 
@@ -61,4 +62,10 @@ def test_no_generator_when_a_warm_start_meets_the_ceiling(monkeypatch):
     first = maximize(sweep, warm, OptimizerOptions(restarts=0), np.inf, 0).value
     made.clear()
     res = maximize(sweep, warm, OptimizerOptions(restarts=16), first, 32)
-    assert made == [] and res.starts == 17 and res.value == first
+    assert made == [] and res.restarts == 17 and res.value == first
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_negative_seed_rejected(seed):
+    with pytest.raises(InputError, match="seed must be nonnegative"):
+        OptimizerOptions(seed=seed)
