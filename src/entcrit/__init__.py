@@ -26,7 +26,6 @@ from .info import (
     CorrInfoResult,
     CriterionVerdict,
     corr_info,
-    info_from_probabilities,
     maximize_corr_info,
     two_qubit_info_criterion,
 )
@@ -52,7 +51,6 @@ from .states import (
     StateVector,
     build_preset,
     from_state_vector,
-    ghz_vector,
     parse_state_file,
     serialize_state,
     validate_density_matrix,

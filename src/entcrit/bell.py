@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .info import DECISION_TOLERANCE, info_upper_bound
+from .info import entangled, info_upper_bound
 from .pauli import (
     CorrelationTable,
     CorrelationTensor,
@@ -35,6 +35,12 @@ BELL_RESTARTS = 64
 
 # rows: s = +1, s = -1; columns: exponent k = 1 (picks s), k = 2 (picks 1)
 _SIGN_WEIGHTS = np.array([[1.0, 1.0], [-1.0, 1.0]])
+
+
+def violates(lhs, bound):
+    """The Bell criterion: a master sum above its bound 2^N.  Elementwise on
+    arrays."""
+    return lhs > bound + VIOLATION_TOLERANCE
 
 
 def sign_grid(n_qubits: int) -> np.ndarray:
@@ -82,11 +88,13 @@ class SignFunction:
 
 @dataclass(frozen=True)
 class BellEvaluation:
+    """The master sum, its bound 2^N and verdict, and the moduli |B(s)| as a
+    frozen (2,)*N array, axis index 0 meaning s = +1."""
+
     lhs_general: float
-    per_s_moduli: dict
+    moduli: np.ndarray
     bound: float
     violated: bool
-    violation_ratio: float
 
 
 def correlation_table(t: CorrelationTensor, s: SettingsPair) -> CorrelationTable:
@@ -108,14 +116,7 @@ def general_bell_lhs(table: CorrelationTable) -> BellEvaluation:
     """Evaluate the master inequality: sum of |B(s)| against the bound 2^N."""
     b = signed_sums(table)
     lhs, bound = _master_sum(b)
-    per_s = dict(zip(map(tuple, sign_grid(b.ndim).tolist()), np.abs(b).ravel().tolist()))
-    return BellEvaluation(
-        lhs_general=lhs,
-        per_s_moduli=per_s,
-        bound=bound,
-        violated=lhs > bound + VIOLATION_TOLERANCE,
-        violation_ratio=lhs / bound,
-    )
+    return BellEvaluation(lhs, _frozen(np.abs(b)), bound, violates(lhs, bound))
 
 
 def sign_function_inequality(table: CorrelationTable, sgn: SignFunction) -> float:
@@ -287,22 +288,21 @@ def sufficient_lr_condition(t: CorrelationTensor) -> tuple[float, bool]:
     certified; a search value, a lower bound, could not be.
     """
     upper = info_upper_bound(t)
-    return upper, upper <= 1.0 + DECISION_TOLERANCE
+    return upper, not entangled(upper)
 
 
-def bell_report_dict(
-    n_qubits: int, evaluation: BellEvaluation, settings: SettingsPair
-) -> dict:
+def bell_report_dict(evaluation: BellEvaluation, settings: SettingsPair) -> dict:
+    n = evaluation.moduli.ndim
     return {
-        "n_qubits": int(n_qubits),
+        "n_qubits": n,
         "lhs": float(evaluation.lhs_general),
         "bound": float(evaluation.bound),
-        "ratio": float(evaluation.violation_ratio),
+        "ratio": float(evaluation.lhs_general / evaluation.bound),
         "violated": bool(evaluation.violated),
         "settings": settings.to_json_list(),
         "per_s": [
-            {"s": [int(x) for x in s], "modulus": float(m)}
-            for s, m in evaluation.per_s_moduli.items()
+            {"s": s, "modulus": m}
+            for s, m in zip(sign_grid(n).tolist(), evaluation.moduli.ravel().tolist())
         ],
     }
 

@@ -24,6 +24,7 @@ from .lhv import BellBoundError, construct_lhv, verify_lhv
 from .pauli import correlation_tensor
 from .search import OptimizerOptions
 from .states import (
+    FIXED_QUBITS,
     DensityMatrix,
     InputError,
     StatePreset,
@@ -31,23 +32,6 @@ from .states import (
     parse_state_file,
 )
 from .werner import analyze_werner, scan_to_csv, scan_to_json_dict, visibility_scan
-
-_PRESET_DEFAULT_N = {"bell_phi_minus": 2, "product_plus_x_minus_x": 2}
-
-
-def _add_state_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("-i", "--input", help="path to a JSON state file")
-    sp.add_argument("--preset", help="named preset instead of a file")
-    sp.add_argument("--n", type=int, help="qubit count for presets")
-    sp.add_argument("--visibility", type=float, help="visibility for werner_ghz")
-
-
-def _add_common_arguments(sp: argparse.ArgumentParser, with_restarts: bool = True) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
-    if with_restarts:
-        sp.add_argument("--restarts", type=int, help="optimizer restarts")
-    sp.add_argument("--format", choices=("json", "csv"), default=None, dest="out_format")
-    sp.add_argument("--out", help="write the report here instead of stdout")
 
 
 @functools.cache
@@ -59,35 +43,30 @@ def build_parser() -> argparse.ArgumentParser:
         "information and general Bell inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tensor = sub.add_parser("tensor", help="full Pauli correlation tensor")
+    info = sub.add_parser("info", help="maximize the in-plane information sum")
+    bell = sub.add_parser("bell", help="search for a violation of the 2^N bound")
+    lhv = sub.add_parser("lhv", help="build and check a local model at given settings")
+    scan = sub.add_parser("werner-scan", help="criteria across the visibility range")
+    analyze = sub.add_parser("analyze", help="combined tensor/info/bell/lhv report")
 
-    sp = sub.add_parser("tensor", help="full Pauli correlation tensor")
-    _add_state_arguments(sp)
-    _add_common_arguments(sp, with_restarts=False)
-
-    sp = sub.add_parser("info", help="maximize the in-plane information sum")
-    _add_state_arguments(sp)
-    _add_common_arguments(sp)
-
-    sp = sub.add_parser("bell", help="search for a violation of the 2^N bound")
-    _add_state_arguments(sp)
-    _add_common_arguments(sp)
-    sp.add_argument("--settings", help="fixed settings file; skips optimization")
-
-    sp = sub.add_parser("lhv", help="build and check a local model at given settings")
-    _add_state_arguments(sp)
-    _add_common_arguments(sp, with_restarts=False)
-    sp.add_argument("--settings", required=True, help="settings file (required)")
-
-    sp = sub.add_parser("werner-scan", help="criteria across the visibility range")
-    sp.add_argument("--n", type=int, required=True, help="qubit count")
-    sp.add_argument("--grid", type=int, default=101, help="grid points (default 101)")
-    _add_common_arguments(sp)
-
-    sp = sub.add_parser("analyze", help="combined tensor/info/bell/lhv report")
-    _add_state_arguments(sp)
-    _add_common_arguments(sp)
-    sp.add_argument("--settings", help="optional settings for the local-model section")
-
+    # a command takes a flag only if the flag can change its output
+    for sp in (tensor, info, bell, lhv, analyze):
+        sp.add_argument("-i", "--input", help="path to a JSON state file")
+        sp.add_argument("--preset", help="named preset instead of a file")
+        sp.add_argument("--n", type=int, help="qubit count for presets")
+        sp.add_argument("--visibility", type=float, help="visibility for werner_ghz")
+    scan.add_argument("--n", type=int, required=True, help="qubit count")
+    scan.add_argument("--grid", type=int, default=101, help="grid points (default 101)")
+    for sp in (info, bell, scan, analyze):
+        sp.add_argument("--seed", type=int, help="optimizer seed (default 0)")
+        sp.add_argument("--restarts", type=int, help="optimizer restarts")
+    scan.add_argument("--format", choices=("json", "csv"), default="csv", dest="out_format")
+    bell.add_argument("--settings", help="fixed settings file; skips optimization")
+    lhv.add_argument("--settings", required=True, help="settings file (required)")
+    analyze.add_argument("--settings", help="optional settings for the local-model section")
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="write the report here instead of stdout")
     return parser
 
 
@@ -95,9 +74,11 @@ def _load_state(args) -> DensityMatrix:
     if args.input and args.preset:
         raise InputError("give either --input or --preset, not both")
     if args.input:
+        if args.n is not None or args.visibility is not None:
+            raise InputError("--n and --visibility apply to --preset, not to --input")
         return parse_state_file(_read_bytes(args.input))
     if args.preset:
-        n = _PRESET_DEFAULT_N.get(args.preset) if args.n is None else args.n
+        n = FIXED_QUBITS.get(args.preset) if args.n is None else args.n
         if n is None:
             raise InputError(f"preset {args.preset!r} needs --n")
         return build_preset(StatePreset(args.preset, n, args.visibility))
@@ -124,7 +105,7 @@ def _load_settings(path: str, n_qubits: int):
 
 def _optimizer_options(args) -> OptimizerOptions:
     # without --restarts each search takes its own default count
-    return OptimizerOptions(restarts=args.restarts, seed=args.seed)
+    return OptimizerOptions(restarts=args.restarts, seed=0 if args.seed is None else args.seed)
 
 
 def _lhv_section(table) -> dict:
@@ -154,6 +135,8 @@ def _cmd_info(args) -> str:
 
 
 def _cmd_bell(args) -> str:
+    if args.settings and (args.seed is not None or args.restarts is not None):
+        raise InputError("--settings runs no search: drop --seed and --restarts")
     dm = _load_state(args)
     tensor = correlation_tensor(dm)
     if args.settings:
@@ -161,7 +144,7 @@ def _cmd_bell(args) -> str:
         evaluation = general_bell_lhs(correlation_table(tensor, settings))
     else:
         evaluation, settings = maximize_general_bell(tensor, _optimizer_options(args))
-    return _to_json(bell_report_dict(dm.n_qubits, evaluation, settings))
+    return _to_json(bell_report_dict(evaluation, settings))
 
 
 def _cmd_lhv(args) -> str:
@@ -195,7 +178,7 @@ def _cmd_analyze(args) -> str:
         # full tensors get large quickly; keep combined reports bounded
         "tensor": tensor.to_json_dict() if dm.n_qubits <= 6 else None,
         "info": verdict.to_json_dict(),
-        "bell": bell_report_dict(dm.n_qubits, evaluation, found_settings),
+        "bell": bell_report_dict(evaluation, found_settings),
         "lhv": lhv,
     }
     if args.preset == "werner_ghz":
@@ -220,8 +203,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command != "werner-scan" and getattr(args, "out_format", None) == "csv":
-            raise InputError("csv output is only available for werner-scan")
         text = _DISPATCH[args.command](args)
         if args.out:
             _write_text(args.out, text)

@@ -32,18 +32,11 @@ DECISION_TOLERANCE = 1e-7
 #: Random starts the information search adds to its warm starts by default.
 INFO_RESTARTS = 32
 
-PROB_SUM_TOL = 1e-9
 
-
-def info_from_probabilities(p_plus: float, p_minus: float) -> float:
-    """Knowledge content (p_plus - p_minus)^2 of a two-outcome experiment."""
-    if p_plus < 0.0 or p_minus < 0.0:
-        raise InputError("probabilities must be nonnegative")
-    if abs(p_plus + p_minus - 1.0) > PROB_SUM_TOL:
-        raise InputError(
-            f"probabilities must sum to 1 (got {p_plus + p_minus!r})"
-        )
-    return float(p_plus - p_minus) ** 2
+def entangled(total):
+    """The information criterion: an in-plane sum above one bit certifies
+    entanglement.  Elementwise on arrays."""
+    return total > 1.0 + DECISION_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -176,6 +169,6 @@ def _verdict(res: SearchResult) -> CriterionVerdict:
     return CriterionVerdict(
         max_total=res.value,
         argmax_frame=frame_from_normals(res.x),
-        entangled_by_info_criterion=res.value > 1.0 + DECISION_TOLERANCE,
+        entangled_by_info_criterion=entangled(res.value),
         optimizer_report=res,
     )

@@ -17,11 +17,11 @@ import numpy as np
 
 from .bell import (
     _SIGN_WEIGHTS,
-    VIOLATION_TOLERANCE,
     SignFunction,
     _master_sum,
     sign_grid,
     signed_sums,
+    violates,
 )
 from .pauli import CorrelationTable, frozen_table, mode_product
 from .states import InputError, _frozen
@@ -100,7 +100,7 @@ def construct_lhv(table: CorrelationTable) -> LhvModel:
     b = signed_sums(table)
     lhs, bound = _master_sum(b)
     weights = np.abs(b) / bound
-    if lhs > bound + VIOLATION_TOLERANCE or weights.sum() - 1.0 > MASS_TOL:
+    if violates(lhs, bound) or weights.sum() - 1.0 > MASS_TOL:
         raise BellBoundError(lhs, bound)
     sign = SignFunction(b.ndim, np.where(b > 0, 1.0, -1.0))
     return LhvModel(b.ndim, weights, sign, max(0.0, 1.0 - weights.sum()))

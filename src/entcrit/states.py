@@ -36,6 +36,8 @@ PRESET_KINDS = (
     "maximally_mixed",
     "product_all_plus_x",
 )
+#: Presets defined for one qubit count only; the CLI takes it when --n is absent.
+FIXED_QUBITS = {"bell_phi_minus": 2, "product_plus_x_minus_x": 2}
 
 
 class InputError(ValueError):
@@ -73,6 +75,11 @@ def _check_qubit_count(n_qubits: int) -> None:
             f"n_qubits={n_qubits} exceeds the cap of {MAX_QUBITS} "
             "(raise entcrit.states.MAX_QUBITS to override)"
         )
+
+
+def _check_visibility(v) -> None:
+    if not 0.0 <= v <= 1.0:
+        raise InputError(f"visibility must lie in [0, 1], got {v!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -197,14 +204,6 @@ def from_state_vector(v: StateVector) -> DensityMatrix:
     return DensityMatrix(v.n_qubits, np.outer(v.amplitudes, v.amplitudes.conj()))
 
 
-def ghz_vector(n_qubits: int) -> StateVector:
-    """(|0...0> + |1...1>)/sqrt(2)."""
-    _check_qubit_count(n_qubits)
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return StateVector(n_qubits, amps)
-
-
 @dataclass(frozen=True)
 class StatePreset:
     """Named state family; visibility applies to werner_ghz only."""
@@ -222,13 +221,13 @@ class StatePreset:
         if self.kind == "werner_ghz":
             if self.visibility is None:
                 raise InputError("werner_ghz preset requires a visibility")
-            if not 0.0 <= self.visibility <= 1.0:
-                raise InputError(f"visibility must lie in [0, 1], got {self.visibility}")
+            _check_visibility(self.visibility)
         elif self.visibility is not None:
             raise InputError(f"visibility is only valid for werner_ghz, not {self.kind!r}")
-        if self.kind in ("bell_phi_minus", "product_plus_x_minus_x") and self.n_qubits != 2:
+        fixed = FIXED_QUBITS.get(self.kind, self.n_qubits)
+        if self.n_qubits != fixed:
             raise InputError(
-                f"preset {self.kind!r} is defined for 2 qubits, got n_qubits={self.n_qubits}"
+                f"preset {self.kind!r} is defined for {fixed} qubits, got n_qubits={self.n_qubits}"
             )
 
 

@@ -15,11 +15,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bell import VIOLATION_TOLERANCE, maximize_general_bell
-from .info import DECISION_TOLERANCE
+from .bell import maximize_general_bell, violates
+from .info import entangled
 from .pauli import CorrelationTable, correlation_tensor
 from .search import OptimizerOptions
-from .states import InputError, StatePreset, build_preset, _check_qubit_count
+from .states import InputError, StatePreset, build_preset, _check_qubit_count, _check_visibility
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ def werner_inplane_tensor(n: int, v: float) -> CorrelationTable:
     even counts alternate +V, -V with the half-count parity.
     """
     _check_qubit_count(n)
-    if not 0.0 <= v <= 1.0:
-        raise InputError(f"visibility must lie in [0, 1], got {v!r}")
+    _check_visibility(v)
     m_y = np.indices((2,) * n).sum(axis=0)
     signs = np.where(m_y % 2 == 1, 0.0, np.where(m_y % 4 == 0, 1.0, -1.0))
     return CorrelationTable(n, v * signs)
@@ -72,8 +71,7 @@ def visibility_threshold(n: int) -> float:
 
 def analyze_werner(n: int, v: float) -> WernerAnalysis:
     """Closed-form summary for one (N, V) point."""
-    if not 0.0 <= v <= 1.0:
-        raise InputError(f"visibility must lie in [0, 1], got {v!r}")
+    _check_visibility(v)
     count = count_nonzero_inplane(n)
     threshold = visibility_threshold(n)
     return WernerAnalysis(
@@ -118,8 +116,7 @@ def visibility_scan(
     v = np.linspace(0.0, 1.0, grid)
     info_sum = count * v * v
     lhs = full_lhs * v
-    columns = (v, info_sum, lhs, lhs / bound, info_sum > 1.0 + DECISION_TOLERANCE,
-               lhs > bound + VIOLATION_TOLERANCE)
+    columns = (v, info_sum, lhs, lhs / bound, entangled(info_sum), violates(lhs, bound))
     return list(map(ScanRow, *(c.tolist() for c in columns)))
 
 

@@ -16,7 +16,9 @@ from entcrit.states import (
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
+    InputError,
     InvariantViolation,
+    StateVector,
 )
 
 PAULI_MATRICES = [
@@ -25,6 +27,26 @@ PAULI_MATRICES = [
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ]
+
+
+PROB_SUM_TOL = 1e-9
+
+
+def info_from_probabilities(p_plus, p_minus):
+    """Knowledge content (p_plus - p_minus)^2 of a two-outcome experiment:
+    the paper's definition, an oracle for the squared tensor entries."""
+    if p_plus < 0.0 or p_minus < 0.0:
+        raise InputError("probabilities must be nonnegative")
+    if abs(p_plus + p_minus - 1.0) > PROB_SUM_TOL:
+        raise InputError(f"probabilities must sum to 1 (got {p_plus + p_minus!r})")
+    return float(p_plus - p_minus) ** 2
+
+
+def ghz_vector(n_qubits):
+    """(|0...0> + |1...1>)/sqrt(2)."""
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
+    return StateVector(n_qubits, amps)
 
 
 def random_pure_vector(rng, n):
@@ -83,16 +105,21 @@ def pauli_product(indices):
     return op
 
 
+def kron_observable(directions):
+    """The product over qubits of d_q . sigma, by explicit Kronecker products."""
+    op = np.array([[1.0]], dtype=complex)
+    for d in directions:
+        op = np.kron(op, sum(d[i] * PAULI_MATRICES[i + 1] for i in range(3)))
+    return op
+
+
 def kron_trace_table(dm, d1, d2):
     """Correlation table by explicit operators: entry k is the trace of rho
     times the product over qubits of (d1[q] or d2[q]) . sigma, per k_q."""
     n = dm.n_qubits
     out = np.empty((2,) * n)
     for k in np.ndindex(*(2,) * n):
-        op = np.array([[1.0]], dtype=complex)
-        for q in range(n):
-            d = (d1, d2)[k[q]][q]
-            op = np.kron(op, sum(d[i] * PAULI_MATRICES[i + 1] for i in range(3)))
+        op = kron_observable([(d1, d2)[k[q]][q] for q in range(n)])
         val = np.trace(dm.matrix @ op)
         assert abs(val.imag) < 1e-10
         out[k] = val.real

@@ -181,8 +181,8 @@ class TestGeneralBell:
     def test_per_s_sum_matches_lhs(self, rng):
         table = random_table(rng, 3)
         ev = general_bell_lhs(table)
-        assert ev.lhs_general == pytest.approx(sum(ev.per_s_moduli.values()), abs=1e-12)
-        assert list(ev.per_s_moduli) == list(itertools.product((1, -1), repeat=3))
+        assert ev.lhs_general == pytest.approx(ev.moduli.sum(), abs=1e-12)
+        assert ev.moduli.shape == (2, 2, 2)
 
     def test_sign_grid_is_product_order(self):
         # row i is the sign tuple at flat C-order index i, +1 first
@@ -270,7 +270,7 @@ class TestMaximizeGeneralBell:
         t = correlation_tensor(build_preset(StatePreset("bell_phi_minus", 2)))
         ev, settings_pair = maximize_general_bell(t, FAST)
         assert ev.lhs_general == pytest.approx(4.0 * SQ2, abs=1e-4)
-        assert ev.violation_ratio == pytest.approx(SQ2, abs=1e-4)
+        assert ev.lhs_general / ev.bound == pytest.approx(SQ2, abs=1e-4)
         assert ev.violated
         # returned settings reproduce the returned evaluation
         again = general_bell_lhs(correlation_table(t, settings_pair))
@@ -343,7 +343,7 @@ class TestMaximizeGeneralBell:
             t = correlation_tensor(random_density_matrix(rng, 2, terms=1 + i % 3))
             sv = np.linalg.svd(t.cartesian(), compute_uv=False)
             ev, _ = maximize_general_bell(t, FAST)
-            assert ev.violation_ratio == pytest.approx(np.hypot(sv[0], sv[1]), abs=1e-9)
+            assert ev.lhs_general / ev.bound == pytest.approx(np.hypot(sv[0], sv[1]), abs=1e-9)
 
     def test_ratio_never_exceeds_root_of_info_ceiling(self, rng):
         # Cauchy-Schwarz over the sign tuples: ratio <= sqrt(in-plane information)
@@ -353,9 +353,11 @@ class TestMaximizeGeneralBell:
             for _ in range(20):
                 v = random_unit_vectors(rng, 2 * n)
                 pair = SettingsPair(v[:n], v[n:])
-                assert general_bell_lhs(correlation_table(t, pair)).violation_ratio <= root + 1e-12
+                ev = general_bell_lhs(correlation_table(t, pair))
+                assert ev.lhs_general / ev.bound <= root + 1e-12
             if n < 4:  # a four-qubit search alone takes seconds
-                assert maximize_general_bell(t, FAST)[0].violation_ratio <= root + 1e-12
+                ev = maximize_general_bell(t, FAST)[0]
+                assert ev.lhs_general / ev.bound <= root + 1e-12
 
     def test_search_ends_at_the_ceiling_with_the_same_result(self, rng, monkeypatch):
         t = correlation_tensor(random_density_matrix(rng, 2))
@@ -457,7 +459,8 @@ class TestSettingsIO:
     def test_report_dict_schema(self):
         t = correlation_tensor(build_preset(StatePreset("bell_phi_minus", 2)))
         ev, settings_pair = maximize_general_bell(t, FAST)
-        doc = bell_report_dict(2, ev, settings_pair)
+        doc = bell_report_dict(ev, settings_pair)
         assert set(doc) == {"n_qubits", "lhs", "bound", "ratio", "violated", "settings", "per_s"}
         assert len(doc["per_s"]) == 4
+        assert [e["s"] for e in doc["per_s"]] == [list(s) for s in itertools.product((1, -1), repeat=2)]
         assert len(doc["settings"]) == 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -474,3 +475,88 @@ class TestOneLocalModelConstructor:
         assert section["refused"] is True and doc["bell"]["violated"] is False
         assert section["lhs"] == doc["lhv"]["lhs"] == doc["bell"]["lhs"]
         assert section["bound"] == 4.0
+
+
+def run_parsed(capsys, *args):
+    """Like run_inprocess, but an argparse exit counts as the exit code."""
+    try:
+        code = main(list(args))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+STATE_OPTIONS = ["--input", "--preset", "--n", "--visibility"]
+SEARCH_OPTIONS = ["--seed", "--restarts"]
+EXPECTED_OPTIONS = {
+    "tensor": [*STATE_OPTIONS, "--out"],
+    "info": [*STATE_OPTIONS, *SEARCH_OPTIONS, "--out"],
+    "bell": [*STATE_OPTIONS, *SEARCH_OPTIONS, "--settings", "--out"],
+    "lhv": [*STATE_OPTIONS, "--settings", "--out"],
+    "werner-scan": ["--n", "--grid", *SEARCH_OPTIONS, "--format", "--out"],
+    "analyze": [*STATE_OPTIONS, *SEARCH_OPTIONS, "--settings", "--out"],
+}
+
+
+class TestFlagsThatAct:
+    def test_option_table(self):
+        # each command lists exactly the flags that act on it
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        table = {
+            name: [a.option_strings[-1] for a in sp._actions if a.dest != "help"]
+            for name, sp in sub.choices.items()
+        }
+        assert table == EXPECTED_OPTIONS
+        assert sum(map(len, table.values())) == 40
+
+    def test_refused_combinations_exit_2(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text('{"preset":{"kind":"ghz","n_qubits":2}}')
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 2}))
+        ghz = ["--preset", "ghz", "--n", "2"]
+        refused = [
+            ["tensor", *ghz, "--seed", "3"],
+            ["lhv", *ghz, "--settings", str(settings), "--seed", "0"],
+            ["lhv", *ghz, "--settings", str(settings), "--restarts", "2"],
+            *([command, *ghz, "--format", fmt] for command in ("tensor", "info", "bell", "analyze")
+              for fmt in ("json", "csv")),
+            ["lhv", *ghz, "--settings", str(settings), "--format", "json"],
+            ["tensor", "-i", str(state), "--n", "2"],
+            ["info", "-i", str(state), "--visibility", "0.5"],
+            ["analyze", "-i", str(state), "--n", "2", "--visibility", "0.5"],
+            ["bell", *ghz, "--settings", str(settings), "--seed", "3"],
+            ["bell", *ghz, "--settings", str(settings), "--seed", "0"],
+            ["bell", *ghz, "--settings", str(settings), "--restarts", "2"],
+        ]
+        for argv in refused:
+            code, out, err = run_parsed(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.strip(), argv
+
+    def test_input_and_preset_message_unchanged(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text('{"preset":{"kind":"ghz","n_qubits":2}}')
+        code, out, err = run_parsed(capsys, "tensor", "-i", str(state), "--preset", "ghz", "--n", "2")
+        assert (code, out, err) == (2, "", "error: give either --input or --preset, not both\n")
+
+    def test_search_flags_still_accepted(self, tmp_path, capsys):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 2}))
+        accepted = [
+            ["analyze", "--preset", "ghz", "--n", "2", "--settings", str(settings), "--seed", "3"],
+            ["werner-scan", "--n", "2", "--grid", "3", "--seed", "3"],
+            ["werner-scan", "--n", "2", "--grid", "3", "--format", "json", "--restarts", "2"],
+        ]
+        for argv in accepted:
+            code, out, _ = run_parsed(capsys, *argv)
+            assert code == 0 and out, argv
+
+    def test_seed_zero_is_the_default(self, capsys):
+        plain = run_parsed(capsys, "info", "--preset", "ghz", "--n", "3", "--restarts", "2")
+        seeded = run_parsed(capsys, "info", "--preset", "ghz", "--n", "3", "--restarts", "2",
+                            "--seed", "0")
+        assert plain == seeded and plain[0] == 0

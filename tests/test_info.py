@@ -1,23 +1,32 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    info_from_probabilities,
+    kron_observable,
     random_density_matrix,
     random_product_state,
     random_separable_state,
+    random_unit_vectors,
 )
 from entcrit.info import (
     DECISION_TOLERANCE,
     corr_info,
-    info_from_probabilities,
     info_upper_bound,
     maximize_corr_info,
     plane_info_total,
     two_qubit_info_criterion,
 )
-from entcrit.pauli import LocalFrame, correlation_tensor, rotate_frame_in_plane
+from entcrit.pauli import (
+    LocalFrame,
+    correlation_tensor,
+    frame_from_normals,
+    rotate_frame_in_plane,
+)
 from entcrit.search import OptimizerOptions, SearchResult
 from entcrit.states import InputError, StatePreset, build_preset
 
@@ -49,6 +58,21 @@ class TestInfoMeasure:
         val = info_from_probabilities(p, 1.0 - p)
         assert 0.0 <= val <= 1.0
         assert val == pytest.approx((2.0 * p - 1.0) ** 2, abs=1e-12)
+
+    def test_definition_matches_squared_tensor_entries(self, rng):
+        # (p+ - p-)^2 with p+- = Tr[rho (I +- O)/2] for the in-plane product
+        # observable O, against the entry corr_info reads off the tensor
+        for n in range(1, 5):
+            dm = random_density_matrix(rng, n)
+            f = rotate_frame_in_plane(
+                frame_from_normals(random_unit_vectors(rng, n)), rng.uniform(0, 2 * np.pi, n)
+            )
+            per_index = corr_info(correlation_tensor(dm), f).per_index
+            eye = np.eye(2**n)
+            for idx in itertools.product((1, 2), repeat=n):
+                op = kron_observable([(f.axis1, f.axis2)[k - 1][q] for q, k in enumerate(idx)])
+                p_plus, p_minus = (np.trace(dm.matrix @ (eye + c * op)).real / 2 for c in (1, -1))
+                assert abs(per_index[idx] - info_from_probabilities(p_plus, p_minus)) <= 1e-12
 
 
 class TestCorrInfo:

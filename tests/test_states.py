@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     eigvalsh_validate,
     full_rank_state,
+    ghz_vector,
     prescribed_spectrum_matrix,
     random_density_matrix,
     random_pure_state,
@@ -22,7 +23,6 @@ from entcrit.states import (
     StateVector,
     build_preset,
     from_state_vector,
-    ghz_vector,
     parse_state_file,
     serialize_state,
     validate_density_matrix,
