@@ -21,11 +21,12 @@ from .pauli import (
     CorrelationTable,
     CorrelationTensor,
     direction_table,
+    environment,
     frozen_table,
     mode_product,
     unit_row_pair,
 )
-from .search import OptimizerOptions, maximize
+from .search import OptimizerOptions, SearchResult, maximize
 from .states import InputError, StateFormatError, _as_number, _frozen, decode_json
 
 #: Margin above 2^N required before the bound is reported as violated.
@@ -153,13 +154,6 @@ def belinskii_klyshko_value(table: CorrelationTable) -> float:
     return raw / 2.0 ** (table.n_qubits - 1)
 
 
-def _contract(cart: np.ndarray, x: np.ndarray, skip: Optional[int] = None) -> np.ndarray:
-    """B(s) over all sign tuples, or with qubit `skip` left as a Cartesian axis;
-    qubit q contracts with its rows n2 + s n1, `_SIGN_WEIGHTS @ x[:, q]`."""
-    rows = [np.eye(3) if q == skip else _SIGN_WEIGHTS @ x[:, q] for q in range(cart.ndim)]
-    return mode_product(cart, rows)
-
-
 def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(v)
     # a vanishing direction means the objective does not depend on it
@@ -190,13 +184,13 @@ def _bell_warm_starts(t: CorrelationTensor) -> list[np.ndarray]:
 
 def _seesaw(
     t: CorrelationTensor, sign: Optional[np.ndarray], options: Optional[OptimizerOptions]
-) -> SettingsPair:
-    """Settings found by see-saw ascent of sum_s sigma(s) B(s).
+) -> SearchResult:
+    """See-saw ascent of sum_s sigma(s) B(s); the result's x stacks (n1, n2).
 
-    With every other qubit fixed, qubit j enters linearly as n1.(G+ - G-)
-    + n2.(G+ + G-), where G+- sums sigma(s) times the rest of the contraction
-    over the tuples with s_j = +-1, so both settings have an exact update:
-    the rows of `_SIGN_WEIGHTS.T @ (G+, G-)`.
+    Qubit q contracts with its rows n2 + s n1, `_SIGN_WEIGHTS @ x[:, q]`, so
+    qubit j enters linearly as n1.(G+ - G-) + n2.(G+ + G-), where G+- sums
+    sigma(s) times j's environment over the tuples with s_j = +-1: both
+    settings have an exact update, the rows of `_SIGN_WEIGHTS.T @ (G+, G-)`.
     A given sign function is held fixed (negating one qubit's settings maps
     -S to S, so maximizing sum_s S(s) B(s) maximizes its modulus); without
     one, sigma = sign B is refreshed before every qubit update, which ascends
@@ -206,28 +200,25 @@ def _seesaw(
     """
     n = t.n_qubits
     cart = t.cartesian()
-    # per qubit j, the axis order that moves j's axis last
-    moved = [(*range(j), *range(j + 1, n), j) for j in range(n)]
-    last_first = (n - 1, *range(n - 1))
-
-    def sigma(b: np.ndarray, axes) -> np.ndarray:
-        return np.where(b >= 0.0, 1.0, -1.0) if sign is None else sign.transpose(axes)
+    # a fixed sign function unfolded along each qubit, as B(s) is below
+    fixed = None if sign is None else [np.moveaxis(sign, j, 0).reshape(2, -1) for j in range(n)]
 
     def sweep(x: np.ndarray) -> tuple[np.ndarray, float]:
         x = x.copy()
+        rows = _SIGN_WEIGHTS @ x.transpose(1, 0, 2)
         for j in range(n):
-            # the rest of the contraction, and B(s), with qubit j's axis last
-            rest = _contract(cart, x, skip=j).transpose(moved[j])
-            b = rest @ (_SIGN_WEIGHTS @ x[:, j]).T
-            # G+- is one product of unfoldings: sigma with j's axis first, and rest
-            g = np.dot(sigma(b, moved[j]).transpose(last_first).reshape(2, -1), rest.reshape(-1, 3))
+            env = environment(cart, rows, j)
+            # B(s) with qubit j's axis first; (G+, G-) is sigma times env
+            b = rows[j] @ env
+            g = (np.where(b >= 0.0, 1.0, -1.0) if fixed is None else fixed[j]) @ env.T
             x[:, j] = [_unit(v, old) for v, old in zip(_SIGN_WEIGHTS.T @ g, x[:, j])]
-        b = _contract(cart, x)
-        return x, float(np.sum(sigma(b, range(n)) * b))
+            rows[j] = _SIGN_WEIGHTS @ x[:, j]
+        # the last environment already holds every other qubit's new settings
+        b = rows[n - 1] @ env
+        return x, float(np.sum(np.abs(b) if fixed is None else fixed[n - 1] * b))
 
     ceiling = 2.0**n * np.sqrt(info_upper_bound(t))
-    res = maximize(sweep, _bell_warm_starts(t), options, ceiling, BELL_RESTARTS)
-    return SettingsPair(res.x[0], res.x[1])
+    return maximize(sweep, _bell_warm_starts(t), options, ceiling, BELL_RESTARTS)
 
 
 def maximize_general_bell(
@@ -238,7 +229,7 @@ def maximize_general_bell(
     Returns the evaluation at the best-found settings together with those
     settings; deterministic for a fixed seed.
     """
-    settings = _seesaw(t, None, options)
+    settings = SettingsPair(*_seesaw(t, None, options).x)
     return general_bell_lhs(correlation_table(t, settings)), settings
 
 
@@ -257,7 +248,7 @@ def maximize_sign_function_value(
         raise InputError(
             f"sign function has {sgn.n_qubits} qubits but tensor has {t.n_qubits}"
         )
-    settings = _seesaw(t, sgn.values, options)
+    settings = SettingsPair(*_seesaw(t, sgn.values, options).x)
     return sign_function_inequality(correlation_table(t, settings), sgn), settings
 
 
@@ -271,11 +262,7 @@ def necsuf_lhs(pt: CorrelationTable, alphas) -> float:
     a = np.asarray(alphas, dtype=float).reshape(-1)
     if a.size != pt.n_qubits:
         raise InputError(f"expected {pt.n_qubits} angles, got {a.size}")
-    weights = [
-        np.array([np.cos(a[q] + np.pi / 2.0), np.cos(a[q] + np.pi)])
-        for q in range(pt.n_qubits)
-    ]
-    w = reduce(np.multiply.outer, weights)
+    w = reduce(np.multiply.outer, np.cos(a[:, None] + [np.pi / 2.0, np.pi]))
     return float(np.abs(w * pt.values).sum())
 
 

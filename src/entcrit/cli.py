@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .bell import (
     bell_report_dict,
@@ -29,7 +30,7 @@ from .states import (
     InputError,
     StatePreset,
     build_preset,
-    parse_state_file,
+    read_state_file,
 )
 from .werner import analyze_werner, scan_to_csv, scan_to_json_dict, visibility_scan
 
@@ -70,18 +71,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_state(args) -> DensityMatrix:
+def _load_state(args) -> tuple[DensityMatrix, Optional[StatePreset]]:
+    """The state from --input or --preset, and the preset it came from, or None."""
     if args.input and args.preset:
         raise InputError("give either --input or --preset, not both")
     if args.input:
         if args.n is not None or args.visibility is not None:
             raise InputError("--n and --visibility apply to --preset, not to --input")
-        return parse_state_file(_read_bytes(args.input))
+        return read_state_file(_read_bytes(args.input))
     if args.preset:
         n = FIXED_QUBITS.get(args.preset) if args.n is None else args.n
         if n is None:
             raise InputError(f"preset {args.preset!r} needs --n")
-        return build_preset(StatePreset(args.preset, n, args.visibility))
+        preset = StatePreset(args.preset, n, args.visibility)
+        return build_preset(preset), preset
     raise InputError("a state is required: give --input or --preset")
 
 
@@ -124,12 +127,12 @@ def _lhv_section(table) -> dict:
 
 
 def _cmd_tensor(args) -> str:
-    dm = _load_state(args)
+    dm, _ = _load_state(args)
     return _to_json(correlation_tensor(dm).to_json_dict())
 
 
 def _cmd_info(args) -> str:
-    dm = _load_state(args)
+    dm, _ = _load_state(args)
     verdict = maximize_corr_info(correlation_tensor(dm), _optimizer_options(args))
     return _to_json(verdict.to_json_dict())
 
@@ -137,7 +140,7 @@ def _cmd_info(args) -> str:
 def _cmd_bell(args) -> str:
     if args.settings and (args.seed is not None or args.restarts is not None):
         raise InputError("--settings runs no search: drop --seed and --restarts")
-    dm = _load_state(args)
+    dm, _ = _load_state(args)
     tensor = correlation_tensor(dm)
     if args.settings:
         settings = _load_settings(args.settings, dm.n_qubits)
@@ -148,7 +151,7 @@ def _cmd_bell(args) -> str:
 
 
 def _cmd_lhv(args) -> str:
-    dm = _load_state(args)
+    dm, _ = _load_state(args)
     tensor = correlation_tensor(dm)
     settings = _load_settings(args.settings, dm.n_qubits)
     table = correlation_table(tensor, settings)
@@ -165,7 +168,7 @@ def _cmd_werner_scan(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
-    dm = _load_state(args)
+    dm, preset = _load_state(args)
     tensor = correlation_tensor(dm)
     verdict = maximize_corr_info(tensor, _optimizer_options(args))
     evaluation, found_settings = maximize_general_bell(tensor, _optimizer_options(args))
@@ -181,8 +184,8 @@ def _cmd_analyze(args) -> str:
         "bell": bell_report_dict(evaluation, found_settings),
         "lhv": lhv,
     }
-    if args.preset == "werner_ghz":
-        report["werner"] = analyze_werner(args.n, args.visibility).to_json_dict()
+    if preset is not None and preset.kind == "werner_ghz":
+        report["werner"] = analyze_werner(preset.n_qubits, preset.visibility).to_json_dict()
     return _to_json(report)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .pauli import (
     CorrelationTensor,
     LocalFrame,
+    environment,
     frame_from_normals,
     mode_product,
     plane_subtensor,
@@ -79,11 +80,9 @@ def corr_info(t: CorrelationTensor, f: LocalFrame) -> CorrInfoResult:
     return CorrInfoResult(frame=f, per_index=per_index, total=float(sum(per_index.values())))
 
 
-def _project(cart: np.ndarray, normals, skip: Optional[int] = None) -> np.ndarray:
-    """The Cartesian tensor with every mode but `skip` projected onto its plane."""
-    eye = np.eye(3)
-    projs = [eye if q == skip else eye - np.outer(nq, nq) for q, nq in enumerate(normals)]
-    return mode_product(cart, projs)
+def _projectors(normals: np.ndarray) -> np.ndarray:
+    """Each qubit's projector I - n n^T onto its plane, shape (N, 3, 3)."""
+    return np.eye(3) - normals[:, :, None] * normals[:, None, :]
 
 
 def _mode_gram(a: np.ndarray, mode: int) -> np.ndarray:
@@ -118,7 +117,7 @@ def plane_info_total(t: CorrelationTensor, normals) -> float:
     """
     nv = np.asarray(normals, dtype=float).reshape(-1, 3)
     cart = t.cartesian()
-    work = _project(cart, nv / np.linalg.norm(nv, axis=1, keepdims=True))
+    work = mode_product(cart, _projectors(nv / np.linalg.norm(nv, axis=1, keepdims=True)))
     return float(np.vdot(work, cart))
 
 
@@ -142,7 +141,8 @@ def maximize_corr_info(
     def sweep(normals: np.ndarray) -> tuple[np.ndarray, float]:
         normals = normals.copy()
         for j in range(n):
-            normals[j] = _least_direction(_project(cart, normals, skip=j), j)
+            env = environment(cart, _projectors(normals), j)
+            normals[j] = np.linalg.eigh(env @ env.T)[1][:, 0]
         return normals, plane_info_total(t, normals)
 
     # HOSVD, then z, x and y normals (the canonical x-y plane first)

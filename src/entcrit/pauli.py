@@ -8,8 +8,8 @@ Flat storage is C order, so the last qubit's index varies fastest.
 
 Every per-qubit contraction in the package is one n-mode product
 (`mode_product`): the Pauli traces and their inverse, the in-plane and
-setting tables, the sign sums of the Bell inequality and the plane
-projections of the information search.
+setting tables, the sign sums of the Bell inequality, the plane
+projections, and the qubit environments both criterion ascents update from.
 """
 
 from __future__ import annotations
@@ -54,6 +54,13 @@ def mode_product(a: np.ndarray, mats) -> np.ndarray:
         # one matrix product consumes the leading axis and appends its image
         a = (a.reshape(a.shape[0], -1).T @ m.T).reshape(a.shape[1:] + (m.shape[0],))
     return a
+
+
+def environment(a: np.ndarray, mats, j: int) -> np.ndarray:
+    """Qubit j's environment: `a` mapped through mats[q] on every qubit q != j
+    (mats[j] is unused), unfolded along j with the other qubits in order."""
+    others = [m for q, m in enumerate(mats) if q != j]
+    return mode_product(np.moveaxis(a, j, -1), others).reshape(a.shape[j], -1)
 
 
 def frozen_table(n_qubits: int, values, what: str) -> np.ndarray:

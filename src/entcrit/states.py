@@ -309,11 +309,14 @@ def decode_json(text):
 
 
 def parse_state_file(text) -> DensityMatrix:
-    """Parse the JSON state-file format into a validated density matrix.
+    """Parse the JSON state-file format into a validated density matrix."""
+    return read_state_file(text)[0]
 
-    The document must carry exactly one of the top-level keys "matrix",
-    "vector", or "preset".
-    """
+
+def read_state_file(text) -> tuple[DensityMatrix, Optional[StatePreset]]:
+    """Parse the JSON state-file format: a validated density matrix and the
+    preset it was built from, or None.  The document must carry exactly one
+    of the top-level keys "matrix", "vector", or "preset"."""
     doc = decode_json(text)
     if not isinstance(doc, dict):
         raise StateFormatError("top level of a state file must be a JSON object")
@@ -336,7 +339,8 @@ def parse_state_file(text) -> DensityMatrix:
         visibility = body.get("visibility")
         if visibility is not None:
             visibility = _as_number(visibility, "preset.visibility")
-        return build_preset(StatePreset(kind, n, visibility))
+        preset = StatePreset(kind, n, visibility)
+        return build_preset(preset), preset
 
     n = _parse_n_qubits(body, key)
     _check_qubit_count(n)
@@ -349,7 +353,7 @@ def parse_state_file(text) -> DensityMatrix:
         amps = np.array(
             [_as_complex(x, f"vector.amplitudes[{i}]") for i, x in enumerate(raw)]
         )
-        return from_state_vector(StateVector(n, amps))
+        return from_state_vector(StateVector(n, amps)), None
 
     raw = _require(body, "entries", "matrix")
     if not isinstance(raw, list) or len(raw) != dim:
@@ -363,7 +367,7 @@ def parse_state_file(text) -> DensityMatrix:
     report = validate_density_matrix(dm)
     if report:
         raise StateValidationError(report)
-    return dm
+    return dm, None
 
 
 def serialize_state(dm: DensityMatrix) -> str:

@@ -106,7 +106,6 @@ def visibility_scan(
         raise InputError(f"grid must be at least 2, got {grid}")
     if n < 2:
         raise InputError(f"scan is defined for n >= 2, got {n}")
-    _check_qubit_count(n)
     tensor = correlation_tensor(build_preset(StatePreset("ghz", n)))
     full_eval, _ = maximize_general_bell(tensor, options)
     full_lhs = full_eval.lhs_general

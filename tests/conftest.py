@@ -222,6 +222,19 @@ def einsum_mode_product(a, mats):
     return np.einsum(",".join(terms) + "->" + new, a, *mats)
 
 
+def einsum_environment(a, mats, j):
+    """Qubit j's environment as one einsum: out[I_j, J...] = sum a[I...] prod
+    over q != j of m_q[J_q, I_q], the other qubits in order, then unfolded."""
+    n = a.ndim
+    old = "abcdefghi"[:n]
+    new = "ABCDEFGHI"[:n]
+    others = [q for q in range(n) if q != j]
+    terms = [old] + [new[q] + old[q] for q in others]
+    out = old[j] + "".join(new[q] for q in others)
+    work = np.einsum(",".join(terms) + "->" + out, a, *[mats[q] for q in others])
+    return work.reshape(a.shape[j], -1)
+
+
 def eager_maximize(sweep, warm_starts, options, ceiling, default_restarts):
     """`search.maximize` with every random start drawn before the first ascent."""
     opts = options or OptimizerOptions()

@@ -16,6 +16,7 @@ from entcrit.bell import (
     CorrelationTable,
     SettingsPair,
     SignFunction,
+    _seesaw,
     belinskii_klyshko_sign_function,
     belinskii_klyshko_value,
     bell_report_dict,
@@ -30,9 +31,9 @@ from entcrit.bell import (
     signed_sums,
     sufficient_lr_condition,
 )
-from entcrit.info import info_upper_bound, maximize_corr_info
+from entcrit.info import corr_info, info_upper_bound, maximize_corr_info
 from entcrit.pauli import LocalFrame, correlation_tensor, plane_subtensor, rotate_frame_in_plane
-from entcrit.search import OptimizerOptions
+from entcrit.search import OptimizerOptions, SearchResult
 from entcrit.states import InputError, StatePreset, build_preset
 
 SQ2 = np.sqrt(2.0)
@@ -367,6 +368,52 @@ class TestMaximizeGeneralBell:
         assert cut.lhs_general == full.lhs_general
         np.testing.assert_array_equal(s_cut.n1, s_full.n1)
         np.testing.assert_array_equal(s_cut.n2, s_full.n2)
+
+    def test_search_result_is_pinned(self):
+        # sweeps of the see-saw at restarts=3, seed=1, as counted before the
+        # sweep contracted through pauli.environment; the warm starts are the
+        # SVD start at N=2 and the 8 azimuth families
+        rng = np.random.default_rng(31)
+        opts = OptimizerOptions(restarts=3, seed=1)
+        for n, starts, master, member in ((2, 12, 2, 2), (3, 11, 401, 395), (4, 11, 3990, 4001)):
+            t = correlation_tensor(random_density_matrix(rng, n))
+            res = _seesaw(t, None, opts)
+            assert isinstance(res, SearchResult)
+            assert (res.restarts, res.iterations, res.converged) == (starts, master, True)
+            pair = SettingsPair(res.x[0], res.x[1])
+            # the sweep's value is read off the last qubit's environment
+            lhs = general_bell_lhs(correlation_table(t, pair)).lhs_general
+            assert res.value == pytest.approx(lhs, rel=1e-12, abs=0.0)
+
+            sgn = belinskii_klyshko_sign_function(n)
+            res = _seesaw(t, sgn.values, opts)
+            assert (res.restarts, res.iterations, res.converged) == (starts, member, True)
+            pair = SettingsPair(res.x[0], res.x[1])
+            value = sign_function_inequality(correlation_table(t, pair), sgn)
+            assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+class TestMasterSumIdentity:
+    def test_master_sum_is_a_weighted_in_plane_sum(self):
+        # with e1, e2 the normalized n1 + n2 and n2 - n1, each qubit's rows
+        # n2 + s n1 are 2 cos(theta) e1 and 2 sin(theta) e2, so the master sum
+        # is 2^N times the cosine-weighted in-plane sum at angles pi/2 - theta
+        rng = np.random.default_rng(44)
+        for n in (2, 3, 4, 5):
+            t = correlation_tensor(random_density_matrix(rng, n))
+            for _ in range(20):
+                v = random_unit_vectors(rng, 2 * n)
+                n1, n2 = v[:n], v[n:]
+                plus, minus = n1 + n2, n2 - n1
+                e1 = plus / np.linalg.norm(plus, axis=1, keepdims=True)
+                e2 = minus / np.linalg.norm(minus, axis=1, keepdims=True)
+                theta = np.arccos(np.linalg.norm(plus, axis=1) / 2.0)
+                frame = LocalFrame(e1, e2)
+                lhs = general_bell_lhs(correlation_table(t, SettingsPair(n1, n2))).lhs_general
+                weighted = 2.0**n * necsuf_lhs(plane_subtensor(t, frame), np.pi / 2 - theta)
+                assert lhs == pytest.approx(weighted, rel=1e-12, abs=0.0)
+                # Cauchy-Schwarz: the two criteria agree in essence
+                assert lhs <= 2.0**n * np.sqrt(corr_info(t, frame).total) * (1 + 1e-12)
 
 
 class TestNecsufLhs:

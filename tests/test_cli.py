@@ -234,6 +234,38 @@ class TestAnalyzeCommand:
         assert doc["info"]["entangled"] is False
         assert doc["bell"]["violated"] is False
 
+    @pytest.mark.parametrize(
+        "kind, n, v",
+        [
+            ("ghz", 2, None),
+            ("ghz", 3, None),
+            ("bell_phi_minus", 2, None),
+            ("product_plus_x_minus_x", 2, None),
+            ("maximally_mixed", 2, None),
+            ("product_all_plus_x", 3, None),
+            ("werner_ghz", 2, 0.5),
+            ("werner_ghz", 2, 0.8),
+            ("werner_ghz", 3, 0.5),
+            ("werner_ghz", 3, 0.8),
+        ],
+    )
+    def test_preset_file_matches_preset_flag(self, tmp_path, capsys, kind, n, v):
+        body = {"kind": kind, "n_qubits": n}
+        flags = ["--preset", kind, "--n", str(n)]
+        if v is not None:
+            body["visibility"] = v
+            flags += ["--visibility", repr(v)]
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps({"preset": body}))
+        for command, extra in (("tensor", []), ("info", ["--restarts", "2"]),
+                               ("bell", ["--restarts", "2"]), ("analyze", ["--restarts", "2"])):
+            by_flag = run_inprocess(capsys, command, *flags, *extra)
+            by_file = run_inprocess(capsys, command, "-i", str(path), *extra)
+            assert by_flag[0] == 0
+            assert by_file == by_flag
+            if command == "analyze":
+                assert ("werner" in json.loads(by_file[1])) == (kind == "werner_ghz")
+
     def test_info_not_entangled_implies_no_bell_violation(self, capsys):
         for preset, extra in [
             ("maximally_mixed", ["--n", "2"]),

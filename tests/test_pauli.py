@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_tensor,
+    einsum_environment,
     einsum_mode_product,
     kron_trace_table,
     random_density_matrix,
@@ -18,6 +19,7 @@ from entcrit.pauli import (
     LocalFrame,
     correlation_tensor,
     density_from_tensor,
+    environment,
     frame_from_normals,
     mode_product,
     plane_subtensor,
@@ -67,6 +69,24 @@ class TestModeProduct:
             got = mode_product(a, mats)
             assert np.array_equal(got, mode_product(np.ascontiguousarray(a), mats))
             assert np.allclose(got, einsum_mode_product(a, mats), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_environment_matches_einsum_oracle(self, rng, rows):
+        for n in range(1, 6):
+            a = rng.standard_normal((3,) * n)
+            mats = [rng.standard_normal((rows, 3)) for _ in range(n)]
+            for j in range(n):
+                got = environment(a, mats, j)
+                assert got.shape == (3, rows ** (n - 1))
+                want = einsum_environment(a, mats, j)
+                assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_environment_ignores_own_matrix(self, rng):
+        a = rng.standard_normal((3,) * 4)
+        mats = [rng.standard_normal((2, 3)) for _ in range(4)]
+        for j in range(4):
+            swapped = [np.zeros((5, 7)) if q == j else m for q, m in enumerate(mats)]
+            assert np.array_equal(environment(a, swapped, j), environment(a, mats, j))
 
     @pytest.mark.parametrize("matrix", ["trace", "expand"])
     def test_bitwise_equal_to_tensordot_loop(self, rng, matrix):
