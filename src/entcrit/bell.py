@@ -67,10 +67,7 @@ class SettingsPair:
         return self.n1.shape[0]
 
     def to_json_list(self) -> list[dict]:
-        return [
-            {"n1": [float(c) for c in a], "n2": [float(c) for c in b]}
-            for a, b in zip(self.n1, self.n2)
-        ]
+        return [{"n1": a, "n2": b} for a, b in zip(self.n1.tolist(), self.n2.tolist())]
 
 
 @dataclass(frozen=True)

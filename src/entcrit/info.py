@@ -60,9 +60,7 @@ class CriterionVerdict:
         return {
             "max_total": float(self.max_total),
             "entangled": bool(self.entangled_by_info_criterion),
-            "frame": {
-                "normals": [[float(c) for c in row] for row in self.argmax_frame.normals()]
-            },
+            "frame": {"normals": self.argmax_frame.normals().tolist()},
             "optimizer": {
                 "restarts": int(self.optimizer_report.restarts),
                 "converged": bool(self.optimizer_report.converged),

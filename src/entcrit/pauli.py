@@ -100,7 +100,7 @@ class CorrelationTensor:
             "n_qubits": int(self.n_qubits),
             "order": "xN_fastest",
             "labels": ["0", "x", "y", "z"],
-            "entries": [float(v) for v in self.values.ravel()],
+            "entries": self.values.ravel().tolist(),
         }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -28,14 +29,6 @@ PSD_TOL = 1e-9
 NORM_TOL = 1e-8
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
-PRESET_KINDS = (
-    "ghz",
-    "bell_phi_minus",
-    "product_plus_x_minus_x",
-    "werner_ghz",
-    "maximally_mixed",
-    "product_all_plus_x",
-)
 #: Presets defined for one qubit count only; the CLI takes it when --n is absent.
 FIXED_QUBITS = {"bell_phi_minus": 2, "product_plus_x_minus_x": 2}
 
@@ -231,43 +224,43 @@ class StatePreset:
             )
 
 
-def _ghz_projector(n: int) -> np.ndarray:
-    # corner entries are exactly 1/2, avoiding 1/sqrt(2) rounding in products
-    m = np.zeros((2**n, 2**n), dtype=complex)
-    for i in (0, -1):
-        for j in (0, -1):
-            m[i, j] = 0.5
+_PLUS_X = _frozen(np.full((2, 2), 0.5, dtype=complex))
+_MINUS_X = _frozen(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
+
+
+def _ghz_werner(n: int, v) -> np.ndarray:
+    """V |GHZ><GHZ| + (1 - V) I / 2^N, built in place; the GHZ corners are
+    exactly V/2, avoiding 1/sqrt(2) rounding in products."""
+    v, dim = float(v), 2**n
+    m = np.zeros((dim, dim), dtype=complex)
+    m[np.ix_((0, -1), (0, -1))] = 0.5 * v
+    if v != 1.0:  # leave a pure GHZ state's zero pages unwritten, hence unmapped
+        m.flat[:: dim + 1] += (1.0 - v) / dim
     return m
+
+
+def _bell_phi_minus(n: int, v) -> np.ndarray:
+    # x-basis anticorrelated, y-basis correlated: (|00> - |11>)/sqrt(2)
+    m = _ghz_werner(2, 1.0)
+    m[0, 3] = m[3, 0] = -0.5
+    return m
+
+
+#: Each preset kind's matrix as a function of (n_qubits, visibility).
+_BUILDERS = {
+    "ghz": lambda n, v: _ghz_werner(n, 1.0),
+    "bell_phi_minus": _bell_phi_minus,
+    "product_plus_x_minus_x": lambda n, v: np.kron(_PLUS_X, _MINUS_X),
+    "werner_ghz": _ghz_werner,
+    "maximally_mixed": lambda n, v: _ghz_werner(n, 0.0),
+    "product_all_plus_x": lambda n, v: reduce(np.kron, [_PLUS_X] * n, np.ones((1, 1), complex)),
+}
+PRESET_KINDS = tuple(_BUILDERS)
 
 
 def build_preset(p: StatePreset) -> DensityMatrix:
     """Construct the density matrix of a named preset."""
-    n = p.n_qubits
-    dim = 2**n
-    plus_x = np.full((2, 2), 0.5, dtype=complex)
-    minus_x = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-    if p.kind == "maximally_mixed":
-        return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
-    if p.kind == "ghz":
-        return DensityMatrix(n, _ghz_projector(n))
-    if p.kind == "werner_ghz":
-        v = float(p.visibility)
-        return DensityMatrix(
-            n, v * _ghz_projector(n) + (1.0 - v) * np.eye(dim, dtype=complex) / dim
-        )
-    if p.kind == "bell_phi_minus":
-        # x-basis anticorrelated, y-basis correlated: (|00> - |11>)/sqrt(2)
-        m = _ghz_projector(2)
-        m[0, 3] = m[3, 0] = -0.5
-        return DensityMatrix(2, m)
-    if p.kind == "product_plus_x_minus_x":
-        return DensityMatrix(2, np.kron(plus_x, minus_x))
-    if p.kind == "product_all_plus_x":
-        m = np.array([[1.0]], dtype=complex)
-        for _ in range(n):
-            m = np.kron(m, plus_x)
-        return DensityMatrix(n, m)
-    raise InputError(f"unsupported preset kind {p.kind!r}")  # pragma: no cover
+    return DensityMatrix(p.n_qubits, _BUILDERS[p.kind](p.n_qubits, p.visibility))
 
 
 def _as_number(x, where: str) -> float:
@@ -280,6 +273,12 @@ def _as_complex(pair, where: str) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise StateFormatError(f"{where}: expected a [re, im] pair, got {pair!r}")
     return complex(_as_number(pair[0], where), _as_number(pair[1], where))
+
+
+def _complex_list(raw, dim: int, where: str) -> list[complex]:
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise StateFormatError(f"{where} must be a list of {dim} [re, im] pairs")
+    return [_as_complex(x, f"{where}[{i}]") for i, x in enumerate(raw)]
 
 
 def _require(doc: dict, field: str, where: str):
@@ -348,21 +347,13 @@ def read_state_file(text) -> tuple[DensityMatrix, Optional[StatePreset]]:
 
     if key == "vector":
         raw = _require(body, "amplitudes", "vector")
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise StateFormatError(f"vector.amplitudes must be a list of {dim} [re, im] pairs")
-        amps = np.array(
-            [_as_complex(x, f"vector.amplitudes[{i}]") for i, x in enumerate(raw)]
-        )
+        amps = np.array(_complex_list(raw, dim, "vector.amplitudes"))
         return from_state_vector(StateVector(n, amps)), None
 
     raw = _require(body, "entries", "matrix")
     if not isinstance(raw, list) or len(raw) != dim:
         raise StateFormatError(f"matrix.entries must be a list of {dim} rows")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dim:
-            raise StateFormatError(f"matrix.entries[{i}] must be a list of {dim} [re, im] pairs")
-        rows.append([_as_complex(x, f"matrix.entries[{i}][{j}]") for j, x in enumerate(row)])
+    rows = [_complex_list(row, dim, f"matrix.entries[{i}]") for i, row in enumerate(raw)]
     dm = DensityMatrix(n, np.array(rows))
     report = validate_density_matrix(dm)
     if report:
@@ -372,7 +363,6 @@ def read_state_file(text) -> tuple[DensityMatrix, Optional[StatePreset]]:
 
 def serialize_state(dm: DensityMatrix) -> str:
     """Emit a state file that parse_state_file reproduces entry for entry."""
-    entries = [
-        [[float(z.real), float(z.imag)] for z in row] for row in dm.matrix
-    ]
+    dim = 2**dm.n_qubits
+    entries = dm.matrix.view(float).reshape(dim, dim, 2).tolist()
     return json.dumps({"matrix": {"n_qubits": int(dm.n_qubits), "entries": entries}})

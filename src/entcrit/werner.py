@@ -64,8 +64,8 @@ def count_nonzero_inplane(n: int) -> int:
 
 def visibility_threshold(n: int) -> float:
     """Largest visibility still admitting a local realistic description."""
-    if n < 2:
-        raise InputError(f"threshold is defined for n >= 2, got {n}")
+    if n < 1:
+        raise InputError(f"threshold is defined for n >= 1, got {n}")
     return float(2.0 ** (-(n - 1) / 2.0))
 
 
@@ -104,8 +104,6 @@ def visibility_scan(
     """
     if grid < 2:
         raise InputError(f"grid must be at least 2, got {grid}")
-    if n < 2:
-        raise InputError(f"scan is defined for n >= 2, got {n}")
     tensor = correlation_tensor(build_preset(StatePreset("ghz", n)))
     full_eval, _ = maximize_general_bell(tensor, options)
     full_lhs = full_eval.lhs_general

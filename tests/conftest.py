@@ -1,6 +1,7 @@
 """Shared random-state generators and oracle helpers."""
 
 import itertools
+import json
 from dataclasses import replace
 from math import prod
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from entcrit.states import (
     DensityMatrix,
     InputError,
     InvariantViolation,
+    StatePreset,
     StateVector,
 )
 
@@ -47,6 +49,49 @@ def ghz_vector(n_qubits):
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return StateVector(n_qubits, amps)
+
+
+def _ghz_projector(n):
+    # corner entries are exactly 1/2, avoiding 1/sqrt(2) rounding in products
+    m = np.zeros((2**n, 2**n), dtype=complex)
+    for i in (0, -1):
+        for j in (0, -1):
+            m[i, j] = 0.5
+    return m
+
+
+def reference_preset_matrix(p: StatePreset):
+    """A preset's matrix by one branch per kind, with GHZ-Werner as the dense
+    sum V P_GHZ + (1 - V) I / 2^N: the reference for `build_preset`."""
+    n = p.n_qubits
+    dim = 2**n
+    plus_x = np.full((2, 2), 0.5, dtype=complex)
+    minus_x = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+    if p.kind == "maximally_mixed":
+        return np.eye(dim, dtype=complex) / dim
+    if p.kind == "ghz":
+        return _ghz_projector(n)
+    if p.kind == "werner_ghz":
+        v = float(p.visibility)
+        return v * _ghz_projector(n) + (1.0 - v) * np.eye(dim, dtype=complex) / dim
+    if p.kind == "bell_phi_minus":
+        m = _ghz_projector(2)
+        m[0, 3] = m[3, 0] = -0.5
+        return m
+    if p.kind == "product_plus_x_minus_x":
+        return np.kron(plus_x, minus_x)
+    if p.kind == "product_all_plus_x":
+        m = np.array([[1.0]], dtype=complex)
+        for _ in range(n):
+            m = np.kron(m, plus_x)
+        return m
+    raise ValueError(f"no reference for preset kind {p.kind!r}")
+
+
+def loop_serialize_state(dm):
+    """The state-file text with each entry written as a [re, im] pair by hand."""
+    entries = [[[float(z.real), float(z.imag)] for z in row] for row in dm.matrix]
+    return json.dumps({"matrix": {"n_qubits": int(dm.n_qubits), "entries": entries}})
 
 
 def random_pure_vector(rng, n):

@@ -247,6 +247,8 @@ class TestAnalyzeCommand:
             ("werner_ghz", 2, 0.8),
             ("werner_ghz", 3, 0.5),
             ("werner_ghz", 3, 0.8),
+            ("werner_ghz", 1, 0.5),
+            ("werner_ghz", 1, 1.0),
         ],
     )
     def test_preset_file_matches_preset_flag(self, tmp_path, capsys, kind, n, v):
@@ -265,6 +267,17 @@ class TestAnalyzeCommand:
             assert by_file == by_flag
             if command == "analyze":
                 assert ("werner" in json.loads(by_file[1])) == (kind == "werner_ghz")
+
+    def test_single_qubit_werner_section(self, capsys):
+        code, out, _ = run_inprocess(
+            capsys, "analyze", "--preset", "werner_ghz", "--n", "1", "--visibility", "0.5"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["werner"]["threshold"] == 1.0
+        assert doc["werner"]["info_sum"] == 0.25
+        assert doc["werner"]["lr_describable"] is True
+        assert doc["bell"]["ratio"] == pytest.approx(0.5, abs=1e-12)
 
     def test_info_not_entangled_implies_no_bell_violation(self, capsys):
         for preset, extra in [
@@ -320,10 +333,18 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err.startswith("error: seed must be nonnegative")
 
-    def test_single_qubit_scan_is_two(self, capsys):
-        code, _, err = run_inprocess(capsys, "werner-scan", "--n", "1", "--grid", "3")
+    def test_single_qubit_scan_is_closed_form(self, capsys):
+        code, out, _ = run_inprocess(capsys, "werner-scan", "--n", "1", "--grid", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "V,info_sum,bell_lhs,bell_ratio,info_entangled,bell_violated",
+            "0,0,0,0,false,false",
+            "0.5,0.25,1,0.5,false,false",
+            "1,1,2,1,false,false",
+        ]
+        code, _, err = run_inprocess(capsys, "werner-scan", "--n", "0")
         assert code == 2
-        assert "n >= 2" in err
+        assert "positive integer" in err
 
     def test_import_leaves_scipy_unloaded(self):
         res = subprocess.run(

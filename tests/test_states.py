@@ -9,11 +9,15 @@ from conftest import (
     eigvalsh_validate,
     full_rank_state,
     ghz_vector,
+    loop_serialize_state,
     prescribed_spectrum_matrix,
     random_density_matrix,
     random_pure_state,
+    reference_preset_matrix,
 )
 from entcrit.states import (
+    FIXED_QUBITS,
+    PRESET_KINDS,
     PSD_TOL,
     DensityMatrix,
     InputError,
@@ -228,6 +232,19 @@ class TestPresets:
         dm = build_preset(StatePreset("werner_ghz", n, v))
         assert validate_density_matrix(dm) == []
 
+    @pytest.mark.parametrize("kind", PRESET_KINDS)
+    def test_matches_reference_builder(self, kind):
+        # bitwise, with the sign of every zero in both parts
+        grid = (0.0, 1e-300, 0.3, 1.0 / SQ2, 0.7071067882, np.nextafter(1.0, 0.0), 1.0)
+        qubits = [FIXED_QUBITS[kind]] if kind in FIXED_QUBITS else range(1, 11)
+        for n in qubits:
+            for v in grid if kind == "werner_ghz" else (None,):
+                p = StatePreset(kind, n, v)
+                got, want = build_preset(p).matrix, reference_preset_matrix(p)
+                assert np.array_equal(got, want), (n, v)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(want))), (n, v)
+
 
 class TestStateFile:
     def test_parse_preset(self):
@@ -274,10 +291,48 @@ class TestStateFile:
         assert any(v.invariant == "trace" for v in err.value.report)
 
     def test_round_trip(self, rng):
-        for n in (1, 2, 3):
-            dm = random_density_matrix(rng, n)
+        for n in range(1, 7):
+            m = random_density_matrix(rng, n).matrix.copy()
+            m[0, 0] = complex(m[0, 0].real, -0.0)
+            dm = DensityMatrix(n, m)
             back = parse_state_file(serialize_state(dm))
-            assert np.max(np.abs(back.matrix - dm.matrix)) <= 1e-12
+            assert np.array_equal(back.matrix, dm.matrix)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(back.matrix)), np.signbit(part(dm.matrix)))
+            assert np.signbit(back.matrix[0, 0].imag)
+
+    def test_serialize_matches_entry_loop(self, rng):
+        for n in range(1, 7):
+            m = random_density_matrix(rng, n).matrix.copy()
+            m[0, 0] = complex(m[0, 0].real, -0.0)
+            dm = DensityMatrix(n, m)
+            assert serialize_state(dm) == loop_serialize_state(dm)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"vector": {"n_qubits": 1, "amplitudes": 5}},
+             "vector.amplitudes must be a list of 2 [re, im] pairs"),
+            ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0]]}},
+             "vector.amplitudes must be a list of 2 [re, im] pairs"),
+            ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0], [0]]}},
+             "vector.amplitudes[1]: expected a [re, im] pair, got [0]"),
+            ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0], "ab"]}},
+             "vector.amplitudes[1]: expected a [re, im] pair, got 'ab'"),
+            ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0], ["0", 0]]}},
+             "vector.amplitudes[1]: expected a number, got '0'"),
+            ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0]]]}},
+             "matrix.entries must be a list of 2 rows"),
+            ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}},
+             "matrix.entries[1] must be a list of 2 [re, im] pairs"),
+            ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0, 0]]]}},
+             "matrix.entries[1][1]: expected a [re, im] pair, got [0, 0, 0]"),
+        ],
+    )
+    def test_malformed_list_message(self, body, message):
+        with pytest.raises(StateFormatError) as err:
+            parse_state_file(json.dumps(body))
+        assert str(err.value) == message
 
     def test_bytes_input_accepted(self):
         dm = parse_state_file(b'{"preset":{"kind":"ghz","n_qubits":2}}')

@@ -85,9 +85,19 @@ class TestThreshold:
         assert visibility_threshold(3) == pytest.approx(0.5, abs=0)
         assert visibility_threshold(4) == pytest.approx(0.35355339059327373, abs=1e-16)
 
-    def test_requires_two_qubits(self):
+    def test_single_qubit_closed_forms(self):
+        # one qubit: threshold 1, information sum V^2, Bell ratio V
+        assert visibility_threshold(1) == 1.0
+        for v in (0.0, 0.3, 0.5, 1.0):
+            a = analyze_werner(1, v)
+            assert (a.nonzero_inplane_count, a.info_sum, a.threshold) == (1, v * v, 1.0)
+            assert a.lr_describable
+        for r in visibility_scan(1, 11, FAST):
+            assert r.info_sum == r.visibility * r.visibility
+            assert r.bell_ratio == pytest.approx(r.visibility, abs=1e-12)
+            assert not (r.info_entangled or r.bell_violated)
         with pytest.raises(InputError):
-            visibility_threshold(1)
+            visibility_threshold(0)
 
     def test_analysis_fields(self):
         a = analyze_werner(3, 0.4)
