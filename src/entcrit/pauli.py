@@ -178,8 +178,10 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     n = rho.n_qubits
     # (row_1..row_N, col_1..col_N) -> (row_1, col_1, ..., row_N, col_N)
     order = [k for q in range(n) for k in (q, n + q)]
-    paired = rho.matrix.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
-    work = mode_product(paired, [_TRACE] * n)
+    paired = rho.matrix.reshape((2,) * (2 * n)).transpose(order)
+    # passed unnamed, the paired copy is owned by mode_product's frame (CPython
+    # >= 3.11), which frees it once the first product has read it
+    work = mode_product(paired.reshape((4,) * n), [_TRACE] * n)
     imag = float(np.max(np.abs(work.imag)))
     if imag > IMAG_TOL:
         raise InputError(

@@ -55,10 +55,15 @@ class SearchResult:
 
 
 def _ascend(sweep: Callable, x: np.ndarray) -> SearchResult:
-    """Repeat `sweep` from x until its gain stalls or the sweep cap is hit."""
+    """Repeat `sweep` from x until its gain stalls, it returns its input byte
+    for byte (a fixed point the next sweep would only repeat), or the sweep
+    cap is hit."""
     value = -np.inf
     for count in range(1, MAX_SWEEPS + 1):
-        x, new = sweep(x)
+        x_new, new = sweep(x)
+        if x_new.tobytes() == x.tobytes():
+            return SearchResult(x_new, new, 1, count, True, 0.0)
+        x = x_new
         gain = new - value
         value = new
         if gain <= GAIN_TOL * max(1.0, abs(value)):

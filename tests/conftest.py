@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 from math import prod
 from types import SimpleNamespace
@@ -11,7 +12,16 @@ import pytest
 
 from entcrit.bell import VIOLATION_TOLERANCE
 from entcrit.info import DECISION_TOLERANCE
-from entcrit.search import CEILING_TOL, TIE_TOL, OptimizerOptions, _ascend
+from entcrit.pauli import _TRACE, IMAG_TOL, CorrelationTensor, mode_product
+from entcrit.search import (
+    CEILING_TOL,
+    GAIN_TOL,
+    MAX_SWEEPS,
+    TIE_TOL,
+    OptimizerOptions,
+    SearchResult,
+    _ascend,
+)
 from entcrit.states import (
     HERMITICITY_TOL,
     PSD_TOL,
@@ -190,13 +200,15 @@ def full_rank_state(rng, n):
     return DensityMatrix(n, rho / np.trace(rho).real)
 
 
-def prescribed_spectrum_matrix(rng, n, min_eig):
-    """Unit-trace Hermitian matrix, random eigenbasis, smallest eigenvalue min_eig."""
+def prescribed_spectrum_matrix(rng, n, min_eig, real=False):
+    """Unit-trace Hermitian matrix, random eigenbasis, smallest eigenvalue
+    min_eig; a real symmetric one with a real orthogonal eigenbasis if real."""
     dim = 2**n
     lam = rng.uniform(0.1, 1.0, dim)
     lam *= (1.0 - min_eig) / (lam.sum() - lam[0])
     lam[0] = min_eig
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    g = rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g if real else g + 1j * rng.standard_normal((dim, dim)))
     m = (q * lam) @ q.conj().T
     return DensityMatrix(n, (m + m.conj().T) / 2.0)
 
@@ -216,6 +228,81 @@ def eigvalsh_validate(dm):
     if min_eig < -PSD_TOL:
         report.append(InvariantViolation("positive_semidefinite", -min_eig))
     return report
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def reference_validate(dm):
+    """Density-matrix invariants in complex arithmetic on every input, reading
+    m^H twice and factoring the C-ordered Hermitian part: the reference for
+    `validate_density_matrix`."""
+    report = []
+    m = dm.matrix
+    m_h = m.conj().T
+    herm_residual = float(np.max(np.abs(m - m_h)))
+    if herm_residual > HERMITICITY_TOL:
+        report.append(InvariantViolation("hermiticity", herm_residual))
+    trace_residual = float(abs(np.trace(m) - 1.0))
+    if trace_residual > TRACE_TOL:
+        report.append(InvariantViolation("trace", trace_residual))
+    h = m + m_h
+    del m_h
+    h /= 2.0
+    if not _reference_cholesky_certifies_psd(h, np.linalg.norm(m)):
+        min_eig = float(np.linalg.eigvalsh(h)[0])
+        if min_eig < -PSD_TOL:
+            report.append(InvariantViolation("positive_semidefinite", -min_eig))
+    return report
+
+
+def _reference_cholesky_certifies_psd(h, m_norm):
+    n = h.shape[0]
+    norm_bound = m_norm + PSD_TOL / 2.0
+    if 4.0 * n * (n + 1) * _UNIT_ROUNDOFF * norm_bound > PSD_TOL / 4.0:
+        return False
+    diagonal = h.diagonal().copy()
+    h.flat[:: n + 1] += PSD_TOL / 2.0
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        h.flat[:: n + 1] = diagonal
+    return True
+
+
+def reference_correlation_tensor(dm):
+    """Pauli expectation values with the paired copy held through the whole
+    mode-product chain: the reference for `correlation_tensor`."""
+    n = dm.n_qubits
+    order = [k for q in range(n) for k in (q, n + q)]
+    paired = dm.matrix.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+    work = mode_product(paired, [_TRACE] * n)
+    imag = float(np.max(np.abs(work.imag)))
+    if imag > IMAG_TOL:
+        raise InputError(
+            f"correlation entries have imaginary residue {imag:.3e}; "
+            "the input matrix is not Hermitian enough"
+        )
+    return CorrelationTensor(n, work.real.copy())
+
+
+#: Bytes tracemalloc counts for the call's own small Python objects (array
+#: headers, shape tuples, the report), which do not grow with the matrix.
+SMALL_OBJECTS = 16 * 1024
+
+
+def traced_peak(f, *args):
+    """Peak bytes that tracemalloc (which traces NumPy's array data) sees
+    allocated during f(*args), above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def einsum_empirical_table(a1, a2):
@@ -278,6 +365,19 @@ def einsum_environment(a, mats, j):
     out = old[j] + "".join(new[q] for q in others)
     work = np.einsum(",".join(terms) + "->" + out, a, *[mats[q] for q in others])
     return work.reshape(a.shape[j], -1)
+
+
+def gain_only_ascend(sweep, x):
+    """`search._ascend` stopping only on the gain test or the sweep cap, so a
+    start that is already a fixed point takes a second sweep."""
+    value = -np.inf
+    for count in range(1, MAX_SWEEPS + 1):
+        x, new = sweep(x)
+        gain = new - value
+        value = new
+        if gain <= GAIN_TOL * max(1.0, abs(value)):
+            return SearchResult(x, value, 1, count, True, abs(gain))
+    return SearchResult(x, value, 1, MAX_SWEEPS, False, abs(gain))
 
 
 def eager_maximize(sweep, warm_starts, options, ceiling, default_restarts):

@@ -193,6 +193,19 @@ class TestMaximize:
                 assert closed.residual == 0.0
 
 
+    @pytest.mark.parametrize(
+        "kind,n,v",
+        [("product_all_plus_x", 3, None), ("maximally_mixed", 3, None), ("ghz", 3, None),
+         ("werner_ghz", 3, 0.45), ("werner_ghz", 4, 0.55)],
+    )
+    def test_fixed_warm_start_takes_one_sweep(self, kind, n, v):
+        # the HOSVD start of a GHZ-family or product preset is a fixed point
+        # of the sweep, which returns it byte for byte
+        t = correlation_tensor(build_preset(StatePreset(kind, n, v)))
+        rep = maximize_corr_info(t, OptimizerOptions(restarts=8, seed=1)).optimizer_report
+        assert (rep.iterations, rep.converged, rep.residual) == (1, True, 0.0)
+
+
 class TestUpperBound:
     def test_bounds_every_plane_choice(self, rng):
         for n in (2, 3, 4):

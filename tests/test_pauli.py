@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SMALL_OBJECTS,
     brute_force_tensor,
     einsum_environment,
     einsum_mode_product,
     kron_trace_table,
     random_density_matrix,
     random_product_state,
+    reference_correlation_tensor,
     tensordot_mode_product,
+    traced_peak,
 )
 from entcrit.pauli import (
     _EXPAND,
@@ -26,6 +29,8 @@ from entcrit.pauli import (
     rotate_frame_in_plane,
 )
 from entcrit.states import (
+    FIXED_QUBITS,
+    PRESET_KINDS,
     DensityMatrix,
     InputError,
     StatePreset,
@@ -180,6 +185,50 @@ class TestCorrelationTensor:
         bad[0, 0] = 0.5
         with pytest.raises(InputError):
             CorrelationTensor(2, bad)
+
+
+class TestAgainstReference:
+    """correlation_tensor equals the reference that holds the paired copy
+    through the whole mode-product chain, bit for bit and zero sign too."""
+
+    @staticmethod
+    def _assert_bitwise(dm):
+        got, want = correlation_tensor(dm).values, reference_correlation_tensor(dm).values
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("kind", PRESET_KINDS)
+    def test_presets(self, kind):
+        qubits = [FIXED_QUBITS[kind]] if kind in FIXED_QUBITS else range(1, 9)
+        for n in qubits:
+            for v in (0.0, 0.3, 1.0 / SQ2, 1.0) if kind == "werner_ghz" else (None,):
+                self._assert_bitwise(build_preset(StatePreset(kind, n, v)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_real_and_complex_mixtures(self, rng, n):
+        self._assert_bitwise(random_density_matrix(rng, n, terms=3))
+        a = rng.standard_normal((2**n, 3))
+        self._assert_bitwise(DensityMatrix(n, a @ a.T / np.trace(a @ a.T)))
+
+    def test_imaginary_residue_message(self, rng):
+        m = random_density_matrix(rng, 3).matrix.copy()
+        m[0, 1] += 1e-3j
+        messages = []
+        for f in (correlation_tensor, reference_correlation_tensor):
+            with pytest.raises(InputError, match="imaginary residue") as err:
+                f(DensityMatrix(3, m))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_peak_memory_nine_qubits(self, rng):
+        # the paired copy and one mode product (1 unit each), or the last
+        # product with its real part copied out and that copy's modulus
+        unit = 16 * 4**9
+        for dm in (
+            build_preset(StatePreset("werner_ghz", 9, 0.05)),
+            random_density_matrix(rng, 9, terms=3),
+        ):
+            assert traced_peak(correlation_tensor, dm) <= 2.0 * unit + SMALL_OBJECTS
 
 
 class TestPlaneSubtensor:

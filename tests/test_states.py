@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SMALL_OBJECTS,
     eigvalsh_validate,
     full_rank_state,
     ghz_vector,
@@ -14,6 +15,8 @@ from conftest import (
     random_density_matrix,
     random_pure_state,
     reference_preset_matrix,
+    reference_validate,
+    traced_peak,
 )
 from entcrit.states import (
     FIXED_QUBITS,
@@ -84,13 +87,16 @@ class TestPsdGate:
 
     @pytest.mark.parametrize("factor", [-0.4, -0.6, -0.99, -1.01, -2.0])
     def test_prescribed_min_eigenvalue_matches_oracle(self, rng, factor):
+        # real orthogonal eigenbases too: the real path's eigvalsh fallback
+        # must run on the complex Hermitian part to measure the same residual
         for n in range(1, 8):
-            dm = prescribed_spectrum_matrix(rng, n, factor * PSD_TOL)
-            report = validate_density_matrix(dm)
-            assert report == eigvalsh_validate(dm)
-            assert [v.invariant for v in report] == (
-                ["positive_semidefinite"] if factor < -1.0 else []
-            )
+            for real in (False, True):
+                dm = prescribed_spectrum_matrix(rng, n, factor * PSD_TOL, real)
+                report = validate_density_matrix(dm)
+                assert report == eigvalsh_validate(dm)
+                assert [v.invariant for v in report] == (
+                    ["positive_semidefinite"] if factor < -1.0 else []
+                )
 
     def test_states_up_to_nine_qubits_match_oracle(self, rng):
         for n in range(1, 10):
@@ -125,6 +131,79 @@ class TestPsdGate:
         # a pure state's Frobenius norm is 1, beyond the certificate's bound at n = 1024
         assert validate_density_matrix(random_pure_state(rng, 10)) == []
         assert len(calls) == 1
+
+
+def _validation_corpus(rng, n):
+    """Real and complex matrices at n qubits: a valid mixture and spectra with
+    the smallest eigenvalue around -PSD_TOL and at -0.3, each exactly
+    Hermitian and off by 1e-12; the mixture and the -0.3 spectrum also off by
+    1e-3 and with the trace scaled by 1.5; the real mixture with -0.0
+    imaginary parts."""
+    dim = 2**n
+    for real in (True, False):
+        a = rng.standard_normal((dim, 3))
+        if not real:
+            a = a + 1j * rng.standard_normal((dim, 3))
+        mixture = a @ a.conj().T
+        mixture /= np.trace(mixture).real
+        if real:
+            yield mixture.real.astype(complex).conj()
+        bases = [mixture]
+        for min_eig in (-2.0 * PSD_TOL, -1.01 * PSD_TOL, -0.99 * PSD_TOL, -0.5 * PSD_TOL, -0.3):
+            bases.append(prescribed_spectrum_matrix(rng, n, min_eig, real).matrix)
+        for i, m in enumerate(bases):
+            yield m
+            for off in (1e-12, 1e-3) if i in (0, len(bases) - 1) else (1e-12,):
+                skewed = m.copy()
+                skewed[0, -1] += off if real else off * (1.0 + 1.0j)
+                yield skewed
+            if i in (0, len(bases) - 1):
+                yield 1.5 * m
+
+
+class TestReferenceValidation:
+    """Every report equals the complex-arithmetic reference's, bit for bit."""
+
+    @staticmethod
+    def _assert_same_report(dm):
+        got, want = validate_density_matrix(dm), reference_validate(dm)
+        assert [(v.invariant, v.residual.hex()) for v in got] == [
+            (v.invariant, v.residual.hex()) for v in want
+        ]
+        return got
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_corpus_matches_reference(self, rng, n):
+        names = set()
+        for m in _validation_corpus(rng, n):
+            names.update(v.invariant for v in self._assert_same_report(DensityMatrix(n, m)))
+        assert names == {"hermiticity", "trace", "positive_semidefinite"}
+
+    def test_real_pure_state_beyond_certificate(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.dtype) or eigvalsh(a))
+        v = rng.standard_normal(2**10)
+        v /= np.linalg.norm(v)
+        assert self._assert_same_report(DensityMatrix(10, np.outer(v, v))) == []
+        assert calls == [np.dtype(complex)] * 2
+
+
+class TestValidationMemory:
+    """Peak traced allocation of one validation at N=9, in units of the
+    complex matrix.  The peak is the Hermiticity residual, which holds H,
+    m - H and |m - H| at once: half a unit each on a real state, and
+    1 + 1 + 1/2 on a complex one.  H and its Cholesky factor come to less."""
+
+    UNIT = 16 * 4**9
+
+    def test_real_state(self):
+        dm = build_preset(StatePreset("werner_ghz", 9, 0.05))
+        assert traced_peak(validate_density_matrix, dm) <= 1.5 * self.UNIT + SMALL_OBJECTS
+
+    def test_complex_state(self, rng):
+        dm = random_density_matrix(rng, 9, terms=3)
+        assert traced_peak(validate_density_matrix, dm) <= 2.5 * self.UNIT + SMALL_OBJECTS
 
 
 class TestMemoryLayout:
