@@ -31,6 +31,8 @@ from .states import InputError, StateFormatError, _as_number, _frozen, decode_js
 
 #: Margin above 2^N required before the bound is reported as violated.
 VIOLATION_TOLERANCE = 1e-7
+#: A see-saw direction below this norm has vanished: the objective ignores it.
+VANISHING_NORM_TOL = 1e-14
 #: Random starts the Bell see-saw adds to its warm starts by default.
 BELL_RESTARTS = 64
 
@@ -61,10 +63,6 @@ class SettingsPair:
         v1, v2 = unit_row_pair(self.n1, self.n2, "settings")
         object.__setattr__(self, "n1", _frozen(v1))
         object.__setattr__(self, "n2", _frozen(v2))
-
-    @property
-    def n_qubits(self) -> int:
-        return self.n1.shape[0]
 
     def to_json_list(self) -> list[dict]:
         return [{"n1": a, "n2": b} for a, b in zip(self.n1.tolist(), self.n2.tolist())]
@@ -153,8 +151,7 @@ def belinskii_klyshko_value(table: CorrelationTable) -> float:
 
 def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(v)
-    # a vanishing direction means the objective does not depend on it
-    return v / norm if norm > 1e-14 else fallback
+    return v / norm if norm > VANISHING_NORM_TOL else fallback
 
 
 def _bell_warm_starts(t: CorrelationTensor) -> list[np.ndarray]:

@@ -27,6 +27,8 @@ from .pauli import CorrelationTable, frozen_table, mode_product
 from .states import InputError, _frozen
 
 MASS_TOL = 1e-10
+#: Rounding allowed below zero in a class mass or the noise weight.
+NEGATIVE_MASS_TOL = 1e-12
 
 
 class BellBoundError(InputError):
@@ -57,13 +59,13 @@ class LhvModel:
         w = frozen_table(self.n_qubits, self.weights, "weights")
         if self.sign.n_qubits != self.n_qubits:
             raise InputError("sign function qubit count mismatch")
-        if not w.min() >= -1e-12:
+        if not w.min() >= -NEGATIVE_MASS_TOL:
             raise InputError(f"class probability must be nonnegative, got {w.min()!r}")
         object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0)))
         total = self.total_atom_mass() + self.noise_weight
         if not abs(total - 1.0) <= MASS_TOL:
             raise InputError(f"probability mass must sum to 1, got {total!r}")
-        if not self.noise_weight >= -1e-12:
+        if not self.noise_weight >= -NEGATIVE_MASS_TOL:
             raise InputError("noise weight must be nonnegative")
 
     def total_atom_mass(self) -> float:

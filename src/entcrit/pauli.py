@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, InputError, _frozen
+from .states import TRACE_TOL, DensityMatrix, InputError, _frozen
 
 PAULI = np.array(
     [
@@ -87,7 +87,7 @@ class CorrelationTensor:
         top = float(np.max(np.abs(vals)))
         if not top <= 1.0 + ENTRY_TOL:
             raise InputError(f"tensor entry out of range: max |T| = {top!r}")
-        if not abs(vals[(0,) * self.n_qubits] - 1.0) <= 1e-10:
+        if not abs(vals[(0,) * self.n_qubits] - 1.0) <= TRACE_TOL:
             raise InputError("identity component of the tensor must equal 1")
         object.__setattr__(self, "values", _frozen(vals))
 

@@ -20,11 +20,9 @@ GAIN_TOL = 1e-12
 #: Sweeps allowed per start; a start that hits the cap reports converged=False.
 MAX_SWEEPS = 2000
 #: A later start must beat the incumbent by this much, relative to
-#: max(1, |incumbent|), so warm starts win numerical ties.
+#: max(1, |incumbent|), so warm starts win numerical ties; an incumbent this
+#: close to the ceiling ends the search, as no later start could displace it.
 TIE_TOL = 1e-9
-#: An incumbent this close to the ceiling, relative to max(1, |incumbent|),
-#: ends the search; being below TIE_TOL, no later start could displace it.
-CEILING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,6 +106,6 @@ def maximize(
         sweeps += run.iterations
         if best is None or run.value > best.value + TIE_TOL * max(1.0, abs(best.value)):
             best = run
-        if ceiling - best.value <= CEILING_TOL * max(1.0, abs(best.value)):
+        if ceiling - best.value <= TIE_TOL * max(1.0, abs(best.value)):
             break
     return replace(best, restarts=len(warm) + restarts, iterations=sweeps)

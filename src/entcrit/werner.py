@@ -80,7 +80,8 @@ def analyze_werner(n: int, v: float) -> WernerAnalysis:
         nonzero_inplane_count=count,
         info_sum=count * float(v) ** 2,
         threshold=threshold,
-        lr_describable=float(v) <= threshold + 1e-9,
+        # the Bell rule on the family's closed-form master sum 2^N V 2^((N-1)/2)
+        lr_describable=not violates(2.0**n * float(v) * 2.0 ** ((n - 1) / 2.0), 2.0**n),
     )
 
 

@@ -14,7 +14,6 @@ from entcrit.bell import VIOLATION_TOLERANCE
 from entcrit.info import DECISION_TOLERANCE
 from entcrit.pauli import _TRACE, IMAG_TOL, CorrelationTensor, mode_product
 from entcrit.search import (
-    CEILING_TOL,
     GAIN_TOL,
     MAX_SWEEPS,
     TIE_TOL,
@@ -395,7 +394,7 @@ def eager_maximize(sweep, warm_starts, options, ceiling, default_restarts):
         sweeps += run.iterations
         if best is None or run.value > best.value + TIE_TOL * max(1.0, abs(best.value)):
             best = run
-        if ceiling - best.value <= CEILING_TOL * max(1.0, abs(best.value)):
+        if ceiling - best.value <= TIE_TOL * max(1.0, abs(best.value)):
             break
     return replace(best, restarts=len(starts), iterations=sweeps)
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import entcrit
-from conftest import random_density_matrix
+from conftest import random_density_matrix, traced_peak
 from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
 from entcrit.pauli import CorrelationTable
-from entcrit.states import serialize_state
+from entcrit.states import MAX_QUBITS, StateFormatError, read_state_file, serialize_state
 
 # child interpreters import the same entcrit as this one, installed or not
 SRC = str(Path(entcrit.__file__).resolve().parents[1])
@@ -613,3 +613,65 @@ class TestFlagsThatAct:
         seeded = run_parsed(capsys, "info", "--preset", "ghz", "--n", "3", "--restarts", "2",
                             "--seed", "0")
         assert plain == seeded and plain[0] == 0
+
+
+def _exits_2_with(capsys, argv, message):
+    code, out, err = run_inprocess(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+class TestInputErrorMessages:
+    """Each malformed-input branch has its own message, raised by the parser
+    and printed by the CLI after `error:` with exit code 2."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "settings file must be an object with a 'pairs' list"),
+        ({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}, {"n1": [1, 0, 0]}]},
+         "pairs[1] must have 'n1' and 'n2' vectors"),
+        ({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1]}] * 2}, "pairs[0].n2 must be a 3-vector"),
+    ])
+    def test_settings_file(self, tmp_path, capsys, doc, message):
+        with pytest.raises(StateFormatError) as e:
+            bell.parse_settings_file(json.dumps(doc), 2)
+        assert str(e.value) == message
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(doc))
+        for command in ("lhv", "bell", "analyze"):
+            _exits_2_with(
+                capsys, [command, "--preset", "bell_phi_minus", "--settings", str(path)], message
+            )
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "top level of a state file must be a JSON object"),
+        ({"matrix": []}, "'matrix' must be a JSON object"),
+        ({"preset": {"kind": 3, "n_qubits": 2}}, "preset.kind: expected a string, got 3"),
+        ({"matrix": {"n_qubits": "2", "entries": []}},
+         "matrix.n_qubits: expected an integer, got '2'"),
+    ])
+    def test_state_file(self, tmp_path, capsys, doc, message):
+        with pytest.raises(StateFormatError) as e:
+            read_state_file(json.dumps(doc))
+        assert str(e.value) == message
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        _exits_2_with(capsys, ["tensor", "-i", str(path)], message)
+
+    def test_qubit_cap_refused_before_allocating(self, tmp_path, capsys):
+        # one row of a 2^13 x 2^13 complex matrix, 1/8192 of the matrix itself
+        row = 2**13 * 16
+        message = (
+            f"n_qubits=13 exceeds the cap of {MAX_QUBITS} "
+            "(raise entcrit.states.MAX_QUBITS to override)"
+        )
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"matrix": {"n_qubits": 13, "entries": []}}))
+        for argv in (["tensor", "--preset", "ghz", "--n", "13"], ["tensor", "-i", str(path)]):
+            assert traced_peak(main, argv) < row
+            capsys.readouterr()
+            _exits_2_with(capsys, argv, message)
+
+    def test_unreadable_input(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        with pytest.raises(OSError) as e:
+            path.read_bytes()
+        _exits_2_with(capsys, ["tensor", "-i", str(path)], f"cannot read {path}: {e.value}")

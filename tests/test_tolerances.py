@@ -1,0 +1,65 @@
+"""Every small float in the package is a named tolerance, and every named
+tolerance is listed once, with its value and module, in the README table."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "entcrit"
+README = ROOT / "README.md"
+NAME = re.compile(r"[A-Z][A-Z0-9_]*_(TOL|TOLERANCE)")
+ROW = re.compile(r"\| `(\w+)` \| ([^|]+?) \| `(entcrit\.\w+)` \|")
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield f"entcrit.{path.stem}", ast.parse(path.read_text(), str(path))
+
+
+def _tolerances(tree):
+    """Module-level NAME = <float literal> assignments, by name."""
+    found = {}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and NAME.fullmatch(node.targets[0].id)
+            and isinstance(node.value, ast.Constant)
+        ):
+            found[node.targets[0].id] = node.value
+    return found
+
+
+def _readme_table():
+    section = README.read_text().split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    return [m.groups() for m in map(ROW.match, section.splitlines()) if m]
+
+
+def test_small_literals_are_named_tolerances():
+    stray = []
+    for module, tree in _modules():
+        named = {id(c) for c in _tolerances(tree).values()}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and type(node.value) is float
+                and 0.0 < abs(node.value) < 1e-6
+                and id(node) not in named
+            ):
+                stray.append(f"{module}:{node.lineno} {node.value!r}")
+    assert not stray
+
+
+def test_readme_lists_every_tolerance_once():
+    rows = _readme_table()
+    names = [name for name, _, _ in rows]
+    assert len(names) == len(set(names))
+    listed = {name: (float(value), module) for name, value, module in rows}
+    defined = {
+        name: (c.value, module)
+        for module, tree in _modules()
+        for name, c in _tolerances(tree).items()
+    }
+    assert listed == defined

@@ -2,6 +2,8 @@
 Every verdict the package reports must agree with them, at the tolerance
 edge as well as on seeded states."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,12 @@ from entcrit.bell import (
     sufficient_lr_condition,
     violates,
 )
+from entcrit.cli import main
 from entcrit.info import DECISION_TOLERANCE, _verdict, entangled, maximize_corr_info
 from entcrit.lhv import MASS_TOL, BellBoundError, construct_lhv
 from entcrit.pauli import CorrelationTensor, correlation_tensor
 from entcrit.search import OptimizerOptions, SearchResult
-from entcrit.werner import visibility_scan
+from entcrit.werner import analyze_werner, visibility_scan, visibility_threshold
 
 FAST = OptimizerOptions(restarts=2)
 
@@ -104,3 +107,25 @@ class TestVerdictsAgree:
         if n == 2:
             assert any(1.0 < r.info_sum and not r.info_entangled for r in rows)
             assert any(bound < r.bell_lhs and not r.bell_violated for r in rows)
+
+
+class TestWernerVerdict:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_closed_form_verdict_is_the_bell_rule(self, n):
+        # the family's master sum is 2^N V 2^((N-1)/2); N=1 stops at V = 1
+        thr = visibility_threshold(n)
+        bound = 2.0**n
+        near = [thr * (1.0 + s * d) for d in (1e-8, 1e-6) for s in (-1.0, 1.0)]
+        seen = set()
+        for v in [float(v) for v in (*edge(thr), *near) if v <= 1.0]:
+            describable = not violates(bound * v * 2.0 ** ((n - 1) / 2.0), bound)
+            assert analyze_werner(n, v).lr_describable == describable, (n, v)
+            seen.add(describable)
+        assert seen == ({True} if n == 1 else {True, False})
+
+    @pytest.mark.parametrize("n, v", [(2, "0.70710679"), (3, "0.500000002")])
+    def test_report_sections_agree_above_the_bare_threshold(self, capsys, n, v):
+        assert main(["analyze", "--preset", "werner_ghz", "--n", str(n), "--visibility", v]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert float(v) > visibility_threshold(n) + 1e-9
+        assert report["werner"]["lr_describable"] == (not report["bell"]["violated"])
