@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .info import entangled, info_upper_bound
+from .info import DECISION_TOLERANCE, entangled, info_upper_bound
 from .pauli import (
     CorrelationTable,
     CorrelationTensor,
@@ -29,8 +29,6 @@ from .pauli import (
 from .search import OptimizerOptions, SearchResult, maximize
 from .states import InputError, StateFormatError, _as_number, _frozen, decode_json
 
-#: Margin above 2^N required before the bound is reported as violated.
-VIOLATION_TOLERANCE = 1e-7
 #: A see-saw direction below this norm has vanished: the objective ignores it.
 VANISHING_NORM_TOL = 1e-14
 #: Random starts the Bell see-saw adds to its warm starts by default.
@@ -41,9 +39,10 @@ _SIGN_WEIGHTS = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
 def violates(lhs, bound):
-    """The Bell criterion: a master sum above its bound 2^N.  Elementwise on
+    """The Bell criterion: a master sum above its bound 2^N, decided on the
+    ratio lhs / 2^N (an exact division) against 1 + tau.  Elementwise on
     arrays."""
-    return lhs > bound + VIOLATION_TOLERANCE
+    return lhs / bound > 1.0 + DECISION_TOLERANCE
 
 
 def sign_grid(n_qubits: int) -> np.ndarray:

@@ -27,17 +27,23 @@ from .pauli import (
 from .search import OptimizerOptions, SearchResult, maximize
 from .states import InputError
 
-#: Margin above 1 required before a state is called entangled, so boundary
-#: states do not flip verdicts on numerical noise.
-DECISION_TOLERANCE = 1e-7
+#: The one decision margin tau, on the scale where local realism ends at 1:
+#: entangled when sqrt(I) > 1 + tau (`entangled`), violated when
+#: lhs / 2^N > 1 + tau (`bell.violates`, which also refuses a local model),
+#: and a local model's total mass within 1 +- tau (`lhv.LhvModel`).  At N=2
+#: lhs / 4 is sqrt(I), so there the verdicts coincide.  tau lies far above
+#: the rounding of these values and bounds a model's excess mass.
+DECISION_TOLERANCE = 1e-10
 #: Random starts the information search adds to its warm starts by default.
 INFO_RESTARTS = 32
 
 
 def entangled(total):
     """The information criterion: an in-plane sum above one bit certifies
-    entanglement.  Elementwise on arrays."""
-    return total > 1.0 + DECISION_TOLERANCE
+    entanglement, decided as sqrt(total) > 1 + tau.  Comparing total with
+    (1 + tau)^2 takes no root, so a float gives a bool and an array decides
+    elementwise alike."""
+    return total > (1.0 + DECISION_TOLERANCE) ** 2
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ from .bell import (
     signed_sums,
     violates,
 )
+from .info import DECISION_TOLERANCE
 from .pauli import CorrelationTable, frozen_table, mode_product
 from .states import InputError, _frozen
 
-MASS_TOL = 1e-10
 #: Rounding allowed below zero in a class mass or the noise weight.
 NEGATIVE_MASS_TOL = 1e-12
 
@@ -62,8 +62,11 @@ class LhvModel:
         if not w.min() >= -NEGATIVE_MASS_TOL:
             raise InputError(f"class probability must be nonnegative, got {w.min()!r}")
         object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0)))
+        # the upper bound is the Bell rule's: a table's class masses sum to
+        # lhs / 2^N, so `construct_lhv` refuses exactly the tables whose
+        # model would break it
         total = self.total_atom_mass() + self.noise_weight
-        if not abs(total - 1.0) <= MASS_TOL:
+        if not 1.0 - DECISION_TOLERANCE <= total <= 1.0 + DECISION_TOLERANCE:
             raise InputError(f"probability mass must sum to 1, got {total!r}")
         if not self.noise_weight >= -NEGATIVE_MASS_TOL:
             raise InputError("noise weight must be nonnegative")
@@ -95,15 +98,16 @@ class LhvModel:
 def construct_lhv(table: CorrelationTable) -> LhvModel:
     """Build the explicit local model for a table within the master bound.
 
-    The table is refused when it violates the bound or when its class
-    masses sum past 1 + MASS_TOL, which a table inside the bound's
-    tolerance can still do.  A refusal carries the master sum and its bound.
+    The table is refused exactly when it `violates` the bound; the refusal
+    carries the master sum and its bound.  Dividing by 2^N is exact, so the
+    class masses sum to lhs / 2^N bit for bit and a table that is not
+    refused never carries more mass than `LhvModel` admits.
     """
     b = signed_sums(table)
     lhs, bound = _master_sum(b)
-    weights = np.abs(b) / bound
-    if violates(lhs, bound) or weights.sum() - 1.0 > MASS_TOL:
+    if violates(lhs, bound):
         raise BellBoundError(lhs, bound)
+    weights = np.abs(b) / bound
     sign = SignFunction(b.ndim, np.where(b > 0, 1.0, -1.0))
     return LhvModel(b.ndim, weights, sign, max(0.0, 1.0 - weights.sum()))
 

@@ -13,6 +13,8 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -272,7 +274,12 @@ def build_preset(p: StatePreset) -> DensityMatrix:
 def _as_number(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise StateFormatError(f"{where}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise StateFormatError(
+            f"{where}: an integer of {x.bit_length()} bits is too large for a float"
+        ) from None
 
 
 def _as_complex(pair, where: str) -> complex:
@@ -300,14 +307,37 @@ def _parse_n_qubits(doc: dict, where: str) -> int:
     return n
 
 
+# a JSON string, or a number with its integer part, fraction and exponent
+_STRING_OR_NUMBER = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][+-]?\d+)?'
+
+
+def _long_integer(text: str) -> int:
+    """Offset of the first integer literal longer than Python converts."""
+    limit = sys.get_int_max_str_digits()
+    for m in re.finditer(_STRING_OR_NUMBER, text):
+        if m[1] and not (m[2] or m[3]) and len(m[1]) > limit:
+            return m.start()
+    return 0
+
+
 def decode_json(text):
-    """Decode a UTF-8 JSON document (str or bytes); syntax errors become
-    StateFormatError with their line and column."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+    """Decode a UTF-8 JSON document (str or bytes).  Bytes that are not
+    UTF-8, syntax errors, nesting past the parser's recursion limit and
+    integer literals past Python's digit limit become StateFormatError,
+    located by byte offset or by line and column where the parser allows."""
     try:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except UnicodeDecodeError as e:
+        raise StateFormatError(f"input is not UTF-8: {e.reason} at byte {e.start}") from e
+    except RecursionError:
+        raise StateFormatError("JSON parse error: arrays and objects nested too deeply") from None
+    except ValueError as e:
+        if not isinstance(e, json.JSONDecodeError):
+            # json raises a bare ValueError only for an over-long integer
+            msg = f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+            e = json.JSONDecodeError(msg, text, _long_integer(text))
         raise StateFormatError(
             f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e

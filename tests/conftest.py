@@ -4,13 +4,12 @@ import itertools
 import json
 import tracemalloc
 from dataclasses import replace
-from math import prod
+from math import prod, sqrt
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from entcrit.bell import VIOLATION_TOLERANCE
 from entcrit.info import DECISION_TOLERANCE
 from entcrit.pauli import _TRACE, IMAG_TOL, CorrelationTensor, mode_product
 from entcrit.search import (
@@ -424,8 +423,8 @@ def loop_scan_rows(n, grid, full_lhs):
                 info_sum=info_sum,
                 bell_lhs=lhs,
                 bell_ratio=lhs / bound,
-                info_entangled=info_sum > 1.0 + DECISION_TOLERANCE,
-                bell_violated=lhs > bound + VIOLATION_TOLERANCE,
+                info_entangled=sqrt(info_sum) > 1.0 + DECISION_TOLERANCE,
+                bell_violated=lhs / bound > 1.0 + DECISION_TOLERANCE,
             )
         )
     return rows

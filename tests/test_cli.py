@@ -33,6 +33,11 @@ def run_cli(*args, env=CHILD_ENV):
     )
 
 
+# N=2 GHZ-Werner visibilities 1e-9 and 5e-11 past the threshold 1/sqrt(2),
+# and whether that is past the decision tolerance 1e-10
+EDGE_VISIBILITIES = [("0.7071067882", True), ("0.707106781222", False)]
+
+
 def run_inprocess(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -167,19 +172,29 @@ class TestLhvCommand:
         assert doc["refused"] is True
         assert doc["lhs"] > doc["bound"]
 
-    def test_mass_past_tolerance_refused(self, capsys):
-        # the master sum sits inside the violation tolerance (not violated),
-        # yet the exact model would carry 1 + 1e-8 of mass: refuse, exit 0
-        code, out, _ = run_inprocess(
-            capsys, "analyze", "--preset", "werner_ghz", "--n", "2",
-            "--visibility", "0.7071067882",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["bell"]["violated"] is False
-        assert doc["lhv"]["lhs"] > doc["lhv"]["bound"]
-        assert doc["lhv"]["refused"] is True
-        assert "model" not in doc["lhv"]
+    def test_edge_visibility_verdicts_agree(self, capsys):
+        # 1e-9 past the N=2 threshold, and 5e-11 past it (inside the decision
+        # tolerance): the four verdicts agree, and inside the tolerance the
+        # model carries the master sum's excess mass
+        for v, past in EDGE_VISIBILITIES:
+            code, out, _ = run_inprocess(
+                capsys, "analyze", "--preset", "werner_ghz", "--n", "2", "--visibility", v
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["lhv"]["lhs"] > doc["lhv"]["bound"]
+            verdicts = (
+                doc["info"]["entangled"],
+                doc["bell"]["violated"],
+                doc["lhv"]["refused"],
+                not doc["werner"]["lr_describable"],
+            )
+            assert verdicts == (past,) * 4, v
+            assert ("model" in doc["lhv"]) is not past
+            if not past:
+                model = doc["lhv"]["model"]
+                assert model["noise_weight"] == 0.0
+                assert sum(a["p"] for a in model["atoms"]) > 1.0
 
     def test_settings_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -495,8 +510,10 @@ class TestOneLocalModelConstructor:
         for n in range(1, 9):
             vals = rng.uniform(-1.0, 1.0, (2,) * n)
             lhs = bell.general_bell_lhs(CorrelationTable(n, vals)).lhs_general
-            # deep inside, at the edge, in the mass band, and outside the bound
-            scales = [2.0 ** (-n / 2)] + [c * 2.0**n / lhs for c in (1 - 1e-9, 1 + 5e-9, 1.5)]
+            # deep inside, at the edge, inside and past the decision
+            # tolerance, and outside the bound
+            cs = (1 - 1e-9, 1 + 5e-11, 1 + 5e-9, 1.5)
+            scales = [2.0 ** (-n / 2)] + [c * 2.0**n / lhs for c in cs]
             seen = set()
             for scale in scales:
                 if scale > 1.0:
@@ -510,24 +527,22 @@ class TestOneLocalModelConstructor:
                 seen.add(section["refused"])
             assert seen == ({False} if n == 1 else {False, True}), n
 
-    def test_boundary_band_lhv_command(self, tmp_path, capsys):
-        # inside the bound's tolerance, yet the model would carry too much mass
-        code, out, _ = run_inprocess(
-            capsys, "analyze", "--preset", "werner_ghz", "--n", "2", "--visibility", "0.7071067882"
-        )
-        assert code == 0
-        doc = json.loads(out)
+    def test_edge_lhv_command_matches_analyze(self, tmp_path, capsys):
+        # at the settings analyze found, lhv refuses exactly when analyze's
+        # Bell search reports a violation
         path = tmp_path / "settings.json"
-        path.write_text(json.dumps({"pairs": doc["bell"]["settings"]}))
-        code, out, _ = run_inprocess(
-            capsys, "lhv", "--preset", "werner_ghz", "--n", "2", "--visibility", "0.7071067882",
-            "--settings", str(path),
-        )
-        assert code == 0
-        section = json.loads(out)
-        assert section["refused"] is True and doc["bell"]["violated"] is False
-        assert section["lhs"] == doc["lhv"]["lhs"] == doc["bell"]["lhs"]
-        assert section["bound"] == 4.0
+        for v, past in EDGE_VISIBILITIES:
+            state = ["--preset", "werner_ghz", "--n", "2", "--visibility", v]
+            code, out, _ = run_inprocess(capsys, "analyze", *state)
+            assert code == 0
+            doc = json.loads(out)
+            path.write_text(json.dumps({"pairs": doc["bell"]["settings"]}))
+            code, out, _ = run_inprocess(capsys, "lhv", *state, "--settings", str(path))
+            assert code == 0
+            section = json.loads(out)
+            assert section["refused"] is doc["bell"]["violated"] is past
+            assert section["lhs"] == doc["lhv"]["lhs"] == doc["bell"]["lhs"]
+            assert section["bound"] == 4.0
 
 
 def run_parsed(capsys, *args):
@@ -655,6 +670,43 @@ class TestInputErrorMessages:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         _exits_2_with(capsys, ["tensor", "-i", str(path)], message)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\x80", "input is not UTF-8: invalid start byte at byte 0"),
+        (b"[" * 100_000, "JSON parse error: arrays and objects nested too deeply"),
+        (b'{"pairs":\n  [' + b"9" * (sys.get_int_max_str_digits() + 1) + b"]}",
+         f"JSON parse error at line 2, column 4: integer literal longer than "
+         f"{sys.get_int_max_str_digits()} digits"),
+    ], ids=["not-utf8", "too-deep", "long-integer"])
+    def test_undecodable_file(self, tmp_path, capsys, raw, message):
+        # bytes that are not UTF-8, nesting past the recursion limit and an
+        # integer past Python's digit limit, as a state and a settings file
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        _exits_2_with(capsys, ["tensor", "-i", str(path)], message)
+        _exits_2_with(
+            capsys, ["lhv", "--preset", "bell_phi_minus", "--settings", str(path)], message
+        )
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"matrix": {"n_qubits": 1, "entries": [[[0, 0], [0, 0]], [[0, 0], [0, 10**400]]]}},
+         "matrix.entries[1][1]: an integer of 1329 bits is too large for a float"),
+        ({"vector": {"n_qubits": 1, "amplitudes": [[10**400, 0], [0, 0]]}},
+         "vector.amplitudes[0]: an integer of 1329 bits is too large for a float"),
+        ({"preset": {"kind": "werner_ghz", "n_qubits": 2, "visibility": -(10**400)}},
+         "preset.visibility: an integer of 1329 bits is too large for a float"),
+    ], ids=["matrix", "vector", "preset"])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        _exits_2_with(capsys, ["tensor", "-i", str(path)], message)
+        pairs = [{"n1": [1, 0, 0], "n2": [0, 1, 0]}, {"n1": [1, 0, 0], "n2": [0, 10**400, 0]}]
+        path.write_text(json.dumps({"pairs": pairs}))
+        _exits_2_with(
+            capsys,
+            ["lhv", "--preset", "bell_phi_minus", "--settings", str(path)],
+            "pairs[1].n2: an integer of 1329 bits is too large for a float",
+        )
 
     def test_qubit_cap_refused_before_allocating(self, tmp_path, capsys):
         # one row of a 2^13 x 2^13 complex matrix, 1/8192 of the matrix itself

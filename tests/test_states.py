@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     reference_validate,
     traced_peak,
 )
+from entcrit.bell import parse_settings_file
 from entcrit.states import (
     FIXED_QUBITS,
     PRESET_KINDS,
@@ -31,6 +33,7 @@ from entcrit.states import (
     build_preset,
     from_state_vector,
     parse_state_file,
+    read_state_file,
     serialize_state,
     validate_density_matrix,
 )
@@ -416,3 +419,41 @@ class TestStateFile:
     def test_bytes_input_accepted(self):
         dm = parse_state_file(b'{"preset":{"kind":"ghz","n_qubits":2}}')
         assert dm.n_qubits == 2
+
+
+# schema words make the fuzzer reach past the top-level checks; the only
+# preset kinds offered are fixed at two qubits, so no document builds a
+# large state
+_SCHEMA_WORDS = st.sampled_from(
+    ["matrix", "vector", "preset", "n_qubits", "entries", "amplitudes", "kind",
+     "visibility", "pairs", "n1", "n2", "bell_phi_minus", "product_plus_x_minus_x"]
+)
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+    | st.integers(min_value=10**300, max_value=10**400) | st.floats()
+    | _SCHEMA_WORDS | st.text(max_size=4)
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_SCHEMA_WORDS | st.text(max_size=3), kids, max_size=4),
+    max_leaves=24,
+)
+_LONG_INTEGER = b"[" + b"9" * (sys.get_int_max_str_digits() + 1) + b"]"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    raw=st.binary(max_size=48)
+    | _JSON_DOCS.map(lambda doc: json.dumps(doc).encode())
+    | st.sampled_from([b"[" * 100_000, _LONG_INTEGER]),
+    n=st.integers(1, 3),
+)
+def test_file_readers_raise_only_input_errors(raw, n):
+    # whatever the bytes, a state or settings file either parses or raises
+    # InputError, which the CLI reports with exit code 2
+    for read in (read_state_file, lambda text: parse_settings_file(text, n)):
+        try:
+            read(raw)
+        except InputError:
+            pass

@@ -63,3 +63,42 @@ def test_readme_lists_every_tolerance_once():
         for name, c in _tolerances(tree).items()
     }
     assert listed == defined
+
+
+def _readers(tree, name):
+    """Qualified names of the functions that read `name`."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            elif isinstance(child, ast.Name) and child.id == name:
+                if isinstance(child.ctx, ast.Load):
+                    found.add(".".join(scope))
+            elif isinstance(child, ast.Attribute) and child.attr == name:
+                found.add(".".join(scope))
+            else:
+                visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_one_decision_constant():
+    # entanglement, Bell violation and the local model's mass all decide
+    # against 1 + DECISION_TOLERANCE, each in one place
+    readers = {
+        f"{module}.{fn}"
+        for module, tree in _modules()
+        for fn in _readers(tree, "DECISION_TOLERANCE")
+    }
+    assert readers == {
+        "entcrit.bell.violates",
+        "entcrit.info.entangled",
+        "entcrit.lhv.LhvModel.__post_init__",
+    }
+    for module, tree in _modules():
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & {"VIOLATION_TOLERANCE", "MASS_TOL"}, module
