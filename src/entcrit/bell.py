@@ -83,13 +83,18 @@ class SignFunction:
 
 @dataclass(frozen=True)
 class BellEvaluation:
-    """The master sum, its bound 2^N and verdict, and the moduli |B(s)| as a
-    frozen (2,)*N array, axis index 0 meaning s = +1."""
+    """The master sum, the signed sums B(s) as a frozen (2,)*N array (axis
+    index 0 meaning s = +1), the bound 2^N and the verdict."""
 
     lhs_general: float
-    moduli: np.ndarray
+    sums: np.ndarray
     bound: float
     violated: bool
+
+    @property
+    def moduli(self) -> np.ndarray:
+        """|B(s)|, shape (2,)*N."""
+        return np.abs(self.sums)
 
 
 def correlation_table(t: CorrelationTensor, s: SettingsPair) -> CorrelationTable:
@@ -102,16 +107,11 @@ def signed_sums(table: CorrelationTable) -> np.ndarray:
     return mode_product(table.values, [_SIGN_WEIGHTS] * table.n_qubits)
 
 
-def _master_sum(b: np.ndarray) -> tuple[float, float]:
-    """The master sum of |B(s)| over the signed sums B(s), and its bound 2^N."""
-    return float(np.abs(b).sum()), float(2**b.ndim)
-
-
 def general_bell_lhs(table: CorrelationTable) -> BellEvaluation:
     """Evaluate the master inequality: sum of |B(s)| against the bound 2^N."""
     b = signed_sums(table)
-    lhs, bound = _master_sum(b)
-    return BellEvaluation(lhs, _frozen(np.abs(b)), bound, violates(lhs, bound))
+    lhs, bound = float(np.abs(b).sum()), float(2**b.ndim)
+    return BellEvaluation(lhs, _frozen(b), bound, violates(lhs, bound))
 
 
 def sign_function_inequality(table: CorrelationTable, sgn: SignFunction) -> float:
@@ -272,7 +272,7 @@ def sufficient_lr_condition(t: CorrelationTensor) -> tuple[float, bool]:
 
 
 def bell_report_dict(evaluation: BellEvaluation, settings: SettingsPair) -> dict:
-    n = evaluation.moduli.ndim
+    n = evaluation.sums.ndim
     return {
         "n_qubits": n,
         "lhs": float(evaluation.lhs_general),

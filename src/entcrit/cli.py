@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--format", choices=("json", "csv"), default="csv", dest="out_format")
     bell.add_argument("--settings", help="fixed settings file; skips optimization")
     lhv.add_argument("--settings", required=True, help="settings file (required)")
-    analyze.add_argument("--settings", help="optional settings for the local-model section")
     for sp in sub.choices.values():
         sp.add_argument("--out", help="write the report here instead of stdout")
     return parser
@@ -171,9 +170,7 @@ def _cmd_analyze(args) -> str:
     dm, preset = _load_state(args)
     tensor = correlation_tensor(dm)
     verdict = maximize_corr_info(tensor, _optimizer_options(args))
-    evaluation, found_settings = maximize_general_bell(tensor, _optimizer_options(args))
-    lhv_settings = _load_settings(args.settings, dm.n_qubits) if args.settings else found_settings
-    lhv = _lhv_section(correlation_table(tensor, lhv_settings))
+    evaluation, settings = maximize_general_bell(tensor, _optimizer_options(args))
 
     report = {
         "n_qubits": int(dm.n_qubits),
@@ -181,8 +178,9 @@ def _cmd_analyze(args) -> str:
         # full tensors get large quickly; keep combined reports bounded
         "tensor": tensor.to_json_dict() if dm.n_qubits <= 6 else None,
         "info": verdict.to_json_dict(),
-        "bell": bell_report_dict(evaluation, found_settings),
-        "lhv": lhv,
+        "bell": bell_report_dict(evaluation, settings),
+        # the local model at the settings the bell section reports
+        "lhv": _lhv_section(correlation_table(tensor, settings)),
     }
     if preset is not None and preset.kind == "werner_ghz":
         report["werner"] = analyze_werner(preset.n_qubits, preset.visibility).to_json_dict()

@@ -15,19 +15,12 @@ from typing import Union
 
 import numpy as np
 
-from .bell import (
-    _SIGN_WEIGHTS,
-    SignFunction,
-    _master_sum,
-    sign_grid,
-    signed_sums,
-    violates,
-)
+from .bell import _SIGN_WEIGHTS, SignFunction, general_bell_lhs, sign_grid
 from .info import DECISION_TOLERANCE
 from .pauli import CorrelationTable, frozen_table, mode_product
 from .states import InputError, _frozen
 
-#: Rounding allowed below zero in a class mass or the noise weight.
+#: Rounding allowed below zero in a class mass.
 NEGATIVE_MASS_TOL = 1e-12
 
 
@@ -44,7 +37,7 @@ class BellBoundError(InputError):
 
 @dataclass(frozen=True)
 class LhvModel:
-    """Sign-class masses p(s) and signs, shape (2,)*N, plus uniform noise.
+    """Sign-class masses p(s) and signs, shape (2,)*N; the rest is noise.
 
     Class s holds the 2^(N-1) strategies with a1 = s a2 and prod(a2) =
     sign(s), each carrying p(s) / 2^(N-1).
@@ -53,7 +46,6 @@ class LhvModel:
     n_qubits: int
     weights: np.ndarray
     sign: SignFunction
-    noise_weight: float
 
     def __post_init__(self):
         w = frozen_table(self.n_qubits, self.weights, "weights")
@@ -62,17 +54,19 @@ class LhvModel:
         if not w.min() >= -NEGATIVE_MASS_TOL:
             raise InputError(f"class probability must be nonnegative, got {w.min()!r}")
         object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0)))
-        # the upper bound is the Bell rule's: a table's class masses sum to
-        # lhs / 2^N, so `construct_lhv` refuses exactly the tables whose
-        # model would break it
-        total = self.total_atom_mass() + self.noise_weight
-        if not 1.0 - DECISION_TOLERANCE <= total <= 1.0 + DECISION_TOLERANCE:
-            raise InputError(f"probability mass must sum to 1, got {total!r}")
-        if not self.noise_weight >= -NEGATIVE_MASS_TOL:
-            raise InputError("noise weight must be nonnegative")
+        # the Bell rule: a table's class masses sum to lhs / 2^N, so
+        # `construct_lhv` refuses exactly the tables whose model would break it
+        total = self.total_atom_mass()
+        if not total <= 1.0 + DECISION_TOLERANCE:
+            raise InputError(f"probability mass must sum to at most 1, got {total!r}")
 
     def total_atom_mass(self) -> float:
         return float(self.weights.sum())
+
+    @property
+    def noise_weight(self) -> float:
+        """The mass the classes leave, spread over all 4^N strategies."""
+        return max(0.0, 1.0 - self.total_atom_mass())
 
     def to_json_dict(self) -> dict:
         """{a1, a2, p} atoms and the noise weight.  Classes with mass come in
@@ -96,20 +90,19 @@ class LhvModel:
 
 
 def construct_lhv(table: CorrelationTable) -> LhvModel:
-    """Build the explicit local model for a table within the master bound.
+    """Build the explicit local model for a table within the master bound,
+    read off its `general_bell_lhs` evaluation.
 
-    The table is refused exactly when it `violates` the bound; the refusal
-    carries the master sum and its bound.  Dividing by 2^N is exact, so the
-    class masses sum to lhs / 2^N bit for bit and a table that is not
-    refused never carries more mass than `LhvModel` admits.
+    The table is refused exactly when the evaluation is violated; the
+    refusal carries the master sum and its bound.  Dividing by 2^N is exact,
+    so the class masses sum to lhs / 2^N bit for bit and a table that is
+    not refused never carries more mass than `LhvModel` admits.
     """
-    b = signed_sums(table)
-    lhs, bound = _master_sum(b)
-    if violates(lhs, bound):
-        raise BellBoundError(lhs, bound)
-    weights = np.abs(b) / bound
-    sign = SignFunction(b.ndim, np.where(b > 0, 1.0, -1.0))
-    return LhvModel(b.ndim, weights, sign, max(0.0, 1.0 - weights.sum()))
+    ev = general_bell_lhs(table)
+    if ev.violated:
+        raise BellBoundError(ev.lhs_general, ev.bound)
+    sign = SignFunction(table.n_qubits, np.where(ev.sums > 0, 1.0, -1.0))
+    return LhvModel(table.n_qubits, ev.moduli / ev.bound, sign)
 
 
 def lhv_correlation_table(model: LhvModel) -> CorrelationTable:
@@ -144,7 +137,7 @@ def sample_outcome_arrays(
     """
     gen = np.random.default_rng(rng)  # a Generator passes through unchanged
     n = model.n_qubits
-    probs = np.clip(np.append(model.weights.ravel(), model.noise_weight), 0.0, None)
+    probs = np.append(model.weights.ravel(), model.noise_weight)
     picks = gen.choice(probs.size, size=size, p=probs / probs.sum())
     a1 = (gen.integers(0, 2, size=(size, n)) * 2 - 1).astype(np.int8)
     a2 = (gen.integers(0, 2, size=(size, n)) * 2 - 1).astype(np.int8)

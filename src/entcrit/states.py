@@ -157,10 +157,15 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     h += m  # H = (m + m^H)/2 in place, exactly Hermitian
     h /= 2.0
     if not _cholesky_certifies_psd(h, np.linalg.norm(m)):
-        # eigvalsh of the complex H measures the same residual on every input
-        min_eig = float(np.linalg.eigvalsh(np.asarray(h, dtype=complex))[0])
-        if min_eig < -PSD_TOL:
-            report.append(InvariantViolation("positive_semidefinite", -min_eig))
+        # eigvalsh of the complex H measures the same residual on every input;
+        # entries past ~9e307 overflow H to inf, leaving no finite eigenvalue
+        try:
+            min_eig = float(np.linalg.eigvalsh(np.asarray(h, dtype=complex))[0])
+        except np.linalg.LinAlgError:
+            min_eig = np.nan
+        if not min_eig >= -PSD_TOL:
+            residual = -min_eig if np.isfinite(min_eig) else np.inf
+            report.append(InvariantViolation("positive_semidefinite", residual))
     return report
 
 

@@ -13,7 +13,13 @@ from conftest import random_density_matrix, traced_peak
 from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
 from entcrit.pauli import CorrelationTable
-from entcrit.states import MAX_QUBITS, StateFormatError, read_state_file, serialize_state
+from entcrit.states import (
+    MAX_QUBITS,
+    DensityMatrix,
+    StateFormatError,
+    read_state_file,
+    serialize_state,
+)
 
 # child interpreters import the same entcrit as this one, installed or not
 SRC = str(Path(entcrit.__file__).resolve().parents[1])
@@ -380,7 +386,7 @@ class TestExitCodes:
             path.write_text(
                 f'{{"pairs": [{{"n1": {n1}, "n2": [0, 1, 0]}}, {{"n1": [1, 0, 0], "n2": [0, 1, 0]}}]}}'
             )
-            for command in ("bell", "lhv", "analyze"):
+            for command in ("bell", "lhv"):
                 code, out, err = run_inprocess(
                     capsys, command, "--preset", "bell_phi_minus", "--settings", str(path)
                 )
@@ -545,6 +551,44 @@ class TestOneLocalModelConstructor:
             assert section["bound"] == 4.0
 
 
+class TestOneBellEvaluation:
+    """An analyze report's lhv section is the local model at the settings its
+    bell section reports, the same section `lhv --settings` prints there."""
+
+    @staticmethod
+    def _states(tmp_path):
+        for kind in ("ghz", "werner_ghz", "maximally_mixed", "product_all_plus_x"):
+            for n in range(1, 6):
+                yield ["--preset", kind, "--n", str(n)] + (
+                    ["--visibility", "0.6"] if kind == "werner_ghz" else []
+                )
+        yield ["--preset", "bell_phi_minus"]
+        yield ["--preset", "product_plus_x_minus_x"]
+        rng = np.random.default_rng(19)
+        for n in (2, 2, 3, 3, 4):
+            path = tmp_path / "generic.json"
+            path.write_text(serialize_state(random_density_matrix(rng, n)))
+            yield ["-i", str(path)]
+
+    def test_lhv_section_reads_the_bell_section(self, tmp_path, capsys):
+        path = tmp_path / "settings.json"
+        refused = set()
+        for state in self._states(tmp_path):
+            code, out, _ = run_inprocess(capsys, "analyze", *state, "--restarts", "2")
+            assert code == 0, state
+            doc = json.loads(out)
+            bell_section, lhv_section = doc["bell"], doc["lhv"]
+            assert lhv_section["lhs"] == bell_section["lhs"], state
+            assert lhv_section["bound"] == bell_section["bound"], state
+            assert lhv_section["refused"] is bell_section["violated"], state
+            refused.add(lhv_section["refused"])
+            path.write_text(json.dumps({"pairs": bell_section["settings"]}))
+            code, out, _ = run_inprocess(capsys, "lhv", *state, "--settings", str(path))
+            assert code == 0, state
+            assert json.loads(out) == {**lhv_section, "settings": bell_section["settings"]}, state
+        assert refused == {False, True}
+
+
 def run_parsed(capsys, *args):
     """Like run_inprocess, but an argparse exit counts as the exit code."""
     try:
@@ -563,7 +607,7 @@ EXPECTED_OPTIONS = {
     "bell": [*STATE_OPTIONS, *SEARCH_OPTIONS, "--settings", "--out"],
     "lhv": [*STATE_OPTIONS, "--settings", "--out"],
     "werner-scan": ["--n", "--grid", *SEARCH_OPTIONS, "--format", "--out"],
-    "analyze": [*STATE_OPTIONS, *SEARCH_OPTIONS, "--settings", "--out"],
+    "analyze": [*STATE_OPTIONS, *SEARCH_OPTIONS, "--out"],
 }
 
 
@@ -578,7 +622,7 @@ class TestFlagsThatAct:
             for name, sp in sub.choices.items()
         }
         assert table == EXPECTED_OPTIONS
-        assert sum(map(len, table.values())) == 40
+        assert sum(map(len, table.values())) == 39
 
     def test_refused_combinations_exit_2(self, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -599,6 +643,8 @@ class TestFlagsThatAct:
             ["bell", *ghz, "--settings", str(settings), "--seed", "3"],
             ["bell", *ghz, "--settings", str(settings), "--seed", "0"],
             ["bell", *ghz, "--settings", str(settings), "--restarts", "2"],
+            # the lhv section is at the bell section's settings; lhv --settings takes others
+            ["analyze", *ghz, "--settings", str(settings)],
         ]
         for argv in refused:
             code, out, err = run_parsed(capsys, *argv)
@@ -611,11 +657,9 @@ class TestFlagsThatAct:
         code, out, err = run_parsed(capsys, "tensor", "-i", str(state), "--preset", "ghz", "--n", "2")
         assert (code, out, err) == (2, "", "error: give either --input or --preset, not both\n")
 
-    def test_search_flags_still_accepted(self, tmp_path, capsys):
-        settings = tmp_path / "settings.json"
-        settings.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 2}))
+    def test_search_flags_still_accepted(self, capsys):
         accepted = [
-            ["analyze", "--preset", "ghz", "--n", "2", "--settings", str(settings), "--seed", "3"],
+            ["analyze", "--preset", "ghz", "--n", "2", "--seed", "3"],
             ["werner-scan", "--n", "2", "--grid", "3", "--seed", "3"],
             ["werner-scan", "--n", "2", "--grid", "3", "--format", "json", "--restarts", "2"],
         ]
@@ -651,7 +695,7 @@ class TestInputErrorMessages:
         assert str(e.value) == message
         path = tmp_path / "settings.json"
         path.write_text(json.dumps(doc))
-        for command in ("lhv", "bell", "analyze"):
+        for command in ("lhv", "bell"):
             _exits_2_with(
                 capsys, [command, "--preset", "bell_phi_minus", "--settings", str(path)], message
             )
@@ -707,6 +751,17 @@ class TestInputErrorMessages:
             ["lhv", "--preset", "bell_phi_minus", "--settings", str(path)],
             "pairs[1].n2: an integer of 1329 bits is too large for a float",
         )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_overflowing_hermitian_part(self, tmp_path, capsys, n):
+        # corners of 1e308 overflow (m + m^H)/2 to inf: no eigenvalue to trust
+        m = np.diag(np.full(2**n, 2.0**-n))
+        m[0, -1] = m[-1, 0] = 1e308
+        path = tmp_path / "state.json"
+        path.write_text(serialize_state(DensityMatrix(n, m)))
+        message = "not a valid density matrix: positive_semidefinite (residual inf)"
+        for command in ("tensor", "info", "analyze"):
+            _exits_2_with(capsys, [command, "-i", str(path)], message)
 
     def test_qubit_cap_refused_before_allocating(self, tmp_path, capsys):
         # one row of a 2^13 x 2^13 complex matrix, 1/8192 of the matrix itself

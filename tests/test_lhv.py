@@ -45,7 +45,7 @@ PLUS_SIGNS = SignFunction(2, np.ones((2, 2)))
 
 
 def pure_noise_model(n):
-    return LhvModel(n, np.zeros((2,) * n), SignFunction(n, np.ones((2,) * n)), 1.0)
+    return LhvModel(n, np.zeros((2,) * n), SignFunction(n, np.ones((2,) * n)))
 
 
 def json_atoms(model):
@@ -121,6 +121,25 @@ class TestConstruct:
             model = construct_lhv(table)
             assert model.total_atom_mass() <= 1.0 + 1e-10
 
+    def test_model_is_read_off_the_evaluation(self, rng):
+        # p(s) = |B(s)| / 2^N, sign B(s) (-1 where B(s) = 0) and the noise
+        # 1 - sum p(s), bit for bit, on tables scaled inside the bound
+        for n in range(1, 9):
+            tables = [CorrelationTable(n, np.zeros((2,) * n))]
+            for _ in range(3):
+                vals = rng.uniform(-1.0, 1.0, (2,) * n)
+                lhs = general_bell_lhs(CorrelationTable(n, vals)).lhs_general
+                scale = min(1.0, rng.uniform(0.3, 1.0) * 2.0**n / lhs)
+                tables.append(CorrelationTable(n, vals * scale))
+            for table in tables:
+                ev = general_bell_lhs(table)
+                assert not ev.violated
+                model = construct_lhv(table)
+                assert model.weights.tobytes() == (ev.moduli / ev.bound).tobytes()
+                sign = np.where(ev.sums > 0, 1.0, -1.0)
+                assert model.sign.values.tobytes() == sign.tobytes()
+                assert model.noise_weight == max(0.0, 1.0 - model.weights.sum())
+
 
 class TestVerify:
     def test_round_trip_small_corpus(self, rng):
@@ -149,7 +168,7 @@ class TestVerify:
         assert model.noise_weight > 0.1
         weights = model.weights.copy()
         weights[0, 0] += 0.1
-        broken = LhvModel(2, weights, model.sign, model.noise_weight - 0.1)
+        broken = LhvModel(2, weights, model.sign)
         assert verify_lhv(broken, damped) > 1e-3
 
     def test_noise_contributes_zero_exactly(self):
@@ -173,24 +192,26 @@ class TestVerify:
 
 class TestModelType:
     def test_mass_must_sum_to_one(self):
-        with pytest.raises(InputError):
-            LhvModel(2, one_class_weights((0, 1), 0.5), PLUS_SIGNS, 0.6)
+        # class masses summing past 1 + tau are refused; the noise is the rest
+        weights = one_class_weights((0, 1), 0.5)
+        weights[1, 0] = 0.6
+        with pytest.raises(InputError, match="probability mass"):
+            LhvModel(2, weights, PLUS_SIGNS)
+        model = LhvModel(2, one_class_weights((0, 1), 0.5), PLUS_SIGNS)
+        assert model.noise_weight == 0.5
 
     def test_negative_probability_rejected(self):
         with pytest.raises(InputError):
-            LhvModel(2, one_class_weights((0, 1), -0.2), PLUS_SIGNS, 1.2)
+            LhvModel(2, one_class_weights((0, 1), -0.2), PLUS_SIGNS)
 
     def test_nan_class_mass_rejected(self):
         with pytest.raises(InputError, match="nonnegative"):
-            LhvModel(2, [[np.nan, 0.0], [0.0, 0.0]], PLUS_SIGNS, 0.0)
-
-    def test_nan_noise_weight_rejected(self):
-        with pytest.raises(InputError):
-            LhvModel(1, [0.5, 0.0], SignFunction(1, np.ones(2)), np.nan)
+            LhvModel(2, [[np.nan, 0.0], [0.0, 0.0]], PLUS_SIGNS)
 
     def test_tiny_negative_clamped(self):
-        model = LhvModel(2, one_class_weights((0, 1), -1e-14), PLUS_SIGNS, 1.0)
+        model = LhvModel(2, one_class_weights((0, 1), -1e-14), PLUS_SIGNS)
         assert model.weights[0, 1] == 0.0
+        assert model.noise_weight == 1.0
 
     def test_json_export_schema(self, rng):
         table = build_table_from_state(rng, 2)
@@ -208,7 +229,7 @@ class TestModelType:
                 weights = rng.random((2,) * n) * (rng.random((2,) * n) < 0.6)
                 weights *= rng.uniform(0.2, 1.0) / max(weights.sum(), 1.0)
                 sign = SignFunction(n, np.where(rng.random((2,) * n) < 0.5, 1.0, -1.0))
-                model = LhvModel(n, weights, sign, 1.0 - weights.sum())
+                model = LhvModel(n, weights, sign)
                 expected = enumerated_atoms(model)
                 assert len(expected) == 2 ** (n - 1) * np.count_nonzero(weights)
                 assert json.dumps(json_atoms(model)) == json.dumps(expected)
@@ -219,7 +240,7 @@ class TestModelType:
 class TestSampling:
     def test_single_atom_model(self):
         # all mass on the class s = (-1, -1), whose strategies have a2 products -1
-        model = LhvModel(2, one_class_weights((1, 1), 1.0), SignFunction(2, -np.ones((2, 2))), 0.0)
+        model = LhvModel(2, one_class_weights((1, 1), 1.0), SignFunction(2, -np.ones((2, 2))))
         strategies = [(atom["a1"], atom["a2"]) for atom in json_atoms(model)]
         assert strategies == [([-1, 1], [1, -1]), ([1, -1], [-1, 1])]
         for seed in range(5):
@@ -233,7 +254,7 @@ class TestSampling:
             weights = rng.random((2,) * n) * (rng.random((2,) * n) < 0.6)
             weights[(0,) * n] += 0.1
             sign = SignFunction(n, np.where(rng.random((2,) * n) < 0.5, 1.0, -1.0))
-            model = LhvModel(n, weights / weights.sum(), sign, 0.0)
+            model = LhvModel(n, weights / weights.sum(), sign)
             atoms = {(tuple(a["a1"]), tuple(a["a2"])) for a in json_atoms(model)}
             a1, a2 = sample_outcome_arrays(model, 500, rng)
             assert {(tuple(x), tuple(y)) for x, y in zip(a1.tolist(), a2.tolist())} <= atoms

@@ -64,6 +64,15 @@ class TestValidation:
         report = validate_density_matrix(DensityMatrix(1, m))
         assert any(v.invariant == "positive_semidefinite" for v in report)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_overflowing_hermitian_part_is_not_psd(self, n):
+        # corners of 1e308 overflow (m + m^H)/2 to inf; eigvalsh then returns
+        # NaN or fails, and neither is a certificate
+        m = np.diag(np.full(2**n, 2.0**-n))
+        m[0, -1] = m[-1, 0] = 1e308
+        report = validate_density_matrix(DensityMatrix(n, m))
+        assert [(v.invariant, v.residual) for v in report] == [("positive_semidefinite", np.inf)]
+
     def test_pure_projector_is_valid(self):
         dm = build_preset(StatePreset("bell_phi_minus", 2))
         assert validate_density_matrix(dm) == []
@@ -440,12 +449,32 @@ _JSON_DOCS = st.recursive(
     max_leaves=24,
 )
 _LONG_INTEGER = b"[" + b"9" * (sys.get_int_max_str_digits() + 1) + b"]"
+# well-shaped matrix and vector documents whose entries reach the extremes of
+# a float: 1e308 entries overflow the Hermitian part, 5e-324 is subnormal
+_EXTREME_PAIRS = st.lists(
+    st.sampled_from([0.0, 0.25, -0.25, 1.0, -1.0, 1e308, -1e308, 5e-324]),
+    min_size=2, max_size=2,
+)
+
+
+def _well_shaped_docs(n):
+    dim = 2**n
+    rows = st.lists(_EXTREME_PAIRS, min_size=dim, max_size=dim)
+    return (
+        st.lists(rows, min_size=dim, max_size=dim).map(
+            lambda e: {"matrix": {"n_qubits": n, "entries": e}})
+        | rows.map(lambda a: {"vector": {"n_qubits": n, "amplitudes": a}})
+    )
+
+
+_WELL_SHAPED_DOCS = st.sampled_from([1, 2]).flatmap(_well_shaped_docs)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(
     raw=st.binary(max_size=48)
     | _JSON_DOCS.map(lambda doc: json.dumps(doc).encode())
+    | _WELL_SHAPED_DOCS.map(lambda doc: json.dumps(doc).encode())
     | st.sampled_from([b"[" * 100_000, _LONG_INTEGER]),
     n=st.integers(1, 3),
 )

@@ -88,9 +88,9 @@ class TestRules:
             weights[(0,) * n] = x
             if ev.violated:
                 with pytest.raises(InputError, match="probability mass"):
-                    LhvModel(n, weights, sign, 0.0)
+                    LhvModel(n, weights, sign)
             else:
-                LhvModel(n, weights, sign, 0.0)
+                assert LhvModel(n, weights, sign).noise_weight == max(0.0, 1.0 - x)
 
 
 class TestVerdictsAgree:
