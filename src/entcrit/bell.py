@@ -83,9 +83,10 @@ class SignFunction:
 
 @dataclass(frozen=True)
 class BellEvaluation:
-    """The master sum, the signed sums B(s) as a frozen (2,)*N array (axis
-    index 0 meaning s = +1), the bound 2^N and the verdict."""
+    """The table evaluated, its master sum, the signed sums B(s) as a frozen
+    (2,)*N array (axis index 0 meaning s = +1), the bound 2^N and the verdict."""
 
+    table: CorrelationTable
     lhs_general: float
     sums: np.ndarray
     bound: float
@@ -111,7 +112,7 @@ def general_bell_lhs(table: CorrelationTable) -> BellEvaluation:
     """Evaluate the master inequality: sum of |B(s)| against the bound 2^N."""
     b = signed_sums(table)
     lhs, bound = float(np.abs(b).sum()), float(2**b.ndim)
-    return BellEvaluation(lhs, _frozen(b), bound, violates(lhs, bound))
+    return BellEvaluation(table, lhs, _frozen(b), bound, violates(lhs, bound))
 
 
 def sign_function_inequality(table: CorrelationTable, sgn: SignFunction) -> float:

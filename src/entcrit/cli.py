@@ -21,7 +21,7 @@ from .bell import (
     parse_settings_file,
 )
 from .info import maximize_corr_info
-from .lhv import BellBoundError, construct_lhv, verify_lhv
+from .lhv import local_model, verify_lhv
 from .pauli import correlation_tensor
 from .search import OptimizerOptions
 from .states import (
@@ -110,18 +110,14 @@ def _optimizer_options(args) -> OptimizerOptions:
     return OptimizerOptions(restarts=args.restarts, seed=0 if args.seed is None else args.seed)
 
 
-def _lhv_section(table) -> dict:
-    section = {"n_qubits": int(table.n_qubits)}
-    try:
-        model = construct_lhv(table)
-    except BellBoundError as e:
-        section.update(lhs=e.lhs, bound=e.bound, refused=True)
-        return section
-    # the class masses are |B(s)| / 2^N: scaling back by 2^N is exact
-    bound = float(2**table.n_qubits)
-    section.update(lhs=model.total_atom_mass() * bound, bound=bound, refused=False)
-    section["model"] = model.to_json_dict()
-    section["verify_max_abs_error"] = float(verify_lhv(model, table))
+def _lhv_section(evaluation) -> dict:
+    """The local model read off a Bell evaluation, checked against its table."""
+    section = {"n_qubits": int(evaluation.table.n_qubits), "lhs": evaluation.lhs_general,
+               "bound": evaluation.bound, "refused": evaluation.violated}
+    if not evaluation.violated:
+        model = local_model(evaluation)
+        section["model"] = model.to_json_dict()
+        section["verify_max_abs_error"] = verify_lhv(model, evaluation.table)
     return section
 
 
@@ -153,8 +149,7 @@ def _cmd_lhv(args) -> str:
     dm, _ = _load_state(args)
     tensor = correlation_tensor(dm)
     settings = _load_settings(args.settings, dm.n_qubits)
-    table = correlation_table(tensor, settings)
-    report = _lhv_section(table)
+    report = _lhv_section(general_bell_lhs(correlation_table(tensor, settings)))
     report["settings"] = settings.to_json_list()
     return _to_json(report)
 
@@ -179,8 +174,8 @@ def _cmd_analyze(args) -> str:
         "tensor": tensor.to_json_dict() if dm.n_qubits <= 6 else None,
         "info": verdict.to_json_dict(),
         "bell": bell_report_dict(evaluation, settings),
-        # the local model at the settings the bell section reports
-        "lhv": _lhv_section(correlation_table(tensor, settings)),
+        # the local model read off the evaluation the bell section reports
+        "lhv": _lhv_section(evaluation),
     }
     if preset is not None and preset.kind == "werner_ghz":
         report["werner"] = analyze_werner(preset.n_qubits, preset.visibility).to_json_dict()

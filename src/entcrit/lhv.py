@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .bell import _SIGN_WEIGHTS, SignFunction, general_bell_lhs, sign_grid
+from .bell import _SIGN_WEIGHTS, BellEvaluation, SignFunction, general_bell_lhs, sign_grid
 from .info import DECISION_TOLERANCE
 from .pauli import CorrelationTable, frozen_table, mode_product
 from .states import InputError, _frozen
@@ -89,20 +89,23 @@ class LhvModel:
         }
 
 
-def construct_lhv(table: CorrelationTable) -> LhvModel:
-    """Build the explicit local model for a table within the master bound,
-    read off its `general_bell_lhs` evaluation.
+def local_model(evaluation: BellEvaluation) -> LhvModel:
+    """The explicit local model read off a `general_bell_lhs` evaluation.
 
-    The table is refused exactly when the evaluation is violated; the
-    refusal carries the master sum and its bound.  Dividing by 2^N is exact,
-    so the class masses sum to lhs / 2^N bit for bit and a table that is
-    not refused never carries more mass than `LhvModel` admits.
+    The evaluation is refused exactly when it is violated; the refusal
+    carries the master sum and its bound.  Dividing by 2^N is exact, so the
+    class masses sum to lhs / 2^N bit for bit and an evaluation that is not
+    refused never carries more mass than `LhvModel` admits.
     """
-    ev = general_bell_lhs(table)
-    if ev.violated:
-        raise BellBoundError(ev.lhs_general, ev.bound)
-    sign = SignFunction(table.n_qubits, np.where(ev.sums > 0, 1.0, -1.0))
-    return LhvModel(table.n_qubits, ev.moduli / ev.bound, sign)
+    if evaluation.violated:
+        raise BellBoundError(evaluation.lhs_general, evaluation.bound)
+    sign = SignFunction(evaluation.table.n_qubits, np.where(evaluation.sums > 0, 1.0, -1.0))
+    return LhvModel(sign.n_qubits, evaluation.moduli / evaluation.bound, sign)
+
+
+def construct_lhv(table: CorrelationTable) -> LhvModel:
+    """The local model of a table: `local_model` of its evaluation."""
+    return local_model(general_bell_lhs(table))
 
 
 def lhv_correlation_table(model: LhvModel) -> CorrelationTable:

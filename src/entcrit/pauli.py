@@ -127,8 +127,9 @@ class CorrelationTable:
         return float(np.sum(self.values**2))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def unit_row_pair(v1, v2, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two float arrays of the same shape (N, 3) whose rows are unit vectors."""
+    """Two float arrays of shape (N, 3) with unit rows; a norm overflowing to inf is refused."""
     a1 = np.asarray(v1, dtype=float)
     a2 = np.asarray(v2, dtype=float)
     if a1.ndim != 2 or a1.shape[1] != 3 or a1.shape != a2.shape:

@@ -135,6 +135,7 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     """Check Hermiticity, unit trace, and positive semidefiniteness.
 
@@ -202,8 +203,9 @@ def _cholesky_certifies_psd(h: np.ndarray, m_norm: float) -> bool:
     return True
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def from_state_vector(v: StateVector) -> DensityMatrix:
-    """Projector onto a normalized pure state."""
+    """Projector onto a normalized pure state; a norm that overflows to inf is refused."""
     norm = v.norm()
     if abs(norm - 1.0) > NORM_TOL:
         raise InputError(f"state vector is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")

@@ -57,15 +57,13 @@ def werner_inplane_tensor(n: int, v: float) -> CorrelationTable:
 
 def count_nonzero_inplane(n: int) -> int:
     """Number of nonzero in-plane entries of the GHZ-Werner family: 2^(N-1)."""
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
+    _check_qubit_count(n)
     return 2 ** (n - 1)
 
 
 def visibility_threshold(n: int) -> float:
     """Largest visibility still admitting a local realistic description."""
-    if n < 1:
-        raise InputError(f"threshold is defined for n >= 1, got {n}")
+    _check_qubit_count(n)
     return float(2.0 ** (-(n - 1) / 2.0))
 
 

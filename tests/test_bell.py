@@ -276,6 +276,8 @@ class TestMaximizeGeneralBell:
         # returned settings reproduce the returned evaluation
         again = general_bell_lhs(correlation_table(t, settings_pair))
         assert again.lhs_general == pytest.approx(ev.lhs_general, abs=1e-12)
+        # and carry the table evaluated there, which the local model reads
+        assert ev.table.values.tobytes() == again.table.values.tobytes()
 
     def test_bell_state_grid_oracle(self):
         # two-stage in-plane azimuth scan; the refinement step is one degree

@@ -439,18 +439,19 @@ class TestCachedParser:
         assert code == 0
 
 
-def _count_signed_sums(monkeypatch) -> list:
-    """Wrap bell.signed_sums wherever entcrit binds it; the list collects calls."""
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.<name> wherever entcrit binds it; the list collects each
+    call's first argument."""
     calls = []
-    original = bell.signed_sums
+    original = getattr(module, name)
 
-    def counted(table):
-        calls.append(table.n_qubits)
-        return original(table)
+    def counted(first, *rest):
+        calls.append(first)
+        return original(first, *rest)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("entcrit") and getattr(module, "signed_sums", None) is original:
-            monkeypatch.setattr(module, "signed_sums", counted)
+    for key, bound in list(sys.modules.items()):
+        if key.startswith("entcrit") and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
     return calls
 
 
@@ -458,58 +459,62 @@ class TestSignedSumsOncePerSection:
     def test_lhv_command_forms_b_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "settings.json"
         path.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 4}))
-        calls = _count_signed_sums(monkeypatch)
+        tables = _count_calls(monkeypatch, bell, "correlation_table")
+        calls = _count_calls(monkeypatch, bell, "signed_sums")
         code, out, _ = run_inprocess(
             capsys, "lhv", "--preset", "werner_ghz", "--n", "4", "--visibility", "0.3",
             "--settings", str(path),
         )
         assert code == 0 and json.loads(out)["refused"] is False
-        assert calls == [4]
+        assert [t.n_qubits for t in calls] == [4] and len(tables) == 1
 
     def test_analyze_forms_b_once_per_section(self, capsys, monkeypatch):
-        calls = _count_signed_sums(monkeypatch)
+        tables = _count_calls(monkeypatch, bell, "correlation_table")
+        calls = _count_calls(monkeypatch, bell, "signed_sums")
         code, out, _ = run_inprocess(
             capsys, "analyze", "--preset", "ghz", "--n", "3", "--restarts", "2"
         )
         assert code == 0 and json.loads(out)["lhv"]["refused"] is True
-        # one for the bell section, one for the local-model section
-        assert calls == [3, 3]
-
-
-def _count_construct_lhv(monkeypatch) -> list:
-    """Wrap lhv.construct_lhv wherever entcrit binds it; the list collects calls."""
-    calls = []
-    original = lhv.construct_lhv
-
-    def counted(table):
-        calls.append(table.n_qubits)
-        return original(table)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("entcrit") and getattr(module, "construct_lhv", None) is original:
-            monkeypatch.setattr(module, "construct_lhv", counted)
-    return calls
+        # the bell and local-model sections read one evaluation at the found settings
+        assert [t.n_qubits for t in calls] == [3]
+        assert [t.n_qubits for t in tables] == [3]
 
 
 class TestOneLocalModelConstructor:
+    """The CLI reads a model off the evaluation it reports, only when that
+    evaluation is not refused; it never calls `construct_lhv`."""
+
     def test_one_construct_per_lhv_run(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "settings.json"
-        path.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 4}))
-        calls = _count_construct_lhv(monkeypatch)
-        code, out, _ = run_inprocess(
-            capsys, "lhv", "--preset", "werner_ghz", "--n", "4", "--visibility", "0.3",
-            "--settings", str(path),
-        )
-        assert code == 0 and json.loads(out)["refused"] is False
-        assert calls == [4]
+        # CHSH settings for the x/y correlations of the N=2 GHZ state
+        r = np.sqrt(0.5)
+        path.write_text(json.dumps({"pairs": [
+            {"n1": [1, 0, 0], "n2": [0, 1, 0]}, {"n1": [r, -r, 0], "n2": [r, r, 0]}
+        ]}))
+        models = _count_calls(monkeypatch, lhv, "local_model")
+        constructs = _count_calls(monkeypatch, lhv, "construct_lhv")
+        for state, refused in (
+            (["--preset", "werner_ghz", "--n", "2", "--visibility", "0.3"], False),
+            (["--preset", "ghz", "--n", "2"], True),
+        ):
+            models.clear()
+            code, out, _ = run_inprocess(capsys, "lhv", *state, "--settings", str(path))
+            assert code == 0 and json.loads(out)["refused"] is refused
+            assert [ev.table.n_qubits for ev in models] == ([] if refused else [2])
+        assert constructs == []
 
     def test_one_construct_per_analyze_run(self, capsys, monkeypatch):
-        calls = _count_construct_lhv(monkeypatch)
-        code, out, _ = run_inprocess(
-            capsys, "analyze", "--preset", "ghz", "--n", "3", "--restarts", "2"
-        )
-        assert code == 0 and json.loads(out)["lhv"]["refused"] is True
-        assert calls == [3]
+        models = _count_calls(monkeypatch, lhv, "local_model")
+        constructs = _count_calls(monkeypatch, lhv, "construct_lhv")
+        for state, refused in (
+            (["--preset", "werner_ghz", "--n", "3", "--visibility", "0.3"], False),
+            (["--preset", "ghz", "--n", "3"], True),
+        ):
+            models.clear()
+            code, out, _ = run_inprocess(capsys, "analyze", *state, "--restarts", "2")
+            assert code == 0 and json.loads(out)["lhv"]["refused"] is refused
+            assert [ev.table.n_qubits for ev in models] == ([] if refused else [3])
+        assert constructs == []
 
     def test_section_lhs_bitwise_equal_to_master_sum(self):
         rng = np.random.default_rng(20261018)
@@ -525,8 +530,8 @@ class TestOneLocalModelConstructor:
                 if scale > 1.0:
                     continue
                 table = CorrelationTable(n, vals * scale)
-                section = cli._lhv_section(table)
                 evaluation = bell.general_bell_lhs(table)
+                section = cli._lhv_section(evaluation)
                 assert type(section["lhs"]) is float
                 assert section["lhs"] == evaluation.lhs_general, (n, scale)
                 assert section["bound"] == evaluation.bound
@@ -762,6 +767,26 @@ class TestInputErrorMessages:
         message = "not a valid density matrix: positive_semidefinite (residual inf)"
         for command in ("tensor", "info", "analyze"):
             _exits_2_with(capsys, [command, "-i", str(path)], message)
+
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        # the checks decide on inf; a fresh interpreter shows every warning
+        m = np.diag([0.5, 0.5])
+        m[0, 1] = m[1, 0] = 1e308
+        files = {
+            "matrix.json": serialize_state(DensityMatrix(1, m)),
+            "vector.json": json.dumps({"vector": {"n_qubits": 1, "amplitudes": [[1e308, 0]] * 2}}),
+            "settings.json": json.dumps({"pairs": [{"n1": [1e308, 0, 0], "n2": [0, 1, 0]}] * 2}),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        for argv, message in (
+            (["tensor", "-i", "matrix.json"], "not a valid density matrix: positive_semidefinite (residual inf)"),
+            (["tensor", "-i", "vector.json"], "state vector is not normalized: |norm - 1| = inf"),
+            (["bell", "--preset", "ghz", "--n", "2", "--settings", "settings.json"],
+             "settings must be unit vectors (residual inf)"),
+        ):
+            proc = run_cli(*(str(tmp_path / a) if a in files else a for a in argv))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n"), argv
 
     def test_qubit_cap_refused_before_allocating(self, tmp_path, capsys):
         # one row of a 2^13 x 2^13 complex matrix, 1/8192 of the matrix itself

@@ -25,6 +25,7 @@ from entcrit.lhv import (
     construct_lhv,
     empirical_table,
     lhv_correlation_table,
+    local_model,
     sample_outcome_arrays,
     verify_lhv,
 )
@@ -65,11 +66,12 @@ class TestConstruct:
         assert model.noise_weight == pytest.approx(1.0)
 
     def test_pr_box_like_table_refused(self):
-        vals = np.array([[1.0, 1.0], [1.0, -1.0]])
-        with pytest.raises(BellBoundError) as err:
-            construct_lhv(CorrelationTable(2, vals))
-        assert err.value.lhs == pytest.approx(8.0)
-        assert err.value.bound == pytest.approx(4.0)
+        table = CorrelationTable(2, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        for build in (lambda: construct_lhv(table), lambda: local_model(general_bell_lhs(table))):
+            with pytest.raises(BellBoundError) as err:
+                build()
+            assert err.value.lhs == pytest.approx(8.0)
+            assert err.value.bound == pytest.approx(4.0)
 
     def test_product_state_model(self):
         # x and y settings on both sides of |+x>|-x>: only E(1,1) = -1 survives
@@ -133,12 +135,12 @@ class TestConstruct:
                 tables.append(CorrelationTable(n, vals * scale))
             for table in tables:
                 ev = general_bell_lhs(table)
-                assert not ev.violated
-                model = construct_lhv(table)
-                assert model.weights.tobytes() == (ev.moduli / ev.bound).tobytes()
+                assert ev.table is table and not ev.violated
                 sign = np.where(ev.sums > 0, 1.0, -1.0)
-                assert model.sign.values.tobytes() == sign.tobytes()
-                assert model.noise_weight == max(0.0, 1.0 - model.weights.sum())
+                for model in (local_model(ev), construct_lhv(table)):
+                    assert model.weights.tobytes() == (ev.moduli / ev.bound).tobytes()
+                    assert model.sign.values.tobytes() == sign.tobytes()
+                    assert model.noise_weight == max(0.0, 1.0 - model.weights.sum())
 
 
 class TestVerify:

@@ -54,8 +54,16 @@ class TestInplaneTensor:
     def test_range_validation(self):
         with pytest.raises(InputError):
             werner_inplane_tensor(2, 1.5)
-        with pytest.raises(InputError):
-            werner_inplane_tensor(0, 0.5)
+        # one qubit-count check: not an integer, below 1, or above MAX_QUBITS
+        for n in (0, 2.5, 13):
+            for call in (
+                lambda: werner_inplane_tensor(n, 0.5),
+                lambda: count_nonzero_inplane(n),
+                lambda: visibility_threshold(n),
+                lambda: analyze_werner(n, 0.5),
+            ):
+                with pytest.raises(InputError):
+                    call()
 
 
 class TestCounts:
