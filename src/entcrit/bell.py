@@ -10,8 +10,9 @@ via the Belinskii-Klyshko series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -150,7 +151,7 @@ def belinskii_klyshko_value(table: CorrelationTable) -> float:
 
 
 def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(v.dot(v))  # np.linalg.norm(v), bit for bit
     return v / norm if norm > VANISHING_NORM_TOL else fallback
 
 
@@ -168,12 +169,19 @@ def _bell_warm_starts(t: CorrelationTensor) -> list[np.ndarray]:
         b1 = np.cos(mu) * vt[0] + np.sin(mu) * vt[1]
         b2 = np.cos(mu) * vt[0] - np.sin(mu) * vt[1]
         starts.append(np.array([[u[:, 0], b1], [u[:, 1], b2]]))
+    return starts + list(_azimuth_starts(n))
+
+
+@cache
+def _azimuth_starts(n: int) -> tuple[np.ndarray, ...]:
+    """Equal in-plane azimuths summing to multiples of pi/4; read-only, once per N."""
+    starts = []
     for total in (0.0, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2, 3 * np.pi / 4, -3 * np.pi / 4, np.pi):
         alpha = total / n
         first = [np.cos(alpha), np.sin(alpha), 0.0]
         second = [-np.sin(alpha), np.cos(alpha), 0.0]
-        starts.append(np.array([[first] * n, [second] * n]))
-    return starts
+        starts.append(_frozen(np.array([[first] * n, [second] * n])))
+    return tuple(starts)
 
 
 def _seesaw(

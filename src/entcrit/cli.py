@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -183,7 +184,40 @@ def _cmd_analyze(args) -> str:
 
 
 def _to_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """`json.dumps(obj, indent=2)` and a newline, byte for byte, for JSON with
+    str keys.  CPython indents in pure Python, so the layout is walked here and
+    all scalars go through one C-encoder call, newline-separated: ensure_ascii
+    escapes any newline inside a scalar, so one split separates them again."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj) + "\n"
+    pieces, scalars = [], []
+    _layout(obj, "\n", pieces, scalars)
+    encoded = iter(json.dumps(scalars, separators=("\n", ": "))[1:-1].split("\n"))
+    return "".join([next(encoded) if p is None else p for p in pieces]) + "\n"
+
+
+def _layout(obj, newline: str, pieces: list, scalars: list) -> None:
+    """Append a dict's or list's indented text to `pieces`, None standing for
+    each scalar put in `scalars`; `newline` starts its closing bracket's line."""
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        pieces.append("{}" if is_dict else "[]")
+        return
+    inner = newline + "  "
+    sep = ("{" if is_dict else "[") + inner
+    for item in obj.items() if is_dict else obj:
+        if is_dict:
+            pieces.append(sep + encode_basestring_ascii(item[0]) + ": ")
+            item = item[1]
+        else:
+            pieces.append(sep)
+        if isinstance(item, (dict, list, tuple)):
+            _layout(item, inner, pieces, scalars)
+        else:
+            pieces.append(None)
+            scalars.append(item)
+        sep = "," + inner
+    pieces.append(newline + ("}" if is_dict else "]"))
 
 
 _DISPATCH = {

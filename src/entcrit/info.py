@@ -11,6 +11,7 @@ above one certifies entanglement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .pauli import (
     plane_subtensor,
 )
 from .search import OptimizerOptions, SearchResult, maximize
-from .states import InputError
+from .states import InputError, _frozen
 
 #: The one decision margin tau, on the scale where local realism ends at 1:
 #: entangled when sqrt(I) > 1 + tau (`entangled`), violated when
@@ -89,15 +90,10 @@ def _projectors(normals: np.ndarray) -> np.ndarray:
     return np.eye(3) - normals[:, :, None] * normals[:, None, :]
 
 
-def _mode_gram(a: np.ndarray, mode: int) -> np.ndarray:
-    """The 3x3 Gram matrix of a's mode unfolding."""
-    m = a.reshape(3**mode, 3, -1).transpose(1, 0, 2).reshape(3, -1)
-    return m @ m.T
-
-
-def _least_direction(a: np.ndarray, mode: int) -> np.ndarray:
-    """Smallest eigenvector of the 3x3 Gram matrix of a's mode unfolding."""
-    return np.linalg.eigh(_mode_gram(a, mode))[1][:, 0]
+@cache
+def _axis_starts(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """z, x and y normals on every qubit; read-only, built once per N."""
+    return tuple(_frozen(np.tile(axis, (n_qubits, 1))) for axis in np.eye(3)[[2, 0, 1]])
 
 
 def info_upper_bound(t: CorrelationTensor) -> float:
@@ -106,10 +102,10 @@ def info_upper_bound(t: CorrelationTensor) -> float:
     The minimum over qubits of the two largest eigenvalues of the qubit's
     mode Gram matrix: projecting the other modes onto planes can only shrink
     that matrix, and one plane keeps at most its two largest eigenvalues
-    (Ky Fan).  At N=2 it is the closed-form maximum.
+    (Ky Fan).  At N=2 it is the closed-form maximum.  The eigenvalues are
+    solved once per tensor (`CorrelationTensor.mode_gram_eigenvalues`).
     """
-    cart = t.cartesian()
-    return float(min(np.linalg.eigvalsh(_mode_gram(cart, j))[1:].sum() for j in range(t.n_qubits)))
+    return min(t.mode_gram_eigenvalues[:, 1:].sum(axis=1).tolist())
 
 
 def plane_info_total(t: CorrelationTensor, normals) -> float:
@@ -149,9 +145,8 @@ def maximize_corr_info(
             normals[j] = np.linalg.eigh(env @ env.T)[1][:, 0]
         return normals, plane_info_total(t, normals)
 
-    # HOSVD, then z, x and y normals (the canonical x-y plane first)
-    warm = [np.array([_least_direction(cart, j) for j in range(n)])]
-    warm += [np.tile(axis, (n, 1)) for axis in np.eye(3)[[2, 0, 1]]]
+    # HOSVD: each qubit's smallest mode-Gram eigenvector, one stacked solve
+    warm = [np.linalg.eigh(t.mode_grams)[1][:, :, 0], *_axis_starts(n)]
     return _verdict(maximize(sweep, warm, options, info_upper_bound(t), INFO_RESTARTS))
 
 
@@ -163,8 +158,7 @@ def two_qubit_info_criterion(t: CorrelationTensor) -> CriterionVerdict:
     """
     if t.n_qubits != 2:
         raise InputError(f"closed form requires 2 qubits, got {t.n_qubits}")
-    cart = t.cartesian()
-    normals = np.array([_least_direction(cart, j) for j in range(2)])
+    normals = np.linalg.eigh(t.mode_grams)[1][:, :, 0]
     return _verdict(SearchResult(normals, info_upper_bound(t), 0, 0, True, 0.0))
 
 

@@ -14,7 +14,9 @@ projections, and the qubit environments both criterion ascents update from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +62,8 @@ def environment(a: np.ndarray, mats, j: int) -> np.ndarray:
     """Qubit j's environment: `a` mapped through mats[q] on every qubit q != j
     (mats[j] is unused), unfolded along j with the other qubits in order."""
     others = [m for q, m in enumerate(mats) if q != j]
-    return mode_product(np.moveaxis(a, j, -1), others).reshape(a.shape[j], -1)
+    order = [q for q in range(a.ndim) if q != j] + [j]
+    return mode_product(a.transpose(order), others).reshape(a.shape[j], -1)
 
 
 def frozen_table(n_qubits: int, values, what: str) -> np.ndarray:
@@ -94,6 +97,19 @@ class CorrelationTensor:
     def cartesian(self) -> np.ndarray:
         """The sub-tensor over Pauli indices 1..3 only, shape (3,)*N."""
         return self.values[(slice(1, 4),) * self.n_qubits]
+
+    @cached_property
+    def mode_grams(self) -> np.ndarray:
+        """The 3x3 Gram matrix of the Cartesian tensor's unfolding along each
+        qubit, a read-only (N, 3, 3) stack built once per tensor."""
+        c = self.cartesian()
+        unfold = (c.reshape(3**j, 3, -1).transpose(1, 0, 2).reshape(3, -1) for j in range(c.ndim))
+        return _frozen(np.array([m @ m.T for m in unfold]))
+
+    @cached_property
+    def mode_gram_eigenvalues(self) -> np.ndarray:
+        """The mode Grams' ascending eigenvalues, read-only (N, 3), one stacked solve."""
+        return _frozen(np.linalg.eigvalsh(self.mode_grams))
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,7 +177,7 @@ class LocalFrame:
 
     def normals(self) -> np.ndarray:
         """Plane normals axis1 x axis2, one unit row per qubit."""
-        return np.cross(self.axis1, self.axis2)
+        return cross_rows(self.axis1, self.axis2)
 
     @classmethod
     def canonical(cls, n_qubits: int) -> "LocalFrame":
@@ -232,6 +248,13 @@ def rotate_frame_in_plane(f: LocalFrame, angles) -> LocalFrame:
     return LocalFrame(c * f.axis1 + s * f.axis2, -s * f.axis1 + c * f.axis2)
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of two (N, 3) arrays, each component rounded as np.cross
+    rounds it: a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3."""
+    i, k = [1, 2, 0], [2, 0, 1]
+    return a.take(i, axis=1) * b.take(k, axis=1) - a.take(k, axis=1) * b.take(i, axis=1)
+
+
 def frame_from_normals(normals) -> LocalFrame:
     """Deterministic in-plane axes for given plane normals.
 
@@ -239,15 +262,14 @@ def frame_from_normals(normals) -> LocalFrame:
     projected into the plane; the second completes a right-handed triple.
     """
     nv = np.asarray(normals, dtype=float).reshape(-1, 3)
-    a1 = np.empty_like(nv)
-    a2 = np.empty_like(nv)
-    for j, raw in enumerate(nv):
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            raise InputError("plane normal must be nonzero")
-        unit = raw / norm
-        ref = _Z_HAT if abs(unit[2]) <= 0.9 else _X_HAT
-        v = ref - unit * (ref @ unit)
-        a1[j] = v / np.linalg.norm(v)
-        a2[j] = np.cross(unit, a1[j])
-    return LocalFrame(a1, a2)
+    # math.sqrt(r.dot(r)) is np.linalg.norm(r), bit for bit, without its overhead
+    norms = [math.sqrt(r.dot(r)) for r in nv]
+    if 0.0 in norms:
+        raise InputError("plane normal must be nonzero")
+    unit = nv / np.array(norms)[:, None]
+    # the reference's dot with a unit normal is that normal's z (or x) entry
+    use_z = np.abs(unit[:, 2]) <= 0.9
+    ref = np.where(use_z[:, None], _Z_HAT, _X_HAT)
+    v = ref - unit * np.where(use_z, unit[:, 2], unit[:, 0])[:, None]
+    a1 = v / np.array([math.sqrt(r.dot(r)) for r in v])[:, None]
+    return LocalFrame(a1, cross_rows(unit, a1))

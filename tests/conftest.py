@@ -448,3 +448,75 @@ def loop_scan_reports(n, rows):
         cells = [str(x).lower() if isinstance(x, bool) else f"{x:.17g}" for x in d.values()]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n", {"n_qubits": n, "rows": dicts}
+
+
+def loop_frame_from_normals(normals):
+    """In-plane axes one normal at a time, through np.linalg.norm, a dot with
+    the reference direction and np.cross: the bitwise reference for
+    `pauli.frame_from_normals`, returned as the two (N, 3) axis arrays."""
+    nv = np.asarray(normals, dtype=float).reshape(-1, 3)
+    a1 = np.empty_like(nv)
+    a2 = np.empty_like(nv)
+    for j, raw in enumerate(nv):
+        norm = np.linalg.norm(raw)
+        if norm == 0.0:
+            raise InputError("plane normal must be nonzero")
+        unit = raw / norm
+        ref = np.array([0.0, 0.0, 1.0]) if abs(unit[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
+        v = ref - unit * (ref @ unit)
+        a1[j] = v / np.linalg.norm(v)
+        a2[j] = np.cross(unit, a1[j])
+    return a1, a2
+
+
+def loop_mode_gram(cart, mode):
+    """The 3x3 Gram matrix of one mode unfolding of the Cartesian tensor."""
+    m = cart.reshape(3**mode, 3, -1).transpose(1, 0, 2).reshape(3, -1)
+    return m @ m.T
+
+
+def loop_least_directions(t):
+    """Each qubit's smallest mode-Gram eigenvector by one eigh per qubit: the
+    bitwise reference for the information search's HOSVD start."""
+    cart = t.cartesian()
+    return np.array([np.linalg.eigh(loop_mode_gram(cart, j))[1][:, 0] for j in range(t.n_qubits)])
+
+
+def loop_info_upper_bound(t):
+    """The ceiling by one eigvalsh per qubit: the bitwise reference for
+    `info.info_upper_bound`."""
+    cart = t.cartesian()
+    return float(
+        min(np.linalg.eigvalsh(loop_mode_gram(cart, j))[1:].sum() for j in range(t.n_qubits))
+    )
+
+
+def moveaxis_environment(a, mats, j):
+    """Qubit j's environment with the axis moved by np.moveaxis: the bitwise
+    reference for `pauli.environment`."""
+    others = [m for q, m in enumerate(mats) if q != j]
+    return mode_product(np.moveaxis(a, j, -1), others).reshape(a.shape[j], -1)
+
+
+def random_correlation_tensor(rng, n):
+    """A tensor with uniform entries in [-1, 1] and identity component 1: not
+    a state's, but every tensor method accepts it."""
+    values = rng.uniform(-1.0, 1.0, (4,) * n)
+    values[(0,) * n] = 1.0
+    return CorrelationTensor(n, values)
+
+
+def scaled_normals(rng, n):
+    """Seeded (N, 3) normal sets: Gaussian rows at scales 1e-3 to 1e3, rows
+    within 1e-9 of the z poles, on the reference switch |n_z| = 0.9, and on
+    the coordinate axes."""
+    sets = [rng.standard_normal((n, 3)) * scale for scale in (1e-3, 1.0, 1e3)]
+    pole = rng.standard_normal((n, 3)) * 1e-9
+    pole[:, 2] = rng.choice([-1.0, 1.0], n)
+    sets.append(pole)
+    switch = rng.standard_normal((n, 3))
+    switch[:, :2] *= np.sqrt(1.0 - 0.81) / np.linalg.norm(switch[:, :2], axis=1, keepdims=True)
+    switch[:, 2] = rng.choice([-0.9, 0.9], n)
+    sets.append(switch)
+    sets.append(np.eye(3)[rng.integers(0, 3, n)] * rng.choice([-1.0, 1.0], (n, 1)))
+    return sets

@@ -12,11 +12,13 @@ from conftest import (
     random_separable_state,
     random_unit_vectors,
 )
+from entcrit import bell, info
 from entcrit.bell import (
     CorrelationTable,
     SettingsPair,
     SignFunction,
     _seesaw,
+    _unit,
     belinskii_klyshko_sign_function,
     belinskii_klyshko_value,
     bell_report_dict,
@@ -513,3 +515,29 @@ class TestSettingsIO:
         assert len(doc["per_s"]) == 4
         assert [e["s"] for e in doc["per_s"]] == [list(s) for s in itertools.product((1, -1), repeat=2)]
         assert len(doc["settings"]) == 2
+
+
+class TestWarmStartsOncePerQubitCount:
+    """The starts that depend only on N are built once per N, read-only, and
+    no search writes to them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_read_only_and_unchanged_by_searches(self, rng, n):
+        starts = (*info._axis_starts(n), *bell._azimuth_starts(n))
+        before = [s.tobytes() for s in starts]
+        assert not any(s.flags.writeable for s in starts)
+        t = correlation_tensor(random_density_matrix(rng, n))
+        opts = OptimizerOptions(restarts=1, seed=2)
+        maximize_corr_info(t, opts)
+        maximize_general_bell(t, opts)
+        maximize_sign_function_value(t, belinskii_klyshko_sign_function(n), opts)
+        again = (*info._axis_starts(n), *bell._azimuth_starts(n))
+        assert all(a is b for a, b in zip(again, starts, strict=True))
+        assert [s.tobytes() for s in starts] == before
+
+    def test_unit_is_the_norm_division_bit_for_bit(self, rng):
+        fallback = np.array([0.0, 0.0, 1.0])
+        for scale in (1e-12, 1e-3, 1.0, 1e3):
+            for v in rng.standard_normal((50, 3)) * scale:
+                assert _unit(v, fallback).tobytes() == (v / np.linalg.norm(v)).tobytes()
+        assert _unit(np.full(3, 1e-15), fallback) is fallback

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entcrit
 from conftest import random_density_matrix, traced_peak
 from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
-from entcrit.pauli import CorrelationTable
+from entcrit.pauli import CorrelationTable, CorrelationTensor
 from entcrit.states import (
     MAX_QUBITS,
     DensityMatrix,
@@ -480,6 +483,44 @@ class TestSignedSumsOncePerSection:
         assert [t.n_qubits for t in tables] == [3]
 
 
+def _count_builds(monkeypatch, cls, name) -> list:
+    """Replace the cached property cls.<name> by one that lists the instance
+    of each build."""
+    builds = []
+    build = cls.__dict__[name].func
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return builds
+
+
+class TestModeGramsOncePerRun:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_analyze_builds_and_solves_the_stack_once(self, capsys, monkeypatch, n):
+        builds = _count_builds(monkeypatch, CorrelationTensor, "mode_grams")
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *rest, **kw):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *rest, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, _, _ = run_inprocess(
+            capsys, "analyze", "--preset", "werner_ghz", "--n", str(n), "--visibility", "0.6",
+            "--restarts", "2",
+        )
+        # both searches read the ceiling; the werner section builds no tensor
+        assert code == 0
+        assert [t.n_qubits for t in builds] == [n]
+        assert shapes == [(n, 3, 3)]
+
+
 class TestOneLocalModelConstructor:
     """The CLI reads a model off the evaluation it reports, only when that
     evaluation is not refused; it never calls `construct_lhv`."""
@@ -807,3 +848,70 @@ class TestInputErrorMessages:
         with pytest.raises(OSError) as e:
             path.read_bytes()
         _exits_2_with(capsys, ["tensor", "-i", str(path)], f"cannot read {path}: {e.value}")
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200).map(lambda k: k * (-1) ** (k % 2))
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+         1e308, -1.7976931348623157e308, 0.1, 1.0, True, False, 1, 0, -1, None]
+    )
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "😀", "\ud800", "\u2028", ", "])
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text() | st.sampled_from(['"', "\n", "é", ""]), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(value=_JSON_VALUES)
+def test_to_json_is_the_indented_dump(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, [[]], {"": {}}, [True, 1, 1.0, False, 0, 0.0, None], {"a": [[], [[{}]]], "b": ()},
+     (1, (2, (3,))), [float("nan"), -0.0, 10**40]],
+)
+def test_to_json_edge_containers(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+class TestReportsRoundTrip:
+    """Every JSON report is its own indented dump: loading and dumping it
+    again with indent=2 gives the printed bytes."""
+
+    COMMANDS = [
+        ["tensor", "--preset", "ghz", "--n", "3"],
+        ["info", "--preset", "werner_ghz", "--n", "3", "--visibility", "0.6", "--restarts", "2"],
+        ["bell", "--preset", "ghz", "--n", "2", "--restarts", "2"],
+        ["bell", "--preset", "ghz", "--n", "3", "--settings", "{settings}"],
+        ["lhv", "--preset", "werner_ghz", "--n", "3", "--visibility", "0.3", "--settings", "{settings}"],
+        ["lhv", "--preset", "ghz", "--n", "3", "--settings", "{settings}"],
+        ["werner-scan", "--n", "3", "--grid", "11", "--format", "json", "--restarts", "2"],
+        ["analyze", "--preset", "werner_ghz", "--n", "3", "--visibility", "0.45", "--restarts", "2"],
+        ["analyze", "-i", "{state}", "--restarts", "2"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: " ".join(a[:2]))
+    def test_stdout_round_trips(self, tmp_path, capsys, argv):
+        files = {
+            "{settings}": json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 3}),
+            "{state}": serialize_state(random_density_matrix(np.random.default_rng(5), 2)),
+        }
+        for i, (name, text) in enumerate(files.items()):
+            (tmp_path / f"{i}.json").write_text(text)
+        paths = {name: str(tmp_path / f"{i}.json") for i, name in enumerate(files)}
+        code, out, _ = run_inprocess(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

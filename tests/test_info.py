@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from conftest import (
     info_from_probabilities,
     kron_observable,
+    loop_info_upper_bound,
+    loop_least_directions,
+    random_correlation_tensor,
     random_density_matrix,
     random_product_state,
     random_separable_state,
     random_unit_vectors,
 )
+from entcrit import info
 from entcrit.info import (
     DECISION_TOLERANCE,
     corr_info,
@@ -234,6 +238,33 @@ class TestUpperBound:
         np.testing.assert_array_equal(cut.argmax_frame.axis1, full.argmax_frame.axis1)
         assert cut.optimizer_report.restarts == full.optimizer_report.restarts
         assert cut.optimizer_report.iterations <= 3 < full.optimizer_report.iterations
+
+
+class TestStackedModeGramSolves:
+    """One stacked eigh and one stacked eigvalsh per tensor give the bytes of
+    the per-qubit solves they replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_hosvd_start_and_ceiling(self, rng, n, monkeypatch):
+        calls = []
+        original = info.maximize
+
+        def spy(sweep, warm, options, ceiling, default_restarts):
+            calls.append((warm, ceiling))
+            return original(sweep, warm[:1], options, ceiling, default_restarts)
+
+        monkeypatch.setattr(info, "maximize", spy)
+        physical = correlation_tensor(random_density_matrix(rng, min(n, 6)))
+        for t in (random_correlation_tensor(rng, n), physical):
+            want = loop_info_upper_bound(t)
+            assert info_upper_bound(t).hex() == want.hex()
+            maximize_corr_info(t, OptimizerOptions(restarts=0))
+            warm, ceiling = calls.pop()
+            assert warm[0].tobytes() == loop_least_directions(t).tobytes()
+            assert ceiling.hex() == want.hex()
+            if n == 2:
+                x = two_qubit_info_criterion(t).optimizer_report.x
+                assert x.tobytes() == loop_least_directions(t).tobytes()
 
 
 class TestTwoQubitClosedForm:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,14 @@ from conftest import (
     einsum_environment,
     einsum_mode_product,
     kron_trace_table,
+    loop_frame_from_normals,
+    loop_mode_gram,
+    moveaxis_environment,
+    random_correlation_tensor,
     random_density_matrix,
     random_product_state,
     reference_correlation_tensor,
+    scaled_normals,
     tensordot_mode_product,
     traced_peak,
 )
@@ -21,6 +28,7 @@ from entcrit.pauli import (
     CorrelationTensor,
     LocalFrame,
     correlation_tensor,
+    cross_rows,
     density_from_tensor,
     environment,
     frame_from_normals,
@@ -322,6 +330,56 @@ class TestFrames:
         frame = frame_from_normals([[0.0, 0.0, 1.0]])
         np.testing.assert_allclose(frame.axis1, [[1, 0, 0]], atol=1e-12)
         np.testing.assert_allclose(frame.axis2, [[0, 1, 0]], atol=1e-12)
+
+
+class TestBitwiseAgainstPerRowLoops:
+    """The vectorized frame, cross product, environment and mode Grams give
+    the bytes of the per-row and per-qubit numpy calls they replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_frame_from_normals(self, rng, n):
+        for normals in scaled_normals(rng, n):
+            frame = frame_from_normals(normals)
+            a1, a2 = loop_frame_from_normals(normals)
+            assert frame.axis1.tobytes() == a1.tobytes()
+            assert frame.axis2.tobytes() == a2.tobytes()
+            assert frame.normals().tobytes() == np.cross(a1, a2).tobytes()
+
+    def test_zero_normal_refused_as_before(self, rng):
+        normals = rng.standard_normal((3, 3))
+        normals[1] = 0.0
+        for build in (frame_from_normals, loop_frame_from_normals):
+            with pytest.raises(InputError, match="plane normal must be nonzero"):
+                build(normals)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cross_rows_and_row_norms(self, rng, n):
+        for scale in (1e-3, 1.0, 1e3):
+            a, b = rng.standard_normal((2, n, 3)) * scale
+            assert cross_rows(a, b).tobytes() == np.cross(a, b).tobytes()
+            for row in a:
+                assert math.sqrt(row.dot(row)).hex() == float(np.linalg.norm(row)).hex()
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_environment(self, rng, rows):
+        for n in range(1, 8):
+            a = rng.standard_normal((3,) * n)
+            mats = [rng.standard_normal((rows, 3)) for _ in range(n)]
+            for j in range(n):
+                got = environment(a, mats, j)
+                assert got.tobytes() == moveaxis_environment(a, mats, j).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_mode_grams_built_once_and_read_only(self, rng, n):
+        t = random_correlation_tensor(rng, n)
+        grams = t.mode_grams
+        want = np.array([loop_mode_gram(t.cartesian(), j) for j in range(n)])
+        assert grams.shape == (n, 3, 3) and grams.tobytes() == want.tobytes()
+        assert t.mode_grams is grams and t.mode_gram_eigenvalues is t.mode_gram_eigenvalues
+        for cached in (grams, t.mode_gram_eigenvalues):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
 
 
 class TestExport:
