@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -96,8 +98,15 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Overwrite `path` in place and cut a regular file to the bytes written.
+    No O_TRUNC: on ext4, emptying a file makes its next rewrite wait on disk."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            try:
+                f.write(text.encode("utf-8"))
+            finally:
+                if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                    f.truncate()
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}") from e
 

@@ -59,6 +59,14 @@ def ghz_vector(n_qubits):
     return StateVector(n_qubits, amps)
 
 
+def generalized_ghz_vector(n_qubits, s):
+    """cos a|0...0> + sin a|1...1> with sin 2a = s, for 0 <= s <= 1."""
+    a = 0.5 * np.arcsin(s)
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[0], amps[-1] = np.cos(a), np.sin(a)
+    return StateVector(n_qubits, amps)
+
+
 def _ghz_projector(n):
     # corner entries are exactly 1/2, avoiding 1/sqrt(2) rounding in products
     m = np.zeros((2**n, 2**n), dtype=complex)

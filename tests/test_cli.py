@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -397,15 +398,17 @@ class TestExitCodes:
                 assert out == ""
                 assert err.startswith("error:")
 
-    def test_unwritable_out_is_two(self, tmp_path, capsys):
-        target = tmp_path / "missing" / "x.json"
+    @pytest.mark.parametrize("name", ["missing/x.json", "a_directory"],
+                             ids=["missing_parent", "directory"])
+    def test_unwritable_out_is_two(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
         code, out, err = run_inprocess(
-            capsys, "tensor", "--preset", "ghz", "--n", "2", "--out", str(target)
+            capsys, "tensor", "--preset", "ghz", "--n", "2", "--out", str(tmp_path / name)
         )
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write")
-        assert not target.exists()
+        assert [p.name for p in tmp_path.rglob("*")] == ["a_directory"]
 
     def test_subprocess_entry_point(self):
         res = run_cli("tensor", "--preset", "maximally_mixed", "--n", "1")
@@ -903,8 +906,9 @@ class TestReportsRoundTrip:
         ["analyze", "-i", "{state}", "--restarts", "2"],
     ]
 
-    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: " ".join(a[:2]))
-    def test_stdout_round_trips(self, tmp_path, capsys, argv):
+    @staticmethod
+    def with_inputs(tmp_path, argv) -> list:
+        """argv with each placeholder replaced by the path of a file written for it."""
         files = {
             "{settings}": json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 3}),
             "{state}": serialize_state(random_density_matrix(np.random.default_rng(5), 2)),
@@ -912,6 +916,90 @@ class TestReportsRoundTrip:
         for i, (name, text) in enumerate(files.items()):
             (tmp_path / f"{i}.json").write_text(text)
         paths = {name: str(tmp_path / f"{i}.json") for i, name in enumerate(files)}
-        code, out, _ = run_inprocess(capsys, *(paths.get(a, a) for a in argv))
+        return [paths.get(a, a) for a in argv]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: " ".join(a[:2]))
+    def test_stdout_round_trips(self, tmp_path, capsys, argv):
+        code, out, _ = run_inprocess(capsys, *self.with_inputs(tmp_path, argv))
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("fill", ["longer", "shorter"])
+    @pytest.mark.parametrize(
+        "argv",
+        [*COMMANDS, ["werner-scan", "--n", "3", "--grid", "11", "--format", "csv", "--restarts", "2"]],
+        ids=lambda a: " ".join(a[:2]),
+    )
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv, fill):
+        # a longer old file pins the cut to the report's length, a shorter one the overwrite
+        argv = self.with_inputs(tmp_path, argv)
+        code, out, _ = run_inprocess(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "report"
+        target.write_bytes(b"x" * (2 * len(out) if fill == "longer" else len(out) // 2))
+        assert run_inprocess(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
+
+class TestOutFile:
+    """`--out` rewrites an existing file in place, so the file keeps its inode,
+    its links and its mode, and a regular file is cut to the report's length."""
+
+    ARGV = ["tensor", "--preset", "ghz", "--n", "2"]
+
+    def report(self, capsys) -> bytes:
+        code, out, _ = run_inprocess(capsys, *self.ARGV)
+        assert code == 0
+        return out.encode()
+
+    def write(self, capsys, target) -> None:
+        assert run_inprocess(capsys, *self.ARGV, "--out", str(target)) == (0, "", "")
+
+    def test_symlink_is_followed_and_kept(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        self.write(capsys, link)
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == self.report(capsys)
+
+    def test_mode_is_kept(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old")
+        target.chmod(0o600)
+        self.write(capsys, target)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert target.read_bytes() == self.report(capsys)
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old" * 10_000)
+        other = tmp_path / "other.json"
+        os.link(target, other)
+        self.write(capsys, target)
+        assert other.read_bytes() == self.report(capsys)
+
+    def test_rewrite_never_empties_the_file(self, tmp_path, capsys, monkeypatch):
+        # O_TRUNC would empty the file at open, which is what makes ext4 flush
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old" * 10_000)
+        opened = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            opened.append((path, flags & os.O_TRUNC, os.fstat(fd).st_size))
+            return fd
+
+        monkeypatch.setattr(os, "open", spy)
+        self.write(capsys, target)
+        assert opened == [(str(target), 0, 30_000)]
+        assert target.read_bytes() == self.report(capsys)
+
+    @pytest.mark.parametrize("target", ["/dev/null", "/dev/stdout"])
+    def test_special_file_gets_the_write_alone(self, capsys, target):
+        # no ftruncate on a device or a pipe: it would fail with EINVAL
+        res = run_cli(*self.ARGV, "--out", target)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout.encode() == (self.report(capsys) if target == "/dev/stdout" else b"")

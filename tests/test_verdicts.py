@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+from conftest import generalized_ghz_vector, random_density_matrix, random_unit_vectors
 from entcrit.bell import (
     CorrelationTable,
     SignFunction,
@@ -26,11 +26,12 @@ from entcrit.info import (
     entangled,
     info_upper_bound,
     maximize_corr_info,
+    plane_info_total,
 )
 from entcrit.lhv import BellBoundError, LhvModel, construct_lhv
 from entcrit.pauli import CorrelationTensor, correlation_tensor
 from entcrit.search import OptimizerOptions, SearchResult
-from entcrit.states import InputError
+from entcrit.states import InputError, from_state_vector
 from entcrit.werner import analyze_werner, visibility_scan, visibility_threshold
 
 FAST = OptimizerOptions(restarts=2)
@@ -228,3 +229,123 @@ class TestWernerVerdict:
                 assert len(verdicts) == 1, (n, v)
                 seen |= verdicts
         assert seen == {False, True}
+
+
+# N = 2..7 and s as a multiple of the odd-N threshold 2^(-(N-1)/2)
+GGHZ_POINTS = [(n, f) for n in range(2, 8) for f in (0.5, 0.9, 1.0, 1.1)]
+
+
+def gghz_parameters(n, f):
+    """s = f 2^(-(N-1)/2) and the all-z tensor entry t = cos^2 a + (-1)^N sin^2 a."""
+    s = f * 2.0 ** (-(n - 1) / 2)
+    a = 0.5 * np.arcsin(s)
+    return s, np.cos(a) ** 2 + (-1) ** n * np.sin(a) ** 2
+
+
+class TestGeneralizedGhz:
+    """cos a|0...0> + sin a|1...1> with s = sin 2a: both maxima in closed form.
+
+    Tensor.  The Cartesian block is T = s Re(u^(x)N) + t z^(x)N, with
+    u = x - i y and t = cos^2 a + (-1)^N sin^2 a, so t = 1 at even N and
+    t^2 = 1 - s^2 at odd N.  No entry mixes z with x or y.
+
+    Information.  Give qubit j the plane with unit normal n_j of height
+    zeta_j, horizontal length rho_j and azimuth phi_j, and let w_j = zeta_j^2,
+    H = prod(1 + w_j), P = prod(1 - w_j), m = prod(rho_j zeta_j),
+    e = cos(sum phi_j) and eps = (-1)^N.  In |T x_j (1 - n_j n_j^T)|^2 the
+    s-part gives (s^2/2)(H + eps P cos(2 sum phi_j)), the t-part gives t^2 P
+    and their cross term gives 2 eps s t e m, so with t^2 = 1 or 1 - s^2
+
+        I = (s^2/2) H + (1 - s^2/2 + eps s^2 e^2) P + 2 eps s t e m.
+
+    Planes normal to z (w = 1) give 2^(N-1) s^2.  Planes through z (w = 0)
+    give 1 + eps s^2 e^2: 1 + s^2 at even N (e = 1), 1 at odd N (e = 0).
+    Nothing does better.  The signs of e and m are free, so
+    I <= alpha H + beta P + gamma sqrt(PQ), with Q = prod w_j, alpha = s^2/2,
+    beta = 1 - s^2/2 + eps s^2 e^2 (>= 0 while s^2 <= 2/3) and
+    gamma = 2 s |t e|.  Each of H, P and sqrt(PQ) is a product over the
+    qubits of a nonnegative factor, so by Hoelder's inequality the bound is
+    largest at equal w_j = 1 - x, where it is
+
+        l(x) = alpha (2 - x)^N + beta x^N + gamma (x (1 - x))^(N/2).
+
+    l is convex in x at every point tested here (`test_symmetric_bound_is_convex`),
+    so its maximum is at x = 0 or x = 1:
+
+        max I = max(1 + s^2, 2^(N-1) s^2) at even N,
+        max I = max(1, 2^(N-1) s^2) at odd N.
+
+    Bell.  Cauchy-Schwarz over the sign tuples bounds the ratio R = lhs/2^N
+    by the root of the information at the planes the settings span, so
+    R <= sqrt(max I).  Two kinds of settings reach it.
+    Horizontal settings at azimuths phi_j and phi_j + pi/2 give
+    B(s) = s 2^(N/2) cos(Psi + k pi/2), with Psi = sum phi_j + N pi/4 and k
+    the number of s_j = -1, so R = 2^(N/2-1) s (|cos Psi| + |sin Psi|), which
+    is 2^((N-1)/2) s at Psi = pi/4.  Settings (z, h_j) on qubits j < N, with
+    h_j horizontal, and cos b z +- sin b h_N on qubit N give
+    R = |t| cos b + s |e| sin b, which is at best sqrt(t^2 + s^2 e^2):
+    sqrt(1 + s^2) at even N and 1 at odd N.  So R = sqrt(max I):
+
+        R = sqrt(max(1 + s^2, 2^(N-1) s^2)) at even N,
+        R = max(1, 2^((N-1)/2) s) at odd N.
+
+    At odd N and s <= 2^(-(N-1)/2) the state is entangled and pure, yet
+    neither criterion detects it: it satisfies every two-setting correlation
+    Bell inequality (Zukowski & Brukner, PRL 88, 210401 (2002)).
+    """
+
+    @pytest.mark.parametrize("n, f", GGHZ_POINTS)
+    def test_search_maxima_meet_the_closed_forms(self, n, f):
+        s, _ = gghz_parameters(n, f)
+        tensor = correlation_tensor(from_state_vector(generalized_ghz_vector(n, s)))
+        # warm starts alone miss the Bell maximum (0.5 against 1 at N=3, f=0.5)
+        options = OptimizerOptions(restarts=8)
+        verdict = maximize_corr_info(tensor, options)
+        evaluation, _ = maximize_general_bell(tensor, options)
+        if n % 2:
+            info, ratio = max(1.0, 2.0 ** (n - 1) * s * s), max(1.0, 2.0 ** ((n - 1) / 2) * s)
+        else:
+            info = max(1.0 + s * s, 2.0 ** (n - 1) * s * s)
+            ratio = np.sqrt(info)
+        assert abs(verdict.max_total - info) <= 1e-12
+        assert abs(evaluation.lhs_general / evaluation.bound - ratio) <= 1e-12
+        assert verdict.entangled_by_info_criterion == evaluation.violated == entangled(info)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_information_at_any_planes(self, rng, n):
+        for f in (0.5, 1.1):
+            s, t = gghz_parameters(n, f)
+            tensor = correlation_tensor(from_state_vector(generalized_ghz_vector(n, s)))
+            for _ in range(3):
+                normals = random_unit_vectors(rng, n)
+                zeta = normals[:, 2]
+                rho = np.hypot(normals[:, 0], normals[:, 1])
+                e = np.cos(np.arctan2(normals[:, 1], normals[:, 0]).sum())
+                eps = (-1) ** n
+                closed = (s * s / 2 * np.prod(1 + zeta**2)
+                          + (1 - s * s / 2 + eps * s * s * e * e) * np.prod(1 - zeta**2)
+                          + 2 * eps * s * t * e * np.prod(rho * zeta))
+                assert abs(plane_info_total(tensor, normals) - closed) <= 1e-12
+
+    def test_symmetric_bound_is_convex(self):
+        x = np.linspace(0.0, 1.0, 2001)[:, None]
+        e = np.linspace(0.0, 1.0, 101)
+        for n, f in GGHZ_POINTS:
+            s, t = gghz_parameters(n, f)
+            alpha, gamma = s * s / 2, 2 * s * abs(t) * e
+            beta = 1 - alpha + (-1) ** n * s * s * e * e
+            assert np.all(beta >= 0.0)
+            bound = alpha * (2 - x) ** n + beta * x**n + gamma * (x * (1 - x)) ** (n / 2)
+            assert np.all(np.diff(bound, 2, axis=0) > 0.0), (n, f)
+
+    def test_analyze_finds_neither_below_the_odd_threshold(self, tmp_path, capsys):
+        s, _ = gghz_parameters(3, 0.5)
+        amplitudes = generalized_ghz_vector(3, s).amplitudes
+        path = tmp_path / "gghz.json"
+        path.write_text(json.dumps({"vector": {
+            "n_qubits": 3, "amplitudes": [[z.real, z.imag] for z in amplitudes.tolist()],
+        }}))
+        assert main(["analyze", "-i", str(path), "--restarts", "8"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["info"]["entangled"] is False
+        assert report["bell"]["violated"] is False
