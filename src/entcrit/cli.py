@@ -24,7 +24,7 @@ from .bell import (
     parse_settings_file,
 )
 from .info import maximize_corr_info
-from .lhv import local_model, verify_lhv
+from .lhv import LhvModel, verify_lhv
 from .pauli import correlation_tensor
 from .search import OptimizerOptions
 from .states import (
@@ -125,7 +125,7 @@ def _lhv_section(evaluation) -> dict:
     section = {"n_qubits": int(evaluation.table.n_qubits), "lhs": evaluation.lhs_general,
                "bound": evaluation.bound, "refused": evaluation.violated}
     if not evaluation.violated:
-        model = local_model(evaluation)
+        model = LhvModel(evaluation)
         section["model"] = model.to_json_dict()
         section["verify_max_abs_error"] = verify_lhv(model, evaluation.table)
     return section

@@ -15,13 +15,9 @@ from typing import Union
 
 import numpy as np
 
-from .bell import _SIGN_WEIGHTS, BellEvaluation, SignFunction, general_bell_lhs, sign_grid
-from .info import DECISION_TOLERANCE
-from .pauli import CorrelationTable, frozen_table, mode_product
-from .states import InputError, _frozen
-
-#: Rounding allowed below zero in a class mass.
-NEGATIVE_MASS_TOL = 1e-12
+from .bell import _SIGN_WEIGHTS, BellEvaluation, general_bell_lhs, sign_grid
+from .pauli import CorrelationTable, mode_product
+from .states import InputError
 
 
 class BellBoundError(InputError):
@@ -37,31 +33,32 @@ class BellBoundError(InputError):
 
 @dataclass(frozen=True)
 class LhvModel:
-    """Sign-class masses p(s) and signs, shape (2,)*N; the rest is noise.
+    """A Bell evaluation read as a local model: class s has mass p(s) =
+    |B(s)| / 2^N and sign sign B(s) (-1 where B(s) = 0); the rest is noise.
 
     Class s holds the 2^(N-1) strategies with a1 = s a2 and prod(a2) =
-    sign(s), each carrying p(s) / 2^(N-1).
+    sign(s), each carrying p(s) / 2^(N-1).  Refused with `BellBoundError`
+    exactly when the evaluation is violated; the model trusts that flag, as
+    every evaluation comes from `general_bell_lhs` on a validated table.
     """
 
-    n_qubits: int
-    weights: np.ndarray
-    sign: SignFunction
+    evaluation: BellEvaluation
 
     def __post_init__(self):
-        w = frozen_table(self.n_qubits, self.weights, "weights")
-        if self.sign.n_qubits != self.n_qubits:
-            raise InputError("sign function qubit count mismatch")
-        if not w.min() >= -NEGATIVE_MASS_TOL:
-            raise InputError(f"class probability must be nonnegative, got {w.min()!r}")
-        object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0)))
-        # the Bell rule: a table's class masses sum to lhs / 2^N, so
-        # `construct_lhv` refuses exactly the tables whose model would break it
-        total = self.total_atom_mass()
-        if not total <= 1.0 + DECISION_TOLERANCE:
-            raise InputError(f"probability mass must sum to at most 1, got {total!r}")
+        if self.evaluation.violated:
+            raise BellBoundError(self.evaluation.lhs_general, self.evaluation.bound)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.evaluation.table.n_qubits
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The class masses p(s), shape (2,)*N."""
+        return self.evaluation.moduli / self.evaluation.bound
 
     def total_atom_mass(self) -> float:
-        return float(self.weights.sum())
+        return self.evaluation.lhs_general / self.evaluation.bound
 
     @property
     def noise_weight(self) -> float:
@@ -77,7 +74,7 @@ class LhvModel:
         even = grid.prod(axis=1) > 0
         mass = self.weights.ravel()
         live = mass != 0.0
-        plus = (self.sign.values.ravel()[live] > 0)[:, None, None]
+        plus = (self.evaluation.sums.ravel()[live] > 0)[:, None, None]
         a2 = np.where(plus, grid[even], grid[~even])
         a1 = grid[live][:, None, :] * a2
         p = np.repeat(mass[live] / 2.0 ** (n - 1), a2.shape[1])
@@ -89,23 +86,9 @@ class LhvModel:
         }
 
 
-def local_model(evaluation: BellEvaluation) -> LhvModel:
-    """The explicit local model read off a `general_bell_lhs` evaluation.
-
-    The evaluation is refused exactly when it is violated; the refusal
-    carries the master sum and its bound.  Dividing by 2^N is exact, so the
-    class masses sum to lhs / 2^N bit for bit and an evaluation that is not
-    refused never carries more mass than `LhvModel` admits.
-    """
-    if evaluation.violated:
-        raise BellBoundError(evaluation.lhs_general, evaluation.bound)
-    sign = SignFunction(evaluation.table.n_qubits, np.where(evaluation.sums > 0, 1.0, -1.0))
-    return LhvModel(sign.n_qubits, evaluation.moduli / evaluation.bound, sign)
-
-
 def construct_lhv(table: CorrelationTable) -> LhvModel:
-    """The local model of a table: `local_model` of its evaluation."""
-    return local_model(general_bell_lhs(table))
+    """The local model of a table's evaluation, for a caller holding only the table."""
+    return LhvModel(general_bell_lhs(table))
 
 
 def lhv_correlation_table(model: LhvModel) -> CorrelationTable:
@@ -113,9 +96,10 @@ def lhv_correlation_table(model: LhvModel) -> CorrelationTable:
 
     Every strategy of class s gives the outcome product sign(s) s^k at
     setting choice k, and the uniform noise term averages every outcome to
-    zero, so one contraction per qubit is exact.
+    zero, so one contraction per qubit is exact; p(s) sign(s) is B(s) / 2^N.
     """
-    work = mode_product(model.weights * model.sign.values, [_SIGN_WEIGHTS.T] * model.n_qubits)
+    ev = model.evaluation
+    work = mode_product(ev.sums / ev.bound, [_SIGN_WEIGHTS.T] * model.n_qubits)
     return CorrelationTable(model.n_qubits, work)
 
 
@@ -144,9 +128,10 @@ def sample_outcome_arrays(
     picks = gen.choice(probs.size, size=size, p=probs / probs.sum())
     a1 = (gen.integers(0, 2, size=(size, n)) * 2 - 1).astype(np.int8)
     a2 = (gen.integers(0, 2, size=(size, n)) * 2 - 1).astype(np.int8)
-    rows = picks < model.weights.size
+    rows = picks < probs.size - 1  # the last index is the noise
     cls = picks[rows]
-    a2[rows, -1] = model.sign.values.ravel()[cls] * a2[rows, :-1].prod(axis=1)
+    sign = np.where(model.evaluation.sums.ravel()[cls] > 0, 1.0, -1.0)
+    a2[rows, -1] = sign * a2[rows, :-1].prod(axis=1)
     a1[rows] = sign_grid(n)[cls] * a2[rows]
     return a1, a2
 

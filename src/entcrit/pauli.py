@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import TRACE_TOL, DensityMatrix, InputError, _frozen
+from .states import TRACE_TOL, DensityMatrix, InputError, _check_qubit_count, _frozen
 
 PAULI = np.array(
     [
@@ -68,6 +68,7 @@ def environment(a: np.ndarray, mats, j: int) -> np.ndarray:
 
 def frozen_table(n_qubits: int, values, what: str) -> np.ndarray:
     """`values` as a read-only float array of shape (2,)*n_qubits."""
+    _check_qubit_count(n_qubits)
     vals = np.asarray(values, dtype=float)
     if vals.shape != (2,) * n_qubits:
         raise InputError(f"expected {what} shape {(2,) * n_qubits}, got {vals.shape}")
@@ -82,6 +83,7 @@ class CorrelationTensor:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_qubit_count(self.n_qubits)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (4,) * self.n_qubits:
             raise InputError(
@@ -150,6 +152,7 @@ def unit_row_pair(v1, v2, what: str) -> tuple[np.ndarray, np.ndarray]:
     a2 = np.asarray(v2, dtype=float)
     if a1.ndim != 2 or a1.shape[1] != 3 or a1.shape != a2.shape:
         raise InputError(f"{what} must both have shape (N, 3), got {a1.shape} and {a2.shape}")
+    _check_qubit_count(a1.shape[0])
     err = float(np.max(np.abs(np.linalg.norm(np.stack([a1, a2]), axis=-1) - 1.0)))
     if not err <= FRAME_TOL:
         raise InputError(f"{what} must be unit vectors (residual {err:.3e})")

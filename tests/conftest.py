@@ -4,14 +4,16 @@ import itertools
 import json
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from math import prod, sqrt
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from entcrit.bell import _SIGN_WEIGHTS, BellEvaluation, violates
 from entcrit.info import DECISION_TOLERANCE
-from entcrit.pauli import _TRACE, IMAG_TOL, CorrelationTensor, mode_product
+from entcrit.pauli import _TRACE, IMAG_TOL, CorrelationTable, CorrelationTensor, mode_product
 from entcrit.search import (
     GAIN_TOL,
     MAX_SWEEPS,
@@ -321,14 +323,37 @@ def einsum_empirical_table(a1, a2):
     return np.clip(work.mean(axis=0), -1.0, 1.0)
 
 
+def masses_evaluation(q):
+    """The Bell evaluation whose local model has the signed class masses q,
+    shape (2,)*N: B = 2^N q, with the table those masses realize, E(k) =
+    sum_s q(s) s^k (s_j^1 = s_j, s_j^2 = 1), one outer product of the rows
+    (s_j, 1) per class."""
+    q = np.asarray(q, dtype=float)
+    n = q.ndim
+    table = np.zeros(q.shape)
+    for idx in np.ndindex(q.shape):
+        table += q[idx] * reduce(np.multiply.outer, [np.array([1.0 - 2 * i, 1.0]) for i in idx])
+    b, bound = 2.0**n * q, 2.0**n
+    lhs = float(np.abs(b).sum())
+    return BellEvaluation(CorrelationTable(n, table), lhs, b, bound, violates(lhs, bound))
+
+
+def signed_mass_table(model):
+    """The model's table from its class masses times sign B(s) (-1 where
+    B(s) = 0): the reference for `lhv.lhv_correlation_table`."""
+    signs = np.where(model.evaluation.sums > 0, 1.0, -1.0)
+    return mode_product(model.weights * signs, [_SIGN_WEIGHTS.T] * model.n_qubits)
+
+
 def enumerated_atoms(model):
     """The local model's strategies by explicit enumeration: classes s in
-    itertools order (+1 first), then every a2 with prod(a2) = sign(s), a1 =
-    s a2, each carrying p(s) / 2^(N-1); classes without mass are skipped."""
+    itertools order (+1 first), then every a2 with prod(a2) = sign(s) = sign
+    B(s) (-1 where B(s) = 0), a1 = s a2, each carrying p(s) / 2^(N-1);
+    classes without mass are skipped."""
     n = model.n_qubits
     atoms = []
     weights = model.weights.ravel().tolist()
-    signs = model.sign.values.ravel().tolist()
+    signs = [1 if b > 0 else -1 for b in model.evaluation.sums.ravel().tolist()]
     for s, p, sign in zip(itertools.product((1, -1), repeat=n), weights, signs):
         if p == 0.0:
             continue

@@ -94,6 +94,12 @@ class TestQuantumCorrelation:
         with pytest.raises(InputError):
             SettingsPair([[np.nan, 0, 0], [1.0, 0, 0]], [[0, 1.0, 0], [0, 1.0, 0]])
 
+    @pytest.mark.parametrize("rows", [0, 13])
+    def test_qubit_count_rejected(self, rows):
+        x = np.tile([1.0, 0.0, 0.0], (rows, 1))
+        with pytest.raises(InputError, match="n_qubits"):
+            SettingsPair(x, x)
+
     def test_matches_direct_trace(self, rng):
         # every entry, at independent n1 != n2, against Kronecker products
         for n in (1, 2, 3, 4):
@@ -139,6 +145,11 @@ class TestCorrelationTable:
     def test_nan_entry_rejected(self):
         with pytest.raises(InputError):
             CorrelationTable(2, [[np.nan, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("n", [0, 2.5, 13])
+    def test_qubit_count_rejected(self, n):
+        with pytest.raises(InputError, match="n_qubits"):
+            CorrelationTable(n, np.full((2,) * int(n), 0.5))
 
 
 class TestGeneralBell:

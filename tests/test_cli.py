@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entcrit
-from conftest import random_density_matrix, traced_peak
+from conftest import random_density_matrix, signed_mass_table, traced_peak
 from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
 from entcrit.pauli import CorrelationTable, CorrelationTensor
@@ -525,7 +525,7 @@ class TestModeGramsOncePerRun:
 
 
 class TestOneLocalModelConstructor:
-    """The CLI reads a model off the evaluation it reports, only when that
+    """The CLI builds a model from the evaluation it reports, only when that
     evaluation is not refused; it never calls `construct_lhv`."""
 
     def test_one_construct_per_lhv_run(self, tmp_path, capsys, monkeypatch):
@@ -535,7 +535,7 @@ class TestOneLocalModelConstructor:
         path.write_text(json.dumps({"pairs": [
             {"n1": [1, 0, 0], "n2": [0, 1, 0]}, {"n1": [r, -r, 0], "n2": [r, r, 0]}
         ]}))
-        models = _count_calls(monkeypatch, lhv, "local_model")
+        models = _count_calls(monkeypatch, lhv, "LhvModel")
         constructs = _count_calls(monkeypatch, lhv, "construct_lhv")
         for state, refused in (
             (["--preset", "werner_ghz", "--n", "2", "--visibility", "0.3"], False),
@@ -548,7 +548,7 @@ class TestOneLocalModelConstructor:
         assert constructs == []
 
     def test_one_construct_per_analyze_run(self, capsys, monkeypatch):
-        models = _count_calls(monkeypatch, lhv, "local_model")
+        models = _count_calls(monkeypatch, lhv, "LhvModel")
         constructs = _count_calls(monkeypatch, lhv, "construct_lhv")
         for state, refused in (
             (["--preset", "werner_ghz", "--n", "3", "--visibility", "0.3"], False),
@@ -580,6 +580,13 @@ class TestOneLocalModelConstructor:
                 assert section["lhs"] == evaluation.lhs_general, (n, scale)
                 assert section["bound"] == evaluation.bound
                 seen.add(section["refused"])
+                if not section["refused"]:
+                    # the class masses sum to lhs / 2^N bit for bit
+                    model = lhv.LhvModel(evaluation)
+                    assert model.weights.sum() == model.total_atom_mass(), (n, scale)
+                    assert model.noise_weight == max(0.0, 1.0 - model.weights.sum())
+                    realized = lhv.lhv_correlation_table(model).values
+                    assert np.all(realized == signed_mass_table(model)), (n, scale)
             assert seen == ({False} if n == 1 else {False, True}), n
 
     def test_edge_lhv_command_matches_analyze(self, tmp_path, capsys):

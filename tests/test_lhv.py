@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import (
     einsum_empirical_table,
     enumerated_atoms,
+    masses_evaluation,
     random_density_matrix,
     random_unit_vectors,
 )
@@ -15,7 +17,6 @@ from entcrit.bell import (
     CorrelationTable,
     SettingsPair,
     correlation_table,
-    SignFunction,
     general_bell_lhs,
     signed_sums,
 )
@@ -25,7 +26,6 @@ from entcrit.lhv import (
     construct_lhv,
     empirical_table,
     lhv_correlation_table,
-    local_model,
     sample_outcome_arrays,
     verify_lhv,
 )
@@ -42,21 +42,26 @@ def build_table_from_state(rng, n):
     return correlation_table(correlation_tensor(dm), random_settings(rng, n))
 
 
-PLUS_SIGNS = SignFunction(2, np.ones((2, 2)))
-
-
 def pure_noise_model(n):
-    return LhvModel(n, np.zeros((2,) * n), SignFunction(n, np.ones((2,) * n)))
+    return construct_lhv(CorrelationTable(n, np.zeros((2,) * n)))
 
 
 def json_atoms(model):
     return model.to_json_dict()["atoms"]
 
 
-def one_class_weights(index, p):
-    weights = np.zeros((2,) * len(index))
-    weights[index] = p
-    return weights
+def one_class_model(index, q):
+    """The model with signed mass q on the class at `index` and none elsewhere."""
+    masses = np.zeros((2,) * len(index))
+    masses[index] = q
+    return LhvModel(masses_evaluation(masses))
+
+
+def random_signed_masses(rng, n):
+    """Seeded masses, about 40% zero, with random signs and a total of at most 1."""
+    weights = rng.random((2,) * n) * (rng.random((2,) * n) < 0.6)
+    weights[(0,) * n] += 0.1
+    return np.where(rng.random((2,) * n) < 0.5, 1.0, -1.0) * weights / weights.sum()
 
 
 class TestConstruct:
@@ -67,7 +72,7 @@ class TestConstruct:
 
     def test_pr_box_like_table_refused(self):
         table = CorrelationTable(2, np.array([[1.0, 1.0], [1.0, -1.0]]))
-        for build in (lambda: construct_lhv(table), lambda: local_model(general_bell_lhs(table))):
+        for build in (lambda: construct_lhv(table), lambda: LhvModel(general_bell_lhs(table))):
             with pytest.raises(BellBoundError) as err:
                 build()
             assert err.value.lhs == pytest.approx(8.0)
@@ -136,10 +141,11 @@ class TestConstruct:
             for table in tables:
                 ev = general_bell_lhs(table)
                 assert ev.table is table and not ev.violated
-                sign = np.where(ev.sums > 0, 1.0, -1.0)
-                for model in (local_model(ev), construct_lhv(table)):
+                assert LhvModel(ev).evaluation is ev
+                for model in (LhvModel(ev), construct_lhv(table)):
+                    assert model.n_qubits == n
+                    assert model.evaluation.sums.tobytes() == ev.sums.tobytes()
                     assert model.weights.tobytes() == (ev.moduli / ev.bound).tobytes()
-                    assert model.sign.values.tobytes() == sign.tobytes()
                     assert model.noise_weight == max(0.0, 1.0 - model.weights.sum())
 
 
@@ -168,9 +174,11 @@ class TestVerify:
         damped = CorrelationTable(2, 0.5 * table.values)
         model = construct_lhv(damped)
         assert model.noise_weight > 0.1
-        weights = model.weights.copy()
-        weights[0, 0] += 0.1
-        broken = LhvModel(2, weights, model.sign)
+        sums = model.evaluation.sums.copy()
+        sums[0, 0] += 0.4 if sums[0, 0] > 0 else -0.4  # class mass p(+,+) up by 0.1
+        ev = replace(model.evaluation, sums=sums, lhs_general=float(np.abs(sums).sum()))
+        broken = LhvModel(ev)
+        assert broken.weights[0, 0] == pytest.approx(model.weights[0, 0] + 0.1, abs=1e-15)
         assert verify_lhv(broken, damped) > 1e-3
 
     def test_noise_contributes_zero_exactly(self):
@@ -194,26 +202,15 @@ class TestVerify:
 
 class TestModelType:
     def test_mass_must_sum_to_one(self):
-        # class masses summing past 1 + tau are refused; the noise is the rest
-        weights = one_class_weights((0, 1), 0.5)
-        weights[1, 0] = 0.6
-        with pytest.raises(InputError, match="probability mass"):
-            LhvModel(2, weights, PLUS_SIGNS)
-        model = LhvModel(2, one_class_weights((0, 1), 0.5), PLUS_SIGNS)
-        assert model.noise_weight == 0.5
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(InputError):
-            LhvModel(2, one_class_weights((0, 1), -0.2), PLUS_SIGNS)
-
-    def test_nan_class_mass_rejected(self):
-        with pytest.raises(InputError, match="nonnegative"):
-            LhvModel(2, [[np.nan, 0.0], [0.0, 0.0]], PLUS_SIGNS)
-
-    def test_tiny_negative_clamped(self):
-        model = LhvModel(2, one_class_weights((0, 1), -1e-14), PLUS_SIGNS)
-        assert model.weights[0, 1] == 0.0
-        assert model.noise_weight == 1.0
+        # class masses summing past 1 + tau come only from a violated
+        # evaluation, which is refused; the noise is the rest
+        ev = general_bell_lhs(CorrelationTable(2, 0.55 * np.array([[1.0, 1.0], [1.0, -1.0]])))
+        assert ev.violated and ev.lhs_general / ev.bound == pytest.approx(1.1)
+        with pytest.raises(BellBoundError) as err:
+            LhvModel(ev)
+        assert (err.value.lhs, err.value.bound) == (ev.lhs_general, ev.bound)
+        model = one_class_model((0, 1), 0.5)
+        assert model.total_atom_mass() == 0.5 and model.noise_weight == 0.5
 
     def test_json_export_schema(self, rng):
         table = build_table_from_state(rng, 2)
@@ -228,12 +225,10 @@ class TestModelType:
         # same atoms in the same order, with int outcomes and bit-equal masses
         for n in range(1, 7):
             for _ in range(4):
-                weights = rng.random((2,) * n) * (rng.random((2,) * n) < 0.6)
-                weights *= rng.uniform(0.2, 1.0) / max(weights.sum(), 1.0)
-                sign = SignFunction(n, np.where(rng.random((2,) * n) < 0.5, 1.0, -1.0))
-                model = LhvModel(n, weights, sign)
+                masses = random_signed_masses(rng, n) * rng.uniform(0.2, 1.0)
+                model = LhvModel(masses_evaluation(masses))
                 expected = enumerated_atoms(model)
-                assert len(expected) == 2 ** (n - 1) * np.count_nonzero(weights)
+                assert len(expected) == 2 ** (n - 1) * np.count_nonzero(masses)
                 assert json.dumps(json_atoms(model)) == json.dumps(expected)
             model = construct_lhv(within_bound_table(rng, n))
             assert json.dumps(json_atoms(model)) == json.dumps(enumerated_atoms(model))
@@ -242,7 +237,7 @@ class TestModelType:
 class TestSampling:
     def test_single_atom_model(self):
         # all mass on the class s = (-1, -1), whose strategies have a2 products -1
-        model = LhvModel(2, one_class_weights((1, 1), 1.0), SignFunction(2, -np.ones((2, 2))))
+        model = one_class_model((1, 1), -1.0)
         strategies = [(atom["a1"], atom["a2"]) for atom in json_atoms(model)]
         assert strategies == [([-1, 1], [1, -1]), ([1, -1], [-1, 1])]
         for seed in range(5):
@@ -253,10 +248,7 @@ class TestSampling:
     def test_sampled_rows_are_atoms(self, rng):
         # no noise mass, so every draw is an atom of a class with mass
         for n in range(1, 7):
-            weights = rng.random((2,) * n) * (rng.random((2,) * n) < 0.6)
-            weights[(0,) * n] += 0.1
-            sign = SignFunction(n, np.where(rng.random((2,) * n) < 0.5, 1.0, -1.0))
-            model = LhvModel(n, weights / weights.sum(), sign)
+            model = LhvModel(masses_evaluation(random_signed_masses(rng, n)))
             atoms = {(tuple(a["a1"]), tuple(a["a2"])) for a in json_atoms(model)}
             a1, a2 = sample_outcome_arrays(model, 500, rng)
             assert {(tuple(x), tuple(y)) for x, y in zip(a1.tolist(), a2.tolist())} <= atoms

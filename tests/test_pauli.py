@@ -194,6 +194,11 @@ class TestCorrelationTensor:
         with pytest.raises(InputError):
             CorrelationTensor(2, bad)
 
+    @pytest.mark.parametrize("n", [0, 2.5, 13])
+    def test_qubit_count_rejected(self, n):
+        with pytest.raises(InputError, match="n_qubits"):
+            CorrelationTensor(n, np.array(1.0))
+
 
 class TestAgainstReference:
     """correlation_tensor equals the reference that holds the paired copy
@@ -325,6 +330,11 @@ class TestFrames:
             LocalFrame(np.array([[1.0, 0, 0]]), np.array([[1.0, 0, 0]]))
         with pytest.raises(InputError):
             LocalFrame(np.array([[2.0, 0, 0]]), np.array([[0, 1.0, 0]]))
+
+    @pytest.mark.parametrize("rows", [0, 13])
+    def test_qubit_count_rejected(self, rows):
+        with pytest.raises(InputError, match="n_qubits"):
+            LocalFrame(np.tile([1.0, 0.0, 0.0], (rows, 1)), np.tile([0.0, 1.0, 0.0], (rows, 1)))
 
     def test_frame_from_normals_canonical(self):
         frame = frame_from_normals([[0.0, 0.0, 1.0]])

@@ -12,7 +12,6 @@ import pytest
 from conftest import generalized_ghz_vector, random_density_matrix, random_unit_vectors
 from entcrit.bell import (
     CorrelationTable,
-    SignFunction,
     correlation_table,
     general_bell_lhs,
     maximize_general_bell,
@@ -31,7 +30,7 @@ from entcrit.info import (
 from entcrit.lhv import BellBoundError, LhvModel, construct_lhv
 from entcrit.pauli import CorrelationTensor, correlation_tensor
 from entcrit.search import OptimizerOptions, SearchResult
-from entcrit.states import InputError, from_state_vector
+from entcrit.states import from_state_vector
 from entcrit.werner import analyze_werner, visibility_scan, visibility_threshold
 
 FAST = OptimizerOptions(restarts=2)
@@ -83,15 +82,18 @@ class TestRules:
             if not ev.violated:
                 model = construct_lhv(table)
                 assert model.total_atom_mass() == x and model.noise_weight == 0.0
-            # a model holding all of that mass in one class
-            sign = SignFunction(n, np.ones((2,) * n))
-            weights = np.zeros((2,) * n)
-            weights[(0,) * n] = x
-            if ev.violated:
-                with pytest.raises(InputError, match="probability mass"):
-                    LhvModel(n, weights, sign)
+            # every entry x gives B(+,...,+) = 2^N x and B(s) = 0 otherwise: a
+            # model holding all of that mass in one class
+            one = general_bell_lhs(CorrelationTable(n, np.full((2,) * n, x)))
+            assert one.sums[(0,) * n] == 2.0**n * x and np.count_nonzero(one.sums) == 1
+            assert one.violated == ev.violated
+            if one.violated:
+                with pytest.raises(BellBoundError):
+                    LhvModel(one)
             else:
-                assert LhvModel(n, weights, sign).noise_weight == max(0.0, 1.0 - x)
+                model = LhvModel(one)
+                assert model.total_atom_mass() == x
+                assert model.noise_weight == max(0.0, 1.0 - x)
 
 
 class TestVerdictsAgree:
@@ -122,7 +124,7 @@ class TestVerdictsAgree:
                 assert refused(table) == ev.violated, (n, scale)
                 if not ev.violated:
                     # the masses are |B(s)| / 2^N, an exact scaling
-                    assert construct_lhv(table).total_atom_mass() == ev.lhs_general / ev.bound
+                    assert construct_lhv(table).weights.sum() == ev.lhs_general / ev.bound
                 seen.add(ev.violated)
         assert seen == {False, True}
 
