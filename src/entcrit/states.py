@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -30,6 +31,15 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 NORM_TOL = 1e-8
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+#: Qubit count from which the disc certificate runs before the Cholesky gate.
+#: Below it a factorization costs less than the disc test that a full-rank
+#: state fails (measured in the README's `entcrit.states` row).
+_DISCS_FIRST_QUBITS = 8
+#: Height of the row blocks in which validation reads the matrix.
+_ROWS = 128
+#: Most steps of the disc certificate's partial Cholesky factorization.
+_RANK = 16
 
 #: Presets defined for one qubit count only; the CLI takes it when --n is absent.
 FIXED_QUBITS = {"bell_phi_minus": 2, "product_plus_x_minus_x": 2}
@@ -146,18 +156,18 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     m = dm.matrix
     if not m.imag.any():  # a real state is certified in real arithmetic
         m = m.real
-    h = np.empty_like(m, order="C")
-    np.conjugate(m.T, out=h)  # m^H, read from m once
-    herm_residual = float(np.max(np.abs(m - h)))
+    h, herm_residual = _hermitian_part(m)
     if herm_residual > HERMITICITY_TOL:
         report.append(InvariantViolation("hermiticity", herm_residual))
     # the complex sum: a real one pairs the diagonal differently in its last bits
-    trace_residual = float(abs(np.trace(dm.matrix) - 1.0))
+    trace_residual = float(abs(dm.matrix.trace() - 1.0))
     if trace_residual > TRACE_TOL:
         report.append(InvariantViolation("trace", trace_residual))
-    h += m  # H = (m + m^H)/2 in place, exactly Hermitian
-    h /= 2.0
-    if not _cholesky_certifies_psd(h, np.linalg.norm(m)):
+    m_norm = np.sqrt(np.vdot(m, m).real)  # ||m||_F
+    discs_first = dm.n_qubits >= _DISCS_FIRST_QUBITS
+    if not (
+        (discs_first and _discs_certify_psd(h, m_norm)) or _cholesky_certifies_psd(h, m_norm)
+    ):
         # eigvalsh of the complex H measures the same residual on every input;
         # entries past ~9e307 overflow H to inf, leaving no finite eigenvalue
         try:
@@ -168,6 +178,108 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
             residual = -min_eig if np.isfinite(min_eig) else np.inf
             report.append(InvariantViolation("positive_semidefinite", residual))
     return report
+
+
+def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """H = (m + m^H)/2 and max|m - m^H|, formed in blocks of _ROWS rows, so
+    that no full-size difference is made.  m^H is read in square tiles,
+    which keeps the strided reads of m in cache.  |m_ij - conj(m_ji)| is
+    the same float on both sides of the diagonal, so the residual reads each
+    block from its diagonal on and is the full-matrix maximum bit for bit."""
+    n = m.shape[0]
+    h = np.empty_like(m, order="C")
+    residual = 0.0
+    for i in range(0, n, _ROWS):
+        rows, top = h[i : i + _ROWS], m[i : i + _ROWS]
+        for j in range(0, n, _ROWS):
+            np.conjugate(m[j : j + _ROWS, i : i + _ROWS].T, out=rows[:, j : j + _ROWS])
+        residual = max(residual, float(np.abs(top[:, i:] - rows[:, i:]).max()))
+        rows += top
+        rows /= 2.0
+    return h, residual
+
+
+def _discs_certify_psd(h: np.ndarray, m_norm: float) -> bool:
+    """True when Gershgorin discs prove that eigvalsh would find no
+    eigenvalue of the Hermitian part h of m below -PSD_TOL; m_norm is
+    ||m||_F.  O(n^2 r): it covers states of rank at most _RANK (pure states,
+    few-term mixtures) and those that are diagonally dominant once such a
+    part is removed (GHZ-Werner states).
+
+    A pivoted partial Cholesky factorization (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 10.3) of at most
+    _RANK steps gives V, and S = h - V V^H is formed in row blocks.  V V^H
+    is positive semidefinite for any computed V, so lambda_min(h) >=
+    lambda_min(S) >= min_i (S_ii - sum_{j != i} |S_ij|) (Horn & Johnson,
+    Matrix Analysis, Thm 6.1.1); the row sums add |Re| + |Im| >= |S_ij|.
+    The bound is computed with an error of at most
+
+        4 (n + 2 + (k + 2) sqrt(n)) u (||m||_F + ||V||_F^2 + PSD_TOL)
+
+    (k columns of V, unit roundoff u): the product V V^H errs by at most
+    sqrt(2) gamma_{k+2} |V||V^H| entrywise (complex arithmetic), whose row
+    sums are at most sqrt(n) ||V||_F^2; subtracting, summing n terms and the
+    final difference add (n + 2) u times the row's diagonal and sum, which
+    in a passing row are at most ||m||_F + ||V||_F^2 + PSD_TOL.  The state is
+    certified when that margin is at most PSD_TOL/4 and every row's bound,
+    less the margin, reaches the Cholesky gate's -3 PSD_TOL/4; the first
+    failing block ends the test.
+    """
+    n = h.shape[0]
+    # the margin is at least this; refusing here also refuses an inf or NaN norm
+    if not 4.0 * (n + 2.0) * _UNIT_ROUNDOFF * (m_norm + PSD_TOL) <= PSD_TOL / 4.0:
+        return False
+    v = _pivoted_cholesky(h)
+    if v is None:
+        return False
+    k = v.shape[1]
+    margin = 4.0 * (n + 2.0 + (k + 2.0) * np.sqrt(n)) * _UNIT_ROUNDOFF
+    margin *= m_norm + float(np.vdot(v, v).real) + PSD_TOL
+    if not margin <= PSD_TOL / 4.0:
+        return False
+    floor = margin - 0.75 * PSD_TOL
+    v_h = np.conjugate(v.T)
+    s = np.empty((min(n, _ROWS), n), dtype=h.dtype)  # one row block of S
+    parts = s.view(float)  # its real and imaginary parts, made |.| in place
+    r = np.arange(len(s))
+    for i in range(0, n, _ROWS):
+        np.matmul(v[i : i + _ROWS], v_h, out=s)
+        np.subtract(h[i : i + _ROWS], s, out=s)
+        diagonal = s[r, r + i].real
+        s[r, r + i] = 0.0
+        if not (diagonal - np.abs(parts, out=parts).sum(axis=1)).min() >= floor:
+            return False
+    return True
+
+
+def _pivoted_cholesky(h: np.ndarray) -> Optional[np.ndarray]:
+    """n x k factor V of a pivoted Cholesky factorization of h, stopped
+    after _RANK steps, once the largest remaining diagonal entry is below
+    PSD_TOL/(2n) (the discs no longer see what is left), or once the next
+    step would remove less than 1/_RANK of the remaining trace (what is left
+    is not of low rank).  Only the cost of the disc test depends on these
+    rules: the test is exact for any V.  None when the last rule stops it at
+    a pivot whose own row of S = h - V V^H, the conjugate of that step's
+    column, already fails its disc."""
+    n = h.shape[0]
+    d = h.diagonal().real.copy()
+    v = np.empty((n, _RANK), dtype=h.dtype)
+    k = 0
+    while k < _RANK:
+        p = int(d.argmax())
+        pivot = d[p]
+        if not pivot > PSD_TOL / (2.0 * n):
+            break
+        c = np.conjugate(h[p])  # column p of h
+        c -= v[:, :k] @ np.conjugate(v[p, :k])
+        if np.vdot(c, c).real < pivot * d.sum() / _RANK:
+            off_diagonal = np.abs(c.view(float)).sum() - pivot
+            return v[:, :k] if pivot - off_diagonal >= -0.75 * PSD_TOL else None
+        c /= np.sqrt(pivot)
+        v[:, k] = c
+        d -= (c * np.conjugate(c)).real
+        k += 1
+    return v[:, :k]
 
 
 def _cholesky_certifies_psd(h: np.ndarray, m_norm: float) -> bool:
@@ -301,6 +413,24 @@ def _complex_list(raw, dim: int, where: str) -> list[complex]:
     return [_as_complex(x, f"{where}[{i}]") for i, x in enumerate(raw)]
 
 
+def _bulk_pairs(raw, shape: tuple) -> Optional[np.ndarray]:
+    """The [re, im] pairs nested in raw as a complex array of the given
+    shape, converted in one step, or None where the per-entry reader must
+    decide (and raise).  np.array also converts bools, None and numeric
+    strings, so every leaf must be an int or a float; over-long integers and
+    ragged lists make it raise."""
+    try:
+        leaves = raw
+        for _ in shape:
+            leaves = chain.from_iterable(leaves)
+        if not set(map(type, leaves)) <= {int, float}:
+            return None
+        pairs = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return pairs.view(complex).reshape(shape) if pairs.shape == shape + (2,) else None
+
+
 def _require(doc: dict, field: str, where: str):
     if field not in doc:
         raise StateFormatError(f"missing field {field!r} in {where!r}")
@@ -390,14 +520,19 @@ def read_state_file(text) -> tuple[DensityMatrix, Optional[StatePreset]]:
 
     if key == "vector":
         raw = _require(body, "amplitudes", "vector")
-        amps = np.array(_complex_list(raw, dim, "vector.amplitudes"))
+        amps = _bulk_pairs(raw, (dim,))
+        if amps is None:
+            amps = np.array(_complex_list(raw, dim, "vector.amplitudes"))
         return from_state_vector(StateVector(n, amps)), None
 
     raw = _require(body, "entries", "matrix")
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise StateFormatError(f"matrix.entries must be a list of {dim} rows")
-    rows = [_complex_list(row, dim, f"matrix.entries[{i}]") for i, row in enumerate(raw)]
-    dm = DensityMatrix(n, np.array(rows))
+    entries = _bulk_pairs(raw, (dim, dim))
+    if entries is None:
+        if not isinstance(raw, list) or len(raw) != dim:
+            raise StateFormatError(f"matrix.entries must be a list of {dim} rows")
+        rows = [_complex_list(row, dim, f"matrix.entries[{i}]") for i, row in enumerate(raw)]
+        entries = np.array(rows)
+    dm = DensityMatrix(n, entries)
     report = validate_density_matrix(dm)
     if report:
         raise StateValidationError(report)

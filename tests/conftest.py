@@ -106,6 +106,14 @@ def reference_preset_matrix(p: StatePreset):
     raise ValueError(f"no reference for preset kind {p.kind!r}")
 
 
+def loop_read_pairs(raw):
+    """Nested [re, im] pairs read one entry at a time with float(): the
+    bitwise reference for the state-file reader."""
+    if raw and isinstance(raw[0][0], list):
+        return np.array([[complex(float(re), float(im)) for re, im in row] for row in raw])
+    return np.array([complex(float(re), float(im)) for re, im in raw])
+
+
 def loop_serialize_state(dm):
     """The state-file text with each entry written as a [re, im] pair by hand."""
     entries = [[[float(z.real), float(z.imag)] for z in row] for row in dm.matrix]
@@ -218,6 +226,27 @@ def prescribed_spectrum_matrix(rng, n, min_eig, real=False):
     g = rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(g if real else g + 1j * rng.standard_normal((dim, dim)))
     m = (q * lam) @ q.conj().T
+    return DensityMatrix(n, (m + m.conj().T) / 2.0)
+
+
+def low_rank_plus_diagonal(rng, n, min_eig, real=False):
+    """Unit-trace Hermitian matrix whose smallest eigenvalue is exactly
+    min_eig: a rank-3 mixture on the odd basis states (rank 1 at n = 1) plus
+    a diagonal on the even ones, min_eig first; real if real."""
+    dim = 2**n
+    odd, even = np.arange(1, dim, 2), np.arange(2, dim, 2)
+    diagonal = rng.uniform(0.1, 1.0, even.size) * (0.4 / dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    m[0, 0] = min_eig
+    m[even, even] = diagonal
+    weight = 1.0 - min_eig - diagonal.sum()
+    for w in (0.5, 0.3, 0.2):
+        v = np.zeros(dim, dtype=complex)
+        v[odd] = rng.standard_normal(odd.size)
+        if not real:
+            v[odd] += 1j * rng.standard_normal(odd.size)
+        v /= np.linalg.norm(v)
+        m += w * weight * np.outer(v, v.conj())
     return DensityMatrix(n, (m + m.conj().T) / 2.0)
 
 

@@ -11,7 +11,9 @@ from conftest import (
     eigvalsh_validate,
     full_rank_state,
     ghz_vector,
+    loop_read_pairs,
     loop_serialize_state,
+    low_rank_plus_diagonal,
     prescribed_spectrum_matrix,
     random_density_matrix,
     random_pure_state,
@@ -21,6 +23,7 @@ from conftest import (
 )
 from entcrit.bell import parse_settings_file
 from entcrit.states import (
+    _DISCS_FIRST_QUBITS,
     FIXED_QUBITS,
     PRESET_KINDS,
     PSD_TOL,
@@ -30,6 +33,9 @@ from entcrit.states import (
     StatePreset,
     StateValidationError,
     StateVector,
+    _bulk_pairs,
+    _discs_certify_psd,
+    _hermitian_part,
     build_preset,
     from_state_vector,
     parse_state_file,
@@ -64,10 +70,11 @@ class TestValidation:
         report = validate_density_matrix(DensityMatrix(1, m))
         assert any(v.invariant == "positive_semidefinite" for v in report)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, _DISCS_FIRST_QUBITS])
     def test_overflowing_hermitian_part_is_not_psd(self, n):
         # corners of 1e308 overflow (m + m^H)/2 to inf; eigvalsh then returns
-        # NaN or fails, and neither is a certificate
+        # NaN or fails, and neither is a certificate; from _DISCS_FIRST_QUBITS
+        # on, the disc certificate refuses the infinite norm first
         m = np.diag(np.full(2**n, 2.0**-n))
         m[0, -1] = m[-1, 0] = 1e308
         report = validate_density_matrix(DensityMatrix(n, m))
@@ -134,15 +141,25 @@ class TestPsdGate:
         assert report[0].invariant == "hermiticity"
 
     def test_eigvalsh_skipped_through_nine_qubits(self, rng, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        calls = _record_factorizations(monkeypatch)
         assert validate_density_matrix(random_pure_state(rng, 9)) == []
         assert validate_density_matrix(full_rank_state(rng, 9)) == []
+        # the full-rank state is certified by the Cholesky gate
+        assert calls == ["cholesky"]
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_low_rank_states_skip_both_factorizations(self, rng, monkeypatch, n):
+        # pure states have Frobenius norm 1, beyond the Cholesky gate's bound
+        # from n = 1024; the disc certificate takes them, and rank-4 and
+        # GHZ-Werner states, with no O(n^3) factorization
+        calls = _record_factorizations(monkeypatch)
+        for dm in (
+            random_pure_state(rng, n),
+            random_density_matrix(rng, n, terms=4),
+            build_preset(StatePreset("werner_ghz", n, 0.5)),
+        ):
+            assert validate_density_matrix(dm) == []
         assert calls == []
-        # a pure state's Frobenius norm is 1, beyond the certificate's bound at n = 1024
-        assert validate_density_matrix(random_pure_state(rng, 10)) == []
-        assert len(calls) == 1
 
 
 def _validation_corpus(rng, n):
@@ -173,6 +190,18 @@ def _validation_corpus(rng, n):
                 yield 1.5 * m
 
 
+def _record_factorizations(monkeypatch):
+    """The list that records every np.linalg.cholesky call by name and every
+    np.linalg.eigvalsh call with the dtype of its argument."""
+    calls = []
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("cholesky") or cholesky(a))
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: calls.append(("eigvalsh", a.dtype)) or eigvalsh(a)
+    )
+    return calls
+
+
 class TestReferenceValidation:
     """Every report equals the complex-arithmetic reference's, bit for bit."""
 
@@ -192,30 +221,63 @@ class TestReferenceValidation:
         assert names == {"hermiticity", "trace", "positive_semidefinite"}
 
     def test_real_pure_state_beyond_certificate(self, rng, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.dtype) or eigvalsh(a))
+        # beyond the Cholesky gate's bound at n = 1024: the disc certificate
+        # takes it in real arithmetic, and only the reference calls eigvalsh
+        calls = _record_factorizations(monkeypatch)
         v = rng.standard_normal(2**10)
         v /= np.linalg.norm(v)
-        assert self._assert_same_report(DensityMatrix(10, np.outer(v, v))) == []
-        assert calls == [np.dtype(complex)] * 2
+        dm = DensityMatrix(10, np.outer(v, v))
+        assert validate_density_matrix(dm) == []
+        assert calls == []
+        assert self._assert_same_report(dm) == []
+        assert calls == [("eigvalsh", np.dtype(complex))]
+
+    def test_real_state_beyond_both_certificates(self, rng, monkeypatch):
+        # a full-rank real spectrum with its smallest eigenvalue between
+        # -PSD_TOL and -PSD_TOL/2: the discs refuse it, the shifted Cholesky
+        # factorization fails, and eigvalsh decides on the complex H
+        calls = _record_factorizations(monkeypatch)
+        dm = prescribed_spectrum_matrix(rng, _DISCS_FIRST_QUBITS, -0.99 * PSD_TOL, real=True)
+        assert validate_density_matrix(dm) == []
+        assert calls == ["cholesky", ("eigvalsh", np.dtype(complex))]
+        assert self._assert_same_report(dm) == []
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_low_rank_plus_diagonal_boundary(self, rng, n):
+        # the disc certificate decides these: it certifies exactly the states
+        # whose smallest eigenvalue is -PSD_TOL/2, above its -3 PSD_TOL/4
+        for real in (False, True):
+            for factor in (-2.0, -1.01, -0.99, -0.5):
+                dm = low_rank_plus_diagonal(rng, n, factor * PSD_TOL, real)
+                m = dm.matrix.real if real else dm.matrix
+                certified = _discs_certify_psd(_hermitian_part(m)[0], np.linalg.norm(m))
+                assert certified == (factor == -0.5)
+                report = self._assert_same_report(dm)
+                assert [(v.invariant, v.residual.hex()) for v in report] == [
+                    (v.invariant, v.residual.hex()) for v in eigvalsh_validate(dm)
+                ]
+                assert [v.invariant for v in report] == (
+                    ["positive_semidefinite"] if factor < -1.0 else []
+                )
 
 
 class TestValidationMemory:
     """Peak traced allocation of one validation at N=9, in units of the
-    complex matrix.  The peak is the Hermiticity residual, which holds H,
-    m - H and |m - H| at once: half a unit each on a real state, and
-    1 + 1 + 1/2 on a complex one.  H and its Cholesky factor come to less."""
+    complex matrix, for states the disc certificate takes.  The peak is the
+    Hermiticity residual of the first 128-row block, which holds H, the
+    block's m - H and its modulus at once: 1/2 + 1/8 + 1/8 on a real state,
+    and 1 + 1/4 + 1/8 on a complex one.  A row block of S and the factor V
+    come to less."""
 
     UNIT = 16 * 4**9
 
     def test_real_state(self):
         dm = build_preset(StatePreset("werner_ghz", 9, 0.05))
-        assert traced_peak(validate_density_matrix, dm) <= 1.5 * self.UNIT + SMALL_OBJECTS
+        assert traced_peak(validate_density_matrix, dm) <= 0.75 * self.UNIT + SMALL_OBJECTS
 
     def test_complex_state(self, rng):
         dm = random_density_matrix(rng, 9, terms=3)
-        assert traced_peak(validate_density_matrix, dm) <= 2.5 * self.UNIT + SMALL_OBJECTS
+        assert traced_peak(validate_density_matrix, dm) <= 1.375 * self.UNIT + SMALL_OBJECTS
 
 
 class TestMemoryLayout:
@@ -418,12 +480,41 @@ class TestStateFile:
              "matrix.entries[1] must be a list of 2 [re, im] pairs"),
             ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0, 0]]]}},
              "matrix.entries[1][1]: expected a [re, im] pair, got [0, 0, 0]"),
+            # numpy would read these leaves as numbers; the reader refuses them
+            ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]}},
+             "matrix.entries[1][1]: expected a number, got True"),
+            ({"vector": {"n_qubits": 1, "amplitudes": [[1, False], [0, 0]]}},
+             "vector.amplitudes[0]: expected a number, got False"),
+            ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0], [None, 0]]}},
+             "vector.amplitudes[1]: expected a number, got None"),
+            ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, "0.5"]], [[0, 0], [0, 0]]]}},
+             "matrix.entries[0][1]: expected a number, got '0.5'"),
+            ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+             "matrix.entries[0] must be a list of 2 [re, im] pairs"),
         ],
     )
     def test_malformed_list_message(self, body, message):
         with pytest.raises(StateFormatError) as err:
             parse_state_file(json.dumps(body))
         assert str(err.value) == message
+
+    def test_bulk_read_matches_entry_loop(self, rng):
+        # ints convert as float() does, past 2^53 and 2^63 too, and -0.0
+        # and subnormals keep their bits
+        specials = [0, -0.0, 1, -3, 2**53 + 1, 2**63 + 2**11 + 1, -(2**64) - 1, 10**300, 5e-324]
+        for n in range(1, 7):
+            dim = 2**n
+            for shape in ((dim,), (dim, dim)):
+                flat = rng.standard_normal(2 * dim ** len(shape)).tolist()
+                for i in rng.choice(len(flat), min(len(flat), 3 * len(specials)), replace=False):
+                    flat[i] = specials[i % len(specials)]
+                raw = [flat[i : i + 2] for i in range(0, len(flat), 2)]
+                if len(shape) == 2:
+                    raw = [raw[i : i + dim] for i in range(0, len(raw), dim)]
+                got, want = _bulk_pairs(raw, shape), loop_read_pairs(raw)
+                assert np.array_equal(got, want)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
     def test_bytes_input_accepted(self):
         dm = parse_state_file(b'{"preset":{"kind":"ghz","n_qubits":2}}')
