@@ -18,9 +18,7 @@ from .bell import (
     general_bell_lhs,
     maximize_general_bell,
     maximize_sign_function_value,
-    necsuf_lhs,
     sign_function_inequality,
-    sufficient_lr_condition,
 )
 from .info import (
     CorrInfoResult,

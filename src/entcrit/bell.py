@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .info import DECISION_TOLERANCE, entangled, info_upper_bound
+from .info import DECISION_TOLERANCE, info_upper_bound
 from .pauli import (
     CorrelationTable,
     CorrelationTensor,
@@ -252,32 +252,6 @@ def maximize_sign_function_value(
         )
     settings = SettingsPair(*_seesaw(t, sgn.values, options).x)
     return sign_function_inequality(correlation_table(t, settings), sgn), settings
-
-
-def necsuf_lhs(pt: CorrelationTable, alphas) -> float:
-    """Cosine-weighted absolute in-plane sum deciding local realism.
-
-    Correlations admit a local realistic description exactly when this sum
-    stays at or below one for every frame and every angle choice; its value
-    never exceeds the root of the squared in-plane sum (Cauchy-Schwarz).
-    """
-    a = np.asarray(alphas, dtype=float).reshape(-1)
-    if a.size != pt.n_qubits:
-        raise InputError(f"expected {pt.n_qubits} angles, got {a.size}")
-    w = reduce(np.multiply.outer, np.cos(a[:, None] + [np.pi / 2.0, np.pi]))
-    return float(np.abs(w * pt.values).sum())
-
-
-def sufficient_lr_condition(t: CorrelationTensor) -> tuple[float, bool]:
-    """The information ceiling and whether it certifies local realism.
-
-    An information sum of at most one bit over every choice of planes
-    guarantees the master inequality at every setting choice.  The ceiling
-    `info_upper_bound` is at least the true maximum, so the verdict is
-    certified; a search value, a lower bound, could not be.
-    """
-    upper = info_upper_bound(t)
-    return upper, not entangled(upper)
 
 
 def bell_report_dict(evaluation: BellEvaluation, settings: SettingsPair) -> dict:

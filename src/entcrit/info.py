@@ -11,7 +11,7 @@ above one certifies entanglement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 from typing import Optional
 
@@ -22,7 +22,6 @@ from .pauli import (
     LocalFrame,
     environment,
     frame_from_normals,
-    mode_product,
     plane_subtensor,
 )
 from .search import OptimizerOptions, SearchResult, maximize
@@ -58,10 +57,19 @@ class CorrInfoResult:
 
 @dataclass(frozen=True)
 class CriterionVerdict:
-    max_total: float
-    argmax_frame: LocalFrame
-    entangled_by_info_criterion: bool
     optimizer_report: SearchResult
+
+    @property
+    def max_total(self) -> float:
+        return self.optimizer_report.value
+
+    @property
+    def entangled_by_info_criterion(self) -> bool:
+        return entangled(self.max_total)
+
+    @cached_property
+    def argmax_frame(self) -> LocalFrame:
+        return frame_from_normals(self.optimizer_report.x)
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,19 +116,6 @@ def info_upper_bound(t: CorrelationTensor) -> float:
     return min(t.mode_gram_eigenvalues[:, 1:].sum(axis=1).tolist())
 
 
-def plane_info_total(t: CorrelationTensor, normals) -> float:
-    """Sum of squared in-plane correlations for given plane normals.
-
-    Equals the squared norm of the Cartesian tensor projected onto the
-    product of the planes, so it depends only on the normals and not on the
-    in-plane axis orientation.
-    """
-    nv = np.asarray(normals, dtype=float).reshape(-1, 3)
-    cart = t.cartesian()
-    work = mode_product(cart, _projectors(nv / np.linalg.norm(nv, axis=1, keepdims=True)))
-    return float(np.vdot(work, cart))
-
-
 def maximize_corr_info(
     t: CorrelationTensor, options: Optional[OptimizerOptions] = None
 ) -> CriterionVerdict:
@@ -143,11 +138,12 @@ def maximize_corr_info(
         for j in range(n):
             env = environment(cart, _projectors(normals), j)
             normals[j] = np.linalg.eigh(env @ env.T)[1][:, 0]
-        return normals, plane_info_total(t, normals)
+        # the last environment already holds every other qubit's new plane
+        return normals, float(np.vdot(env.T @ _projectors(normals)[-1].T, cart))
 
     # HOSVD: each qubit's smallest mode-Gram eigenvector, one stacked solve
     warm = [np.linalg.eigh(t.mode_grams)[1][:, :, 0], *_axis_starts(n)]
-    return _verdict(maximize(sweep, warm, options, info_upper_bound(t), INFO_RESTARTS))
+    return CriterionVerdict(maximize(sweep, warm, options, info_upper_bound(t), INFO_RESTARTS))
 
 
 def two_qubit_info_criterion(t: CorrelationTensor) -> CriterionVerdict:
@@ -159,14 +155,5 @@ def two_qubit_info_criterion(t: CorrelationTensor) -> CriterionVerdict:
     if t.n_qubits != 2:
         raise InputError(f"closed form requires 2 qubits, got {t.n_qubits}")
     normals = np.linalg.eigh(t.mode_grams)[1][:, :, 0]
-    return _verdict(SearchResult(normals, info_upper_bound(t), 0, 0, True, 0.0))
+    return CriterionVerdict(SearchResult(normals, info_upper_bound(t), 0, 0, True, 0.0))
 
-
-def _verdict(res: SearchResult) -> CriterionVerdict:
-    """The verdict at a search's best plane normals; the search is its report."""
-    return CriterionVerdict(
-        max_total=res.value,
-        argmax_frame=frame_from_normals(res.x),
-        entangled_by_info_criterion=entangled(res.value),
-        optimizer_report=res,
-    )

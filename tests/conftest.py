@@ -531,6 +531,14 @@ def loop_frame_from_normals(normals):
     return a1, a2
 
 
+def projected_plane_sum(t, normals):
+    """The in-plane sum as the Cartesian tensor contracted with each qubit's
+    projector onto its plane, the normals renormalized first."""
+    nv = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    cart = t.cartesian()
+    return float(np.vdot(mode_product(cart, np.eye(3) - nv[:, :, None] * nv[:, None, :]), cart))
+
+
 def loop_mode_gram(cart, mode):
     """The 3x3 Gram matrix of one mode unfolding of the Cartesian tensor."""
     m = cart.reshape(3**mode, 3, -1).transpose(1, 0, 2).reshape(3, -1)

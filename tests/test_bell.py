@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -26,14 +27,12 @@ from entcrit.bell import (
     general_bell_lhs,
     maximize_general_bell,
     maximize_sign_function_value,
-    necsuf_lhs,
     parse_settings_file,
     sign_function_inequality,
     sign_grid,
     signed_sums,
-    sufficient_lr_condition,
 )
-from entcrit.info import corr_info, info_upper_bound, maximize_corr_info
+from entcrit.info import corr_info, entangled, info_upper_bound, maximize_corr_info
 from entcrit.pauli import LocalFrame, correlation_tensor, plane_subtensor, rotate_frame_in_plane
 from entcrit.search import OptimizerOptions, SearchResult
 from entcrit.states import InputError, StatePreset, build_preset
@@ -413,6 +412,7 @@ class TestMasterSumIdentity:
         # with e1, e2 the normalized n1 + n2 and n2 - n1, each qubit's rows
         # n2 + s n1 are 2 cos(theta) e1 and 2 sin(theta) e2, so the master sum
         # is 2^N times the cosine-weighted in-plane sum at angles pi/2 - theta
+        # (Zukowski & Brukner, PRL 88, 210401 (2002))
         rng = np.random.default_rng(44)
         for n in (2, 3, 4, 5):
             t = correlation_tensor(random_density_matrix(rng, n))
@@ -425,66 +425,53 @@ class TestMasterSumIdentity:
                 theta = np.arccos(np.linalg.norm(plus, axis=1) / 2.0)
                 frame = LocalFrame(e1, e2)
                 lhs = general_bell_lhs(correlation_table(t, SettingsPair(n1, n2))).lhs_general
-                weighted = 2.0**n * necsuf_lhs(plane_subtensor(t, frame), np.pi / 2 - theta)
+                alphas = np.pi / 2 - theta
+                w = reduce(np.multiply.outer, np.cos(alphas[:, None] + [np.pi / 2, np.pi]))
+                weighted = 2.0**n * float(np.abs(w * plane_subtensor(t, frame).values).sum())
                 assert lhs == pytest.approx(weighted, rel=1e-12, abs=0.0)
                 # Cauchy-Schwarz: the two criteria agree in essence
                 assert lhs <= 2.0**n * np.sqrt(corr_info(t, frame).total) * (1 + 1e-12)
 
 
 class TestNecsufLhs:
-    def test_zero_alphas_leave_second_axis_term(self, rng):
-        t = correlation_tensor(random_density_matrix(rng, 2))
-        pt = plane_subtensor(t, LocalFrame.canonical(2))
-        value = necsuf_lhs(pt, [0.0, 0.0])
-        assert value == pytest.approx(abs(pt.values[1, 1]), abs=1e-12)
-
-    def test_bell_state_saturation(self):
-        # quarter-turn on one side equalizes the block; alphas pi/4 saturate
-        t = correlation_tensor(build_preset(StatePreset("bell_phi_minus", 2)))
-        frame = rotate_frame_in_plane(LocalFrame.canonical(2), [np.pi / 4, 0.0])
-        pt = plane_subtensor(t, frame)
-        assert necsuf_lhs(pt, [np.pi / 4, np.pi / 4]) == pytest.approx(SQ2, abs=1e-12)
+    """The cosine-weighted in-plane sum of `TestMasterSumIdentity`, scanned."""
 
     def test_bell_state_scan_oracle(self):
         t = correlation_tensor(build_preset(StatePreset("bell_phi_minus", 2)))
         frame = rotate_frame_in_plane(LocalFrame.canonical(2), [np.pi / 4, 0.0])
         pt = plane_subtensor(t, frame)
         # |T| entries are all 1/sqrt(2), so the sum factorizes per qubit
+        np.testing.assert_allclose(np.abs(pt.values), 1 / SQ2, rtol=0.0, atol=1e-12)
         step = np.deg2rad(0.1)
         alphas = np.arange(0.0, np.pi / 2 + step, step)
         w1 = np.abs(np.sin(alphas)) + np.abs(np.cos(alphas))
         best = float(np.max(np.outer(w1, w1))) / SQ2
         assert best == pytest.approx(SQ2, abs=1e-6)
 
-    def test_cauchy_schwarz_bound(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 4))
-            t = correlation_tensor(random_density_matrix(rng, n))
-            pt = plane_subtensor(t, LocalFrame.canonical(n))
-            alphas = rng.uniform(-np.pi, np.pi, n)
-            assert necsuf_lhs(pt, alphas) <= np.sqrt(pt.squared_sum()) + 1e-12
-
 
 class TestSufficientCondition:
+    """Local realism certified by the information ceiling,
+    `not entangled(info_upper_bound(t))`: the master sum is at most
+    2^N sqrt(ceiling) at every setting choice."""
+
     def test_werner_below_root_half(self):
         t = correlation_tensor(build_preset(StatePreset("werner_ghz", 2, 0.6)))
-        max_sum, holds = sufficient_lr_condition(t)
-        assert holds
+        assert not entangled(info_upper_bound(t))
         ev, _ = maximize_general_bell(t, FAST)
         assert not ev.violated
 
     def test_bell_state_fails_condition(self):
         t = correlation_tensor(build_preset(StatePreset("bell_phi_minus", 2)))
-        max_sum, holds = sufficient_lr_condition(t)
-        assert not holds
+        max_sum = info_upper_bound(t)
+        assert entangled(max_sum)
         assert max_sum == pytest.approx(2.0, abs=1e-6)
 
     def test_product_states_hold_at_one(self, rng):
         from conftest import random_product_state
 
         t = correlation_tensor(random_product_state(rng, 2))
-        max_sum, holds = sufficient_lr_condition(t)
-        assert holds
+        max_sum = info_upper_bound(t)
+        assert not entangled(max_sum)
         assert max_sum == pytest.approx(1.0, abs=1e-6)
 
     def test_implication_chain(self, rng):
@@ -498,9 +485,9 @@ class TestSufficientCondition:
                 v = float(rng.uniform(0.3, 1.0))
                 dm = build_preset(StatePreset("werner_ghz", n, v))
             t = correlation_tensor(dm)
-            max_sum, holds = sufficient_lr_condition(t)
+            max_sum = info_upper_bound(t)
             ev, _ = maximize_general_bell(t, loose)
-            if holds:
+            if not entangled(max_sum):
                 assert not ev.violated
             if ev.violated:
                 assert max_sum > 1.0

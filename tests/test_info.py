@@ -10,6 +10,7 @@ from conftest import (
     kron_observable,
     loop_info_upper_bound,
     loop_least_directions,
+    projected_plane_sum,
     random_correlation_tensor,
     random_density_matrix,
     random_product_state,
@@ -22,7 +23,6 @@ from entcrit.info import (
     corr_info,
     info_upper_bound,
     maximize_corr_info,
-    plane_info_total,
     two_qubit_info_criterion,
 )
 from entcrit.pauli import (
@@ -32,7 +32,8 @@ from entcrit.pauli import (
     rotate_frame_in_plane,
 )
 from entcrit.search import OptimizerOptions, SearchResult
-from entcrit.states import InputError, StatePreset, build_preset
+from entcrit.states import FIXED_QUBITS, PRESET_KINDS, InputError, StatePreset, build_preset
+from entcrit.werner import visibility_threshold
 
 FAST = OptimizerOptions(restarts=6)
 LOOSE = OptimizerOptions(restarts=2)
@@ -210,13 +211,41 @@ class TestMaximize:
         assert (rep.iterations, rep.converged, rep.residual) == (1, True, 0.0)
 
 
+class TestPresetValues:
+    """The sweep reads its value off its last environment.  On every preset
+    that value equals, bit for bit, the projector contraction at the
+    reported normals (renormalized), so no preset value moves in its last
+    digits, and GHZ's maximum is exactly 2^(N-1)."""
+
+    def test_values_are_the_projected_sums(self):
+        grid = [*np.linspace(0.0, 1.0, 11), *map(visibility_threshold, range(2, 9))]
+        presets = [
+            StatePreset(kind, n)
+            for kind in PRESET_KINDS
+            if kind != "werner_ghz"
+            for n in range(1, 7)
+            if FIXED_QUBITS.get(kind, n) == n
+        ]
+        presets += [StatePreset("werner_ghz", n, float(v)) for n in range(1, 9) for v in grid]
+        for p in presets:
+            t = correlation_tensor(build_preset(p))
+            rep = maximize_corr_info(t).optimizer_report
+            assert rep.value == projected_plane_sum(t, rep.x), p
+
+    def test_ghz_is_exactly_a_power_of_two(self):
+        for n in range(1, 11):
+            t = correlation_tensor(build_preset(StatePreset("ghz", n)))
+            assert maximize_corr_info(t).max_total == 2.0 ** (n - 1), n
+
+
 class TestUpperBound:
     def test_bounds_every_plane_choice(self, rng):
         for n in (2, 3, 4):
             t = correlation_tensor(random_density_matrix(rng, n))
             ceiling = info_upper_bound(t)
             for _ in range(20):
-                assert plane_info_total(t, rng.standard_normal((n, 3))) <= ceiling + 1e-12
+                frame = frame_from_normals(rng.standard_normal((n, 3)))
+                assert corr_info(t, frame).total <= ceiling + 1e-12
             assert maximize_corr_info(t, LOOSE).max_total <= ceiling + 1e-12
 
     def test_exact_for_two_qubits_and_ghz_werner(self, rng):
@@ -293,14 +322,12 @@ class TestTwoQubitClosedForm:
             two_qubit_info_criterion(t)
 
     def test_objective_matches_frame_evaluation(self, rng):
-        # plane_info_total must agree with an explicit frame contraction
-        t = correlation_tensor(random_density_matrix(rng, 2))
-        normals = rng.standard_normal((2, 3))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        from entcrit.pauli import frame_from_normals
-
-        via_frame = corr_info(t, frame_from_normals(normals)).total
-        assert plane_info_total(t, normals) == pytest.approx(via_frame, abs=1e-10)
+        # the value the search reports, read off its last environment, is
+        # the in-plane sum of an explicit contraction at the frame it reports
+        for n in (2, 3, 4, 5):
+            t = correlation_tensor(random_density_matrix(rng, n))
+            verdict = maximize_corr_info(t, LOOSE)
+            assert abs(verdict.max_total - corr_info(t, verdict.argmax_frame).total) <= 1e-12
 
     def test_decision_tolerance_boundary(self):
         # just above the tolerance flips the verdict

@@ -1,0 +1,41 @@
+"""Every function and class the package defines is reached: referenced, by
+name or attribute, from a package module other than `__init__` (which only
+re-exports) or from the acceptance checks."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "entcrit"
+READERS = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+READERS.append(ROOT / "tests" / "test_acceptance.py")
+# read only by the benchmark's state and local-model ops (ROADMAP items 11
+# and 15); named here rather than read from the benchmark, so that dropping
+# an op there cannot fail this check
+BENCH_ONLY = {"parse_state_file", "serialize_state", "sample_outcome_arrays", "empirical_table"}
+
+
+def _defined():
+    """Module-level functions and classes, as (module, name)."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"entcrit.{path.stem}", node.name
+
+
+def _referenced():
+    names = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_definition_is_reached():
+    defined = list(_defined())
+    assert BENCH_ONLY <= {name for _, name in defined}
+    reached = _referenced() | BENCH_ONLY
+    assert [f"{module}.{name}" for module, name in defined if name not in reached] == []

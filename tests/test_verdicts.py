@@ -12,23 +12,23 @@ import pytest
 from conftest import generalized_ghz_vector, random_density_matrix, random_unit_vectors
 from entcrit.bell import (
     CorrelationTable,
+    SettingsPair,
     correlation_table,
     general_bell_lhs,
     maximize_general_bell,
-    sufficient_lr_condition,
     violates,
 )
 from entcrit.cli import main
 from entcrit.info import (
     DECISION_TOLERANCE,
-    _verdict,
+    CriterionVerdict,
+    corr_info,
     entangled,
     info_upper_bound,
     maximize_corr_info,
-    plane_info_total,
 )
 from entcrit.lhv import BellBoundError, LhvModel, construct_lhv
-from entcrit.pauli import CorrelationTensor, correlation_tensor
+from entcrit.pauli import CorrelationTensor, correlation_tensor, frame_from_normals
 from entcrit.search import OptimizerOptions, SearchResult
 from entcrit.states import from_state_vector
 from entcrit.werner import analyze_werner, visibility_scan, visibility_threshold
@@ -100,7 +100,7 @@ class TestVerdictsAgree:
     def test_info_verdict(self, rng):
         x = np.tile([0.0, 0.0, 1.0], (2, 1))
         for value in edge(EDGE**2):
-            verdict = _verdict(SearchResult(x, float(value), 0, 0, True, 0.0))
+            verdict = CriterionVerdict(SearchResult(x, float(value), 0, 0, True, 0.0))
             assert verdict.entangled_by_info_criterion == entangled(verdict.max_total)
         for n in (2, 3):
             verdict = maximize_corr_info(correlation_tensor(random_density_matrix(rng, n)), FAST)
@@ -129,16 +129,23 @@ class TestVerdictsAgree:
         assert seen == {False, True}
 
     def test_sufficient_lr_condition(self, rng):
-        # the ceiling scales with the square of the Cartesian block
+        # local realism is certified as not entangled(info_upper_bound(t)):
+        # the ceiling scales with the square of the Cartesian block, and the
+        # master sum at any settings is at most 2^N sqrt(ceiling)
         for n in (2, 3, 4):
             t = correlation_tensor(random_density_matrix(rng, n))
-            upper, certified = sufficient_lr_condition(t)
-            assert certified == (not entangled(upper))
+            upper = info_upper_bound(t)
             for target in edge(EDGE**2):
                 vals = t.values.copy()
                 vals[(slice(1, 4),) * n] *= np.sqrt(target / upper)
-                ceiling, certified = sufficient_lr_condition(CorrelationTensor(n, vals))
-                assert certified == (not entangled(ceiling))
+                scaled = CorrelationTensor(n, vals)
+                ceiling = info_upper_bound(scaled)
+                assert ceiling == pytest.approx(target, rel=1e-12, abs=0.0)
+                if not entangled(ceiling):
+                    for _ in range(5):
+                        v = random_unit_vectors(rng, 2 * n)
+                        table = correlation_table(scaled, SettingsPair(v[:n], v[n:]))
+                        assert not general_bell_lhs(table).violated
 
     @pytest.mark.parametrize("n, grid", [(2, 275808), (3, 201)])
     def test_scan_columns(self, n, grid):
@@ -170,7 +177,7 @@ class TestVerdictsAgree:
                 scaled = CorrelationTensor(2, vals)
                 entangled_ = maximize_corr_info(scaled).entangled_by_info_criterion
                 ev, settings = maximize_general_bell(scaled)
-                _, certified = sufficient_lr_condition(scaled)
+                certified = not entangled(info_upper_bound(scaled))
                 verdicts = (
                     bool(entangled_),
                     bool(ev.violated),
@@ -327,7 +334,7 @@ class TestGeneralizedGhz:
                 closed = (s * s / 2 * np.prod(1 + zeta**2)
                           + (1 - s * s / 2 + eps * s * s * e * e) * np.prod(1 - zeta**2)
                           + 2 * eps * s * t * e * np.prod(rho * zeta))
-                assert abs(plane_info_total(tensor, normals) - closed) <= 1e-12
+                assert abs(corr_info(tensor, frame_from_normals(normals)).total - closed) <= 1e-12
 
     def test_symmetric_bound_is_convex(self):
         x = np.linspace(0.0, 1.0, 2001)[:, None]
