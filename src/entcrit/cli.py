@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 malformed input (file, schema, or flag combination),
 1 internal error.  Given the same seed and input, output is byte-identical.
+A command imports only the modules it runs: `tensor` loads `states` and `pauli`
+and no search code.
 """
 
 from __future__ import annotations
@@ -16,17 +18,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
-from .bell import (
-    bell_report_dict,
-    correlation_table,
-    general_bell_lhs,
-    maximize_general_bell,
-    parse_settings_file,
-)
-from .info import maximize_corr_info
-from .lhv import LhvModel, verify_lhv
-from .pauli import correlation_tensor
-from .search import OptimizerOptions
 from .states import (
     FIXED_QUBITS,
     DensityMatrix,
@@ -35,7 +26,6 @@ from .states import (
     build_preset,
     read_state_file,
 )
-from .werner import analyze_werner, scan_to_csv, scan_to_json_dict, visibility_scan
 
 
 @functools.cache
@@ -112,16 +102,22 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_settings(path: str, n_qubits: int):
+    from .bell import parse_settings_file
+
     return parse_settings_file(_read_bytes(path), n_qubits)
 
 
-def _optimizer_options(args) -> OptimizerOptions:
+def _optimizer_options(args):
+    from .search import OptimizerOptions
+
     # without --restarts each search takes its own default count
     return OptimizerOptions(restarts=args.restarts, seed=0 if args.seed is None else args.seed)
 
 
 def _lhv_section(evaluation) -> dict:
     """The local model read off a Bell evaluation, checked against its table."""
+    from .lhv import LhvModel, verify_lhv
+
     section = {"n_qubits": int(evaluation.table.n_qubits), "lhs": evaluation.lhs_general,
                "bound": evaluation.bound, "refused": evaluation.violated}
     if not evaluation.violated:
@@ -132,17 +128,25 @@ def _lhv_section(evaluation) -> dict:
 
 
 def _cmd_tensor(args) -> str:
+    from .pauli import correlation_tensor
+
     dm, _ = _load_state(args)
     return _to_json(correlation_tensor(dm).to_json_dict())
 
 
 def _cmd_info(args) -> str:
+    from .info import maximize_corr_info
+    from .pauli import correlation_tensor
+
     dm, _ = _load_state(args)
     verdict = maximize_corr_info(correlation_tensor(dm), _optimizer_options(args))
     return _to_json(verdict.to_json_dict())
 
 
 def _cmd_bell(args) -> str:
+    from .bell import bell_report_dict, correlation_table, general_bell_lhs, maximize_general_bell
+    from .pauli import correlation_tensor
+
     if args.settings and (args.seed is not None or args.restarts is not None):
         raise InputError("--settings runs no search: drop --seed and --restarts")
     dm, _ = _load_state(args)
@@ -156,6 +160,9 @@ def _cmd_bell(args) -> str:
 
 
 def _cmd_lhv(args) -> str:
+    from .bell import correlation_table, general_bell_lhs
+    from .pauli import correlation_tensor
+
     dm, _ = _load_state(args)
     tensor = correlation_tensor(dm)
     settings = _load_settings(args.settings, dm.n_qubits)
@@ -165,6 +172,8 @@ def _cmd_lhv(args) -> str:
 
 
 def _cmd_werner_scan(args) -> str:
+    from .werner import scan_to_csv, scan_to_json_dict, visibility_scan
+
     rows = visibility_scan(args.n, args.grid, _optimizer_options(args))
     if args.out_format == "json":
         return _to_json(scan_to_json_dict(args.n, rows))
@@ -172,6 +181,10 @@ def _cmd_werner_scan(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
+    from .bell import bell_report_dict, maximize_general_bell
+    from .info import maximize_corr_info
+    from .pauli import correlation_tensor
+
     dm, preset = _load_state(args)
     tensor = correlation_tensor(dm)
     verdict = maximize_corr_info(tensor, _optimizer_options(args))
@@ -188,6 +201,8 @@ def _cmd_analyze(args) -> str:
         "lhv": _lhv_section(evaluation),
     }
     if preset is not None and preset.kind == "werner_ghz":
+        from .werner import analyze_werner
+
         report["werner"] = analyze_werner(preset.n_qubits, preset.visibility).to_json_dict()
     return _to_json(report)
 

@@ -2,15 +2,18 @@
 
 import itertools
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from math import prod, sqrt
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import entcrit
 from entcrit.bell import _SIGN_WEIGHTS, BellEvaluation, violates
 from entcrit.info import DECISION_TOLERANCE
 from entcrit.pauli import _TRACE, IMAG_TOL, CorrelationTable, CorrelationTensor, mode_product
@@ -32,6 +35,13 @@ from entcrit.states import (
     StatePreset,
     StateVector,
 )
+
+# child interpreters import the same entcrit as this one, installed or not
+SRC = str(Path(entcrit.__file__).resolve().parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
+}
 
 PAULI_MATRICES = [
     np.eye(2, dtype=complex),

@@ -5,15 +5,13 @@ import os
 import stat
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import entcrit
-from conftest import random_density_matrix, signed_mass_table, traced_peak
+from conftest import CHILD_ENV, random_density_matrix, signed_mass_table, traced_peak
 from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
 from entcrit.pauli import CorrelationTable, CorrelationTensor
@@ -24,14 +22,6 @@ from entcrit.states import (
     read_state_file,
     serialize_state,
 )
-
-# child interpreters import the same entcrit as this one, installed or not
-SRC = str(Path(entcrit.__file__).resolve().parents[1])
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
-}
-
 
 def run_cli(*args, env=CHILD_ENV):
     return subprocess.run(
@@ -373,7 +363,7 @@ class TestExitCodes:
 
     def test_import_leaves_scipy_unloaded(self):
         res = subprocess.run(
-            [sys.executable, "-c", "import sys, entcrit; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", "import sys; from entcrit import *; print('scipy' in sys.modules)"],
             capture_output=True,
             text=True,
             timeout=120,
