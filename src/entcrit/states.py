@@ -221,17 +221,12 @@ def _discs_certify_psd(h: np.ndarray, m_norm: float) -> bool:
     sums are at most sqrt(n) ||V||_F^2; subtracting, summing n terms and the
     final difference add (n + 2) u times the row's diagonal and sum, which
     in a passing row are at most ||m||_F + ||V||_F^2 + PSD_TOL.  The state is
-    certified when that margin is at most PSD_TOL/4 and every row's bound,
-    less the margin, reaches the Cholesky gate's -3 PSD_TOL/4; the first
-    failing block ends the test.
+    certified when that margin is at most PSD_TOL/4 (never for an inf or
+    NaN norm) and every row's bound, less the margin, reaches the Cholesky
+    gate's -3 PSD_TOL/4; the first failing block ends the test.
     """
     n = h.shape[0]
-    # the margin is at least this; refusing here also refuses an inf or NaN norm
-    if not 4.0 * (n + 2.0) * _UNIT_ROUNDOFF * (m_norm + PSD_TOL) <= PSD_TOL / 4.0:
-        return False
     v = _pivoted_cholesky(h)
-    if v is None:
-        return False
     k = v.shape[1]
     margin = 4.0 * (n + 2.0 + (k + 2.0) * np.sqrt(n)) * _UNIT_ROUNDOFF
     margin *= m_norm + float(np.vdot(v, v).real) + PSD_TOL
@@ -252,15 +247,13 @@ def _discs_certify_psd(h: np.ndarray, m_norm: float) -> bool:
     return True
 
 
-def _pivoted_cholesky(h: np.ndarray) -> Optional[np.ndarray]:
+def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
     """n x k factor V of a pivoted Cholesky factorization of h, stopped
     after _RANK steps, once the largest remaining diagonal entry is below
     PSD_TOL/(2n) (the discs no longer see what is left), or once the next
     step would remove less than 1/_RANK of the remaining trace (what is left
     is not of low rank).  Only the cost of the disc test depends on these
-    rules: the test is exact for any V.  None when the last rule stops it at
-    a pivot whose own row of S = h - V V^H, the conjugate of that step's
-    column, already fails its disc."""
+    rules: the test is exact for any V."""
     n = h.shape[0]
     d = h.diagonal().real.copy()
     v = np.empty((n, _RANK), dtype=h.dtype)
@@ -273,8 +266,7 @@ def _pivoted_cholesky(h: np.ndarray) -> Optional[np.ndarray]:
         c = np.conjugate(h[p])  # column p of h
         c -= v[:, :k] @ np.conjugate(v[p, :k])
         if np.vdot(c, c).real < pivot * d.sum() / _RANK:
-            off_diagonal = np.abs(c.view(float)).sum() - pivot
-            return v[:, :k] if pivot - off_diagonal >= -0.75 * PSD_TOL else None
+            break
         c /= np.sqrt(pivot)
         v[:, k] = c
         d -= (c * np.conjugate(c)).real

@@ -10,7 +10,7 @@ to be violated, so both criteria coincide on this family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -32,14 +32,7 @@ class WernerAnalysis:
     lr_describable: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": int(self.n_qubits),
-            "visibility": float(self.visibility),
-            "nonzero_inplane_count": int(self.nonzero_inplane_count),
-            "info_sum": float(self.info_sum),
-            "threshold": float(self.threshold),
-            "lr_describable": bool(self.lr_describable),
-        }
+        return asdict(self)
 
 
 def werner_inplane_tensor(n: int, v: float) -> CorrelationTable:
@@ -70,16 +63,16 @@ def visibility_threshold(n: int) -> float:
 def analyze_werner(n: int, v: float) -> WernerAnalysis:
     """Closed-form summary for one (N, V) point."""
     _check_visibility(v)
-    count = count_nonzero_inplane(n)
-    threshold = visibility_threshold(n)
+    count = int(count_nonzero_inplane(n))
+    n, v = int(n), float(v)
     return WernerAnalysis(
         n_qubits=n,
-        visibility=float(v),
+        visibility=v,
         nonzero_inplane_count=count,
-        info_sum=count * float(v) ** 2,
-        threshold=threshold,
+        info_sum=count * v**2,
+        threshold=visibility_threshold(n),
         # the Bell rule on the family's closed-form master sum 2^N V 2^((N-1)/2)
-        lr_describable=not violates(2.0**n * float(v) * 2.0 ** ((n - 1) / 2.0), 2.0**n),
+        lr_describable=not violates(2.0**n * v * 2.0 ** ((n - 1) / 2.0), 2.0**n),
     )
 
 

@@ -21,6 +21,7 @@ from conftest import (
     reference_validate,
     traced_peak,
 )
+from entcrit import states as states_module
 from entcrit.bell import parse_settings_file
 from entcrit.states import (
     _DISCS_FIRST_QUBITS,
@@ -241,6 +242,42 @@ class TestReferenceValidation:
         assert validate_density_matrix(dm) == []
         assert calls == ["cholesky", ("eigvalsh", np.dtype(complex))]
         assert self._assert_same_report(dm) == []
+
+    def test_report_does_not_depend_on_factor_rank(self, rng, monkeypatch):
+        # the disc certificate is exact for any V: where its factorization
+        # stops changes which test decides, never the report
+        n, dim = _DISCS_FIRST_QUBITS, 2**_DISCS_FIRST_QUBITS
+        noisy = random_pure_state(rng, n).matrix * 0.5 + np.eye(dim) * (0.5 / dim)
+        huge = random_pure_state(rng, n).matrix.copy()
+        huge[0, -1] = 1.5e308  # overflows ||m||_F to inf, not H
+        corpus = [
+            random_pure_state(rng, n),
+            random_density_matrix(rng, n, terms=4),
+            random_density_matrix(rng, n, terms=16),
+            build_preset(StatePreset("werner_ghz", n, 0.5)),
+            full_rank_state(rng, n),
+            DensityMatrix(n, noisy),
+            prescribed_spectrum_matrix(rng, n, -0.99 * PSD_TOL),
+            prescribed_spectrum_matrix(rng, n, -1.01 * PSD_TOL),
+            low_rank_plus_diagonal(rng, n, -1.01 * PSD_TOL),
+            DensityMatrix(n, huge),
+        ]
+        with np.errstate(over="ignore"):
+            wants = [
+                [(v.invariant, v.residual.hex()) for v in reference_validate(dm)] for dm in corpus
+            ]
+        calls = _record_factorizations(monkeypatch)
+        factored = []  # per rank, the states that reached a factorization
+        for rank in (0, 1, 2, 4, 8, 16):
+            monkeypatch.setattr(states_module, "_RANK", rank)
+            factored.append(0)
+            for dm, want in zip(corpus, wants):
+                calls.clear()
+                got = validate_density_matrix(dm)
+                assert [(v.invariant, v.residual.hex()) for v in got] == want
+                factored[-1] += bool(calls)
+        # the discs take more of the corpus as the factor grows
+        assert factored[0] > factored[-1]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_low_rank_plus_diagonal_boundary(self, rng, n):

@@ -1,6 +1,7 @@
-"""Every function and class the package defines is reached: referenced, by
-name or attribute, from a package module other than `__init__` (which only
-re-exports) or from the acceptance checks.  The interpreter itself calls
+"""Every function and class the package defines, and every method and
+property of its classes, is reached: referenced, by name or attribute, from a
+package module other than `__init__` (which only re-exports) or from the
+acceptance checks.  The interpreter itself calls dunder methods and
 `__init__`'s PEP 562 hooks, which no code names."""
 
 import ast
@@ -17,12 +18,21 @@ BENCH_ONLY = {"parse_state_file", "serialize_state", "sample_outcome_arrays", "e
 MODULE_HOOKS = {("entcrit.__init__", "__getattr__"), ("entcrit.__init__", "__dir__")}
 
 
+def _functions_and_classes(body):
+    return [n for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
 def _defined():
-    """Module-level functions and classes, as (module, name)."""
+    """Module-level functions and classes as (module, name), and the methods
+    and properties of those classes, dunders aside, as (module.class, name)."""
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield f"entcrit.{path.stem}", node.name
+        module = f"entcrit.{path.stem}"
+        for node in _functions_and_classes(ast.parse(path.read_text(), str(path)).body):
+            yield module, node.name
+            if isinstance(node, ast.ClassDef):
+                for member in _functions_and_classes(node.body):
+                    if not (member.name.startswith("__") and member.name.endswith("__")):
+                        yield f"{module}.{node.name}", member.name
 
 
 def _referenced():
