@@ -150,7 +150,8 @@ def empirical_table(a1: np.ndarray, a2: np.ndarray) -> CorrelationTable:
 
     The qubits split into two halves; the per-sample products over each
     half meet in one matrix product.  Every sum is an integer of magnitude
-    at most `size`, so the float64 product is exact.
+    at most `size`, so the float64 product is exact and each entry, divided
+    by `size`, lies in [-1, 1].
     """
     size, n = a1.shape
     # (n, 2, size), samples contiguous
@@ -158,4 +159,4 @@ def empirical_table(a1: np.ndarray, a2: np.ndarray) -> CorrelationTable:
     left = _outcome_products(outcomes[: n // 2]).astype(float)
     right = _outcome_products(outcomes[n // 2 :]).astype(float)
     work = (left @ right.T).reshape((2,) * n) / size
-    return CorrelationTable(n, np.clip(work, -1.0, 1.0))
+    return CorrelationTable(n, work)

@@ -33,7 +33,6 @@ PAULI = np.array(
 )
 
 ENTRY_TOL = 1e-9
-IMAG_TOL = 1e-10
 FRAME_TOL = 1e-10
 
 _X_HAT = np.array([1.0, 0.0, 0.0])
@@ -194,6 +193,10 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     Each qubit's row and column indices are paired into one axis of length
     4, which one mode product maps to the Pauli index, so none of the 4^N
     product operators is materialized.
+
+    The tensor is the real part of the traces.  For Hermitian s_x, Re Tr[m s_x]
+    = Tr[H s_x] with H = (m + m^H)/2, so this is the tensor of the matrix's
+    Hermitian part; whether m is a state is validate_density_matrix's decision.
     """
     n = rho.n_qubits
     # (row_1..row_N, col_1..col_N) -> (row_1, col_1, ..., row_N, col_N)
@@ -202,12 +205,6 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     # passed unnamed, the paired copy is owned by mode_product's frame (CPython
     # >= 3.11), which frees it once the first product has read it
     work = mode_product(paired.reshape((4,) * n), [_TRACE] * n)
-    imag = float(np.max(np.abs(work.imag)))
-    if imag > IMAG_TOL:
-        raise InputError(
-            f"correlation entries have imaginary residue {imag:.3e}; "
-            "the input matrix is not Hermitian enough"
-        )
     return CorrelationTensor(n, work.real.copy())
 
 

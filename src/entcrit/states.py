@@ -29,7 +29,6 @@ MAX_QUBITS = 12
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-NORM_TOL = 1e-8
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 #: Qubit count from which the disc certificate runs before the Cholesky gate.
@@ -112,9 +111,6 @@ class StateVector:
         if not np.all(np.isfinite(amps)):
             raise InputError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _frozen(amps))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -309,10 +305,12 @@ def _cholesky_certifies_psd(h: np.ndarray, m_norm: float) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")
 def from_state_vector(v: StateVector) -> DensityMatrix:
-    """Projector onto a normalized pure state; a norm that overflows to inf is refused."""
-    norm = v.norm()
-    if abs(norm - 1.0) > NORM_TOL:
-        raise InputError(f"state vector is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    """Projector onto a normalized pure state.  The trace rule of a matrix
+    file, |Tr rho - 1| <= TRACE_TOL, is applied to Tr |psi><psi| = ||psi||^2
+    before the projector is formed; a norm that overflows to inf is refused."""
+    residual = abs(np.vdot(v.amplitudes, v.amplitudes).real - 1.0)
+    if not residual <= TRACE_TOL:
+        raise InputError(f"state vector is not normalized: |norm^2 - 1| = {residual:.3e}")
     return DensityMatrix(v.n_qubits, np.outer(v.amplitudes, v.amplitudes.conj()))
 
 

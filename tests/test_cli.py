@@ -16,7 +16,9 @@ from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
 from entcrit.pauli import CorrelationTable, CorrelationTensor
 from entcrit.states import (
+    HERMITICITY_TOL,
     MAX_QUBITS,
+    TRACE_TOL,
     DensityMatrix,
     StateFormatError,
     read_state_file,
@@ -823,12 +825,61 @@ class TestInputErrorMessages:
             (tmp_path / name).write_text(text)
         for argv, message in (
             (["tensor", "-i", "matrix.json"], "not a valid density matrix: positive_semidefinite (residual inf)"),
-            (["tensor", "-i", "vector.json"], "state vector is not normalized: |norm - 1| = inf"),
+            (["tensor", "-i", "vector.json"], "state vector is not normalized: |norm^2 - 1| = inf"),
             (["bell", "--preset", "ghz", "--n", "2", "--settings", "settings.json"],
              "settings must be unit vectors (residual inf)"),
         ):
             proc = run_cli(*(str(tmp_path / a) if a in files else a for a in argv))
             assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n"), argv
+
+    def test_eight_digit_bell_vector(self, tmp_path, capsys):
+        # |norm^2 - 1| = 3.4e-9: the reader refuses it, not a later layer
+        a = 0.70710678
+        path = tmp_path / "state.json"
+        pairs = [[a, 0], [0, 0], [0, 0], [a, 0]]
+        path.write_text(json.dumps({"vector": {"n_qubits": 2, "amplitudes": pairs}}))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * 2}))
+        message = f"state vector is not normalized: |norm^2 - 1| = {abs(2 * a * a - 1.0):.3e}"
+        for argv in (["tensor"], ["info"], ["bell"], ["analyze"], ["lhv", "--settings", str(settings)]):
+            _exits_2_with(capsys, [*argv, "-i", str(path)], message)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_vectors_inside_the_trace_rule_pass(self, rng, tmp_path, capsys, n):
+        # ||psi||^2 = 1 +- 0.9 TRACE_TOL: every layer after the reader accepts
+        # what it accepted; the searches run on their warm starts only, and
+        # through analyze (which runs all of them) up to N=3
+        u = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        u /= np.linalg.norm(u)
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"pairs": [{"n1": [1, 0, 0], "n2": [0, 1, 0]}] * n}))
+        commands = [["tensor"], ["info", "--restarts", "0"], ["bell", "--settings", str(settings)],
+                    ["lhv", "--settings", str(settings)]]
+        if n <= 3:
+            commands.append(["analyze", "--restarts", "0"])
+        path = tmp_path / "state.json"
+        for sign in (1.0, -1.0):
+            amps = u * np.sqrt(1.0 + sign * 0.9 * TRACE_TOL)
+            pairs = amps.view(float).reshape(-1, 2).tolist()
+            path.write_text(json.dumps({"vector": {"n_qubits": n, "amplitudes": pairs}}))
+            for argv in commands:
+                code, out, err = run_inprocess(capsys, *argv, "-i", str(path))
+                assert (code, err) == (0, ""), argv
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_imaginary_diagonal_inside_hermiticity_tol(self, tmp_path, capsys, n):
+        # I/2^N with imaginary diagonal +-0.45 HERMITICITY_TOL in the sign
+        # pattern of Z x ... x Z: valid, and its traces' imaginary parts add
+        # to 2^N times that on the z...z entry, which the tensor drops
+        signs = np.ones(1)
+        for _ in range(n):
+            signs = np.kron(signs, [1.0, -1.0])
+        m = np.diag(np.full(2**n, 2.0**-n) + 0.45j * HERMITICITY_TOL * signs)
+        path = tmp_path / "state.json"
+        path.write_text(serialize_state(DensityMatrix(n, m)))
+        for command in ("tensor", "info", "bell", "analyze"):
+            code, out, err = run_inprocess(capsys, command, "-i", str(path))
+            assert (code, err) == (0, ""), command
 
     def test_qubit_cap_refused_before_allocating(self, tmp_path, capsys):
         # one row of a 2^13 x 2^13 complex matrix, 1/8192 of the matrix itself

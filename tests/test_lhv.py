@@ -287,6 +287,10 @@ class TestSampling:
             assert empirical_table(a1, a2).values.tobytes() == einsum_empirical_table(a1, a2).tobytes()
             a1, a2 = (rng.integers(0, 2, (2, size, n)) * 2 - 1).astype(np.int8)
             assert empirical_table(a1, a2).values.tobytes() == einsum_empirical_table(a1, a2).tobytes()
+            # outcomes all alike: every sum is +-size, every entry exactly +-1
+            a1 = np.ones((size, n), dtype=np.int8)
+            a2 = -a1
+            assert np.array_equal(np.abs(empirical_table(a1, a2).values), np.ones((2,) * n))
 
     def test_realized_table_matches_verify(self, rng):
         table = build_table_from_state(rng, 3)

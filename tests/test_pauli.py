@@ -14,6 +14,7 @@ from conftest import (
     loop_frame_from_normals,
     loop_mode_gram,
     moveaxis_environment,
+    pauli_traces,
     random_correlation_tensor,
     random_density_matrix,
     random_product_state,
@@ -149,11 +150,29 @@ class TestCorrelationTensor:
             np.testing.assert_allclose(t.values, brute_force_tensor(dm), atol=1e-10)
 
     def test_entries_real_for_random_mixtures(self, rng):
-        # Hermiticity makes every trace real; the constructor enforces the
-        # 1e-10 imaginary residue internally, so success here is the assert.
+        # Hermiticity makes every trace real: the complex Pauli traces of a
+        # state keep an imaginary residue of at most 1e-10, and the tensor is
+        # their real part, bit for bit
         for _ in range(100):
             n = int(rng.integers(1, 4))
-            correlation_tensor(random_density_matrix(rng, n))
+            dm = random_density_matrix(rng, n)
+            traces = pauli_traces(dm)
+            assert np.max(np.abs(traces.imag)) <= 1e-10
+            assert np.array_equal(correlation_tensor(dm).values, traces.real)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tensor_of_the_hermitian_part(self, rng, n):
+        # Re Tr[m s] = Tr[H s] for Hermitian s, H = (m + m^H)/2: a matrix that
+        # is not Hermitian gives the tensor of its Hermitian part
+        dim = 2**n
+        for _ in range(5):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            g[np.diag_indices(dim)] -= g.trace().real / dim
+            m = random_density_matrix(rng, n).matrix + 1e-3 * g
+            h = (m + m.conj().T) / 2.0
+            got = correlation_tensor(DensityMatrix(n, m)).values
+            want = correlation_tensor(DensityMatrix(n, h)).values
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=4.0 * np.finfo(float).eps)
 
     def test_linearity(self, rng):
         for _ in range(10):
@@ -223,19 +242,9 @@ class TestAgainstReference:
         a = rng.standard_normal((2**n, 3))
         self._assert_bitwise(DensityMatrix(n, a @ a.T / np.trace(a @ a.T)))
 
-    def test_imaginary_residue_message(self, rng):
-        m = random_density_matrix(rng, 3).matrix.copy()
-        m[0, 1] += 1e-3j
-        messages = []
-        for f in (correlation_tensor, reference_correlation_tensor):
-            with pytest.raises(InputError, match="imaginary residue") as err:
-                f(DensityMatrix(3, m))
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-
     def test_peak_memory_nine_qubits(self, rng):
         # the paired copy and one mode product (1 unit each), or the last
-        # product with its real part copied out and that copy's modulus
+        # product with its real part copied out
         unit = 16 * 4**9
         for dm in (
             build_preset(StatePreset("werner_ghz", 9, 0.05)),

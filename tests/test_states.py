@@ -28,6 +28,7 @@ from entcrit.states import (
     FIXED_QUBITS,
     PRESET_KINDS,
     PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     InputError,
     StateFormatError,
@@ -366,6 +367,35 @@ class TestFromStateVector:
     def test_normalization_error(self):
         with pytest.raises(InputError, match="normalized"):
             from_state_vector(StateVector(1, [1.0, 1.0]))
+
+    def test_eight_digit_bell_vector_refused(self):
+        # |norm - 1| = 1.7e-9 but |norm^2 - 1| = 3.4e-9: the trace of the
+        # projector, which the matrix files' trace rule bounds, is off
+        a = 0.70710678
+        doc = {"vector": {"n_qubits": 2, "amplitudes": [[a, 0], [0, 0], [0, 0], [a, 0]]}}
+        with pytest.raises(InputError) as err:
+            read_state_file(json.dumps(doc))
+        assert str(err.value) == (
+            f"state vector is not normalized: |norm^2 - 1| = {abs(2 * a * a - 1.0):.3e}"
+        )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_trace_rule_on_the_squared_norm(self, rng, n):
+        # the reader refuses a vector exactly where a matrix file of its
+        # projector would fail |Tr rho - 1| <= TRACE_TOL
+        u = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        u /= np.linalg.norm(u)
+
+        def doc(squared_norm):
+            pairs = (u * np.sqrt(squared_norm)).view(float).reshape(-1, 2).tolist()
+            return json.dumps({"vector": {"n_qubits": n, "amplitudes": pairs}})
+
+        for sign in (1.0, -1.0):
+            dm, _ = read_state_file(doc(1.0 + sign * 0.9 * TRACE_TOL))
+            assert abs(np.trace(dm.matrix).real - 1.0) <= TRACE_TOL
+            message = r"^state vector is not normalized: \|norm\^2 - 1\| = 1\.1\d\de-10$"
+            with pytest.raises(InputError, match=message):
+                read_state_file(doc(1.0 + sign * 1.1 * TRACE_TOL))
 
     def test_purity_one(self, rng):
         for n in (1, 2, 3):

@@ -1,5 +1,6 @@
-"""Every small float in the package is a named tolerance, and every named
-tolerance is listed once, with its value and module, in the README table."""
+"""Every small float in the package is a named tolerance, every named
+tolerance is read by the package and listed once, with its value and module,
+in the README table."""
 
 import ast
 import re
@@ -63,6 +64,19 @@ def test_readme_lists_every_tolerance_once():
         for name, c in _tolerances(tree).items()
     }
     assert listed == defined
+
+
+def test_every_tolerance_is_read():
+    # a Name load anywhere in the package, so a constant whose last reader
+    # goes fails here, as an unreached function fails test_surface
+    loaded = {
+        node.id
+        for _, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    defined = {name for _, tree in _modules() for name in _tolerances(tree)}
+    assert sorted(defined - loaded) == []
 
 
 def _readers(tree, name):
