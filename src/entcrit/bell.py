@@ -23,12 +23,11 @@ from .pauli import (
     CorrelationTensor,
     direction_table,
     environment,
-    frozen_table,
     mode_product,
     unit_row_pair,
 )
 from .search import OptimizerOptions, SearchResult, maximize
-from .states import InputError, StateFormatError, _as_number, _frozen, decode_json
+from .states import InputError, StateFormatError, _as_number, _frozen, decode_json, qubit_array
 
 #: A see-saw direction below this norm has vanished: the objective ignores it.
 VANISHING_NORM_TOL = 1e-14
@@ -76,7 +75,7 @@ class SignFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = frozen_table(self.n_qubits, self.values, "sign table")
+        vals = qubit_array(self.n_qubits, self.values, float, lambda n: (2,) * n, "sign table")
         if not np.all(np.abs(vals) == 1.0):
             raise InputError("sign function values must be exactly +1 or -1")
         object.__setattr__(self, "values", vals)

@@ -50,7 +50,6 @@ def entangled(total):
 class CorrInfoResult:
     """Per-observable information measures for one choice of local planes."""
 
-    frame: LocalFrame
     per_index: dict
     total: float
 
@@ -86,11 +85,9 @@ class CriterionVerdict:
 def corr_info(t: CorrelationTensor, f: LocalFrame) -> CorrInfoResult:
     """Squared in-plane correlations, per multi-index and summed."""
     pt = plane_subtensor(t, f)
-    per_index = {
-        idx: float(v) ** 2
-        for idx, v in zip(product((1, 2), repeat=t.n_qubits), pt.values.ravel())
-    }
-    return CorrInfoResult(frame=f, per_index=per_index, total=float(sum(per_index.values())))
+    squares = (pt.values**2).ravel().tolist()
+    per_index = dict(zip(product((1, 2), repeat=t.n_qubits), squares))
+    return CorrInfoResult(per_index=per_index, total=pt.squared_sum())
 
 
 def _projectors(normals: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import TRACE_TOL, DensityMatrix, InputError, _check_qubit_count, _frozen
+from .states import TRACE_TOL, DensityMatrix, InputError, _check_qubit_count, _frozen, qubit_array
 
 PAULI = np.array(
     [
@@ -33,7 +33,7 @@ PAULI = np.array(
 )
 
 ENTRY_TOL = 1e-9
-FRAME_TOL = 1e-10
+FRAME_TOL = 8e-12
 
 _X_HAT = np.array([1.0, 0.0, 0.0])
 _Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -65,15 +65,6 @@ def environment(a: np.ndarray, mats, j: int) -> np.ndarray:
     return mode_product(a.transpose(order), others).reshape(a.shape[j], -1)
 
 
-def frozen_table(n_qubits: int, values, what: str) -> np.ndarray:
-    """`values` as a read-only float array of shape (2,)*n_qubits."""
-    _check_qubit_count(n_qubits)
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (2,) * n_qubits:
-        raise InputError(f"expected {what} shape {(2,) * n_qubits}, got {vals.shape}")
-    return _frozen(vals)
-
-
 @dataclass(frozen=True)
 class CorrelationTensor:
     """All Pauli-product expectation values of a state, shape (4,)*N."""
@@ -82,18 +73,13 @@ class CorrelationTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (4,) * self.n_qubits:
-            raise InputError(
-                f"expected tensor shape {(4,) * self.n_qubits}, got {vals.shape}"
-            )
+        vals = qubit_array(self.n_qubits, self.values, float, lambda n: (4,) * n, "tensor")
         top = float(np.max(np.abs(vals)))
         if not top <= 1.0 + ENTRY_TOL:
             raise InputError(f"tensor entry out of range: max |T| = {top!r}")
         if not abs(vals[(0,) * self.n_qubits] - 1.0) <= TRACE_TOL:
             raise InputError("identity component of the tensor must equal 1")
-        object.__setattr__(self, "values", _frozen(vals))
+        object.__setattr__(self, "values", vals)
 
     def cartesian(self) -> np.ndarray:
         """The sub-tensor over Pauli indices 1..3 only, shape (3,)*N."""
@@ -134,7 +120,7 @@ class CorrelationTable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = frozen_table(self.n_qubits, self.values, "table")
+        vals = qubit_array(self.n_qubits, self.values, float, lambda n: (2,) * n, "table")
         top = float(np.max(np.abs(vals)))
         if not top <= 1.0 + ENTRY_TOL:
             raise InputError(f"correlation value out of range: max |E| = {top!r}")

@@ -92,6 +92,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def qubit_array(n_qubits: int, values, dtype, shape, what: str) -> np.ndarray:
+    """The one structural check of a qubit array: `values` as a read-only
+    `dtype` array of the shape `shape(n_qubits)` that the count fixes.  The
+    count is checked first, so that one such as 2.5 or 10**9 never reaches
+    `shape`."""
+    _check_qubit_count(n_qubits)
+    a = np.asarray(values, dtype=dtype)
+    if a.shape != shape(n_qubits):
+        raise InputError(
+            f"expected {what} shape {shape(n_qubits)} for {n_qubits} qubits, got {a.shape}"
+        )
+    return _frozen(a)
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure-state amplitudes over the 2^N z-basis bitstrings."""
@@ -100,17 +114,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        dim = 2**self.n_qubits
-        if amps.shape != (dim,):
-            raise InputError(
-                f"expected {dim} amplitudes for {self.n_qubits} qubits, "
-                f"got shape {amps.shape}"
-            )
+        amps = qubit_array(self.n_qubits, self.amplitudes, complex, lambda n: (2**n,), "amplitude")
         if not np.all(np.isfinite(amps)):
             raise InputError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
@@ -125,17 +132,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = 2**self.n_qubits
-        if m.shape != (dim, dim):
-            raise InputError(
-                f"expected a {dim}x{dim} matrix for {self.n_qubits} qubits, "
-                f"got shape {m.shape}"
-            )
+        m = qubit_array(self.n_qubits, self.matrix, complex, lambda n: (2**n, 2**n), "matrix")
         if not np.all(np.isfinite(m)):
             raise InputError("matrix entries must be finite")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

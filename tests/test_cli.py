@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import CHILD_ENV, random_density_matrix, signed_mass_table, traced_peak
 from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
-from entcrit.pauli import CorrelationTable, CorrelationTensor
+from entcrit.pauli import FRAME_TOL, CorrelationTable, CorrelationTensor
 from entcrit.states import (
     HERMITICITY_TOL,
     MAX_QUBITS,
@@ -124,6 +124,24 @@ class TestBellCommand:
         doc = json.loads(out)
         assert doc["bound"] == 4.0
         assert not doc["violated"]  # x/y axis settings do not violate
+
+    def test_settings_length_within_frame_tol(self, tmp_path, capsys):
+        # n1 = n2 = (1 + d) x on both qubits of |+x+x>: the table is (1 + d)^2,
+        # so past FRAME_TOL the product state would read as violating
+        path = tmp_path / "settings.json"
+        state = ["--preset", "product_all_plus_x", "--n", "2", "--settings", str(path)]
+        x = [1.0 + 0.99e-10, 0.0, 0.0]
+        path.write_text(json.dumps({"pairs": [{"n1": x, "n2": x}] * 2}))
+        for command in ("bell", "lhv"):
+            assert run_inprocess(capsys, command, *state) == (
+                2, "", "error: settings must be unit vectors (residual 9.900e-11)\n"
+            )
+        x = [1.0 + 0.9 * FRAME_TOL, 0.0, 0.0]
+        path.write_text(json.dumps({"pairs": [{"n1": x, "n2": x}] * 2}))
+        code, out, _ = run_inprocess(capsys, "bell", *state)
+        assert code == 0 and json.loads(out)["violated"] is False
+        code, out, _ = run_inprocess(capsys, "lhv", *state)
+        assert code == 0 and json.loads(out)["refused"] is False
 
     def test_optimized_violation(self, capsys):
         code, out, _ = run_inprocess(

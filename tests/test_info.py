@@ -29,6 +29,7 @@ from entcrit.pauli import (
     LocalFrame,
     correlation_tensor,
     frame_from_normals,
+    plane_subtensor,
     rotate_frame_in_plane,
 )
 from entcrit.search import OptimizerOptions, SearchResult
@@ -107,6 +108,8 @@ class TestCorrInfo:
         t = correlation_tensor(random_density_matrix(rng, 3))
         res = corr_info(t, LocalFrame.canonical(3))
         assert res.total == pytest.approx(sum(res.per_index.values()), abs=1e-12)
+        # the one in-plane sum, the table's, that acceptance check c11 reads
+        assert res.total == plane_subtensor(t, LocalFrame.canonical(3)).squared_sum()
 
     def test_total_invariant_under_in_plane_rotation(self, rng):
         t = correlation_tensor(random_density_matrix(rng, 3))

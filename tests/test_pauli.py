@@ -23,9 +23,11 @@ from conftest import (
     tensordot_mode_product,
     traced_peak,
 )
+from entcrit.bell import SignFunction
 from entcrit.pauli import (
     _EXPAND,
     _TRACE,
+    CorrelationTable,
     CorrelationTensor,
     LocalFrame,
     correlation_tensor,
@@ -43,11 +45,14 @@ from entcrit.states import (
     DensityMatrix,
     InputError,
     StatePreset,
+    StateVector,
     build_preset,
 )
 from entcrit.werner import werner_inplane_tensor
 
 SQ2 = np.sqrt(2.0)
+#: Every container built through `states.qubit_array`.
+CONTAINERS = [StateVector, DensityMatrix, CorrelationTensor, CorrelationTable, SignFunction]
 
 
 def _complex_normal(rng, shape):
@@ -215,8 +220,25 @@ class TestCorrelationTensor:
 
     @pytest.mark.parametrize("n", [0, 2.5, 13])
     def test_qubit_count_rejected(self, n):
-        with pytest.raises(InputError, match="n_qubits"):
-            CorrelationTensor(n, np.array(1.0))
+        # the count is checked before the shape it fixes, in all five containers
+        for container in CONTAINERS:
+            with pytest.raises(InputError, match="n_qubits"):
+                container(n, np.array(1.0))
+
+    @pytest.mark.parametrize(
+        "container, values",
+        [
+            (StateVector, np.zeros(3)),
+            (DensityMatrix, np.eye(4)[:, :2]),
+            (CorrelationTensor, np.eye(4)[0]),
+            (CorrelationTable, np.zeros((2, 2, 2))),
+            (SignFunction, np.ones(4)),
+        ],
+        ids=[c.__name__ for c in CONTAINERS],
+    )
+    def test_wrong_shape_rejected(self, container, values):
+        with pytest.raises(InputError, match="shape"):
+            container(2, values)
 
 
 class TestAgainstReference:

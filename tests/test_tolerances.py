@@ -6,6 +6,10 @@ import ast
 import re
 from pathlib import Path
 
+from entcrit.info import DECISION_TOLERANCE
+from entcrit.pauli import FRAME_TOL
+from entcrit.states import MAX_QUBITS
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "entcrit"
 README = ROOT / "README.md"
@@ -112,3 +116,9 @@ def test_one_decision_constant():
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert not names & {"VIOLATION_TOLERANCE", "MASS_TOL"}, module
+
+
+def test_settings_tolerance_below_decision_margin():
+    # a table at settings of length 1 + d grows as (1 + d)^N, so settings
+    # that pass FRAME_TOL keep a product state's ratio within 1 + tau
+    assert (1.0 + FRAME_TOL) ** MAX_QUBITS <= 1.0 + DECISION_TOLERANCE
