@@ -13,8 +13,6 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import json
-import re
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -22,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-#: Default cap on qubit count.  Dense 2^N x 2^N storage and 4^N tensor
-#: enumeration blow up quickly past this; reassign to raise the limit.
+#: Cap on qubit count.  Dense 2^N x 2^N storage and 4^N tensor enumeration
+#: blow up quickly past this, and the tolerances are derived for it
+#: (pauli.FRAME_TOL keeps (1 + FRAME_TOL)^MAX_QUBITS <= 1 + DECISION_TOLERANCE).
 MAX_QUBITS = 12
 
 HERMITICITY_TOL = 1e-10
@@ -75,10 +74,7 @@ def _check_qubit_count(n_qubits: int) -> None:
     if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
         raise InputError(f"n_qubits must be a positive integer, got {n_qubits!r}")
     if n_qubits > MAX_QUBITS:
-        raise InputError(
-            f"n_qubits={n_qubits} exceeds the cap of {MAX_QUBITS} "
-            "(raise entcrit.states.MAX_QUBITS to override)"
-        )
+        raise InputError(f"n_qubits={n_qubits} exceeds the cap of {MAX_QUBITS}")
 
 
 def _check_visibility(v) -> None:
@@ -96,7 +92,10 @@ def qubit_array(n_qubits: int, values, dtype, shape, what: str) -> np.ndarray:
     """The one structural check of a qubit array: `values` as a read-only
     `dtype` array of the shape `shape(n_qubits)` that the count fixes.  The
     count is checked first, so that one such as 2.5 or 10**9 never reaches
-    `shape`."""
+    `shape`.  An array that already has `dtype` and C layout is taken as it
+    is and made read-only, the caller's array with it; any other input is
+    converted into a read-only copy.  Copying every input would keep a second
+    2^N x 2^N matrix for each state a reader builds."""
     _check_qubit_count(n_qubits)
     a = np.asarray(values, dtype=dtype)
     if a.shape != shape(n_qubits):
@@ -381,14 +380,9 @@ def build_preset(p: StatePreset) -> DensityMatrix:
 
 
 def _as_number(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if type(x) is not float:
         raise StateFormatError(f"{where}: expected a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise StateFormatError(
-            f"{where}: an integer of {x.bit_length()} bits is too large for a float"
-        ) from None
+    return x
 
 
 def _as_complex(pair, where: str) -> complex:
@@ -407,16 +401,15 @@ def _bulk_pairs(raw, shape: tuple) -> Optional[np.ndarray]:
     """The [re, im] pairs nested in raw as a complex array of the given
     shape, converted in one step, or None where the per-entry reader must
     decide (and raise).  np.array also converts bools, None and numeric
-    strings, so every leaf must be an int or a float; over-long integers and
-    ragged lists make it raise."""
+    strings, so every leaf must be a float; ragged lists make it raise."""
     try:
         leaves = raw
         for _ in shape:
             leaves = chain.from_iterable(leaves)
-        if not set(map(type, leaves)) <= {int, float}:
+        if not set(map(type, leaves)) <= {float}:
             return None
         pairs = np.array(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         return None
     return pairs.view(complex).reshape(shape) if pairs.shape == shape + (2,) else None
 
@@ -429,42 +422,27 @@ def _require(doc: dict, field: str, where: str):
 
 def _parse_n_qubits(doc: dict, where: str) -> int:
     n = _require(doc, "n_qubits", where)
-    if isinstance(n, bool) or not isinstance(n, int):
+    if type(n) is not float or not n.is_integer():
         raise StateFormatError(f"{where}.n_qubits: expected an integer, got {n!r}")
-    return n
-
-
-# a JSON string, or a number with its integer part, fraction and exponent
-_STRING_OR_NUMBER = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][+-]?\d+)?'
-
-
-def _long_integer(text: str) -> int:
-    """Offset of the first integer literal longer than Python converts."""
-    limit = sys.get_int_max_str_digits()
-    for m in re.finditer(_STRING_OR_NUMBER, text):
-        if m[1] and not (m[2] or m[3]) and len(m[1]) > limit:
-            return m.start()
-    return 0
+    return int(n)
 
 
 def decode_json(text):
-    """Decode a UTF-8 JSON document (str or bytes).  Bytes that are not
-    UTF-8, syntax errors, nesting past the parser's recursion limit and
-    integer literals past Python's digit limit become StateFormatError,
-    located by byte offset or by line and column where the parser allows."""
+    """Decode a UTF-8 JSON document (str or bytes), reading every number as
+    a double (RFC 8259, sec. 6): a literal past +-1.8e308, integer or not,
+    reads as +-inf and meets the check of the field it sits in.  Bytes that
+    are not UTF-8, syntax errors and nesting past the parser's recursion
+    limit become StateFormatError, located by byte offset or by line and
+    column where the parser allows."""
     try:
         if isinstance(text, (bytes, bytearray)):
             text = text.decode("utf-8")
-        return json.loads(text)
+        return json.loads(text, parse_int=float)
     except UnicodeDecodeError as e:
         raise StateFormatError(f"input is not UTF-8: {e.reason} at byte {e.start}") from e
     except RecursionError:
         raise StateFormatError("JSON parse error: arrays and objects nested too deeply") from None
-    except ValueError as e:
-        if not isinstance(e, json.JSONDecodeError):
-            # json raises a bare ValueError only for an over-long integer
-            msg = f"integer literal longer than {sys.get_int_max_str_digits()} digits"
-            e = json.JSONDecodeError(msg, text, _long_integer(text))
+    except json.JSONDecodeError as e:
         raise StateFormatError(
             f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e

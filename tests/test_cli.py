@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -769,7 +770,8 @@ class TestInputErrorMessages:
     @pytest.mark.parametrize("doc, message", [
         ([], "top level of a state file must be a JSON object"),
         ({"matrix": []}, "'matrix' must be a JSON object"),
-        ({"preset": {"kind": 3, "n_qubits": 2}}, "preset.kind: expected a string, got 3"),
+        # every JSON number reads as a double, so an integer literal prints as one
+        ({"preset": {"kind": 3, "n_qubits": 2}}, "preset.kind: expected a string, got 3.0"),
         ({"matrix": {"n_qubits": "2", "entries": []}},
          "matrix.n_qubits: expected an integer, got '2'"),
     ])
@@ -781,32 +783,36 @@ class TestInputErrorMessages:
         path.write_text(json.dumps(doc))
         _exits_2_with(capsys, ["tensor", "-i", str(path)], message)
 
-    @pytest.mark.parametrize("raw, message", [
-        (b"\x80", "input is not UTF-8: invalid start byte at byte 0"),
-        (b"[" * 100_000, "JSON parse error: arrays and objects nested too deeply"),
-        (b'{"pairs":\n  [' + b"9" * (sys.get_int_max_str_digits() + 1) + b"]}",
-         f"JSON parse error at line 2, column 4: integer literal longer than "
-         f"{sys.get_int_max_str_digits()} digits"),
+    @pytest.mark.parametrize("raw, state_message, settings_message", [
+        (b"\x80", *["input is not UTF-8: invalid start byte at byte 0"] * 2),
+        (b"[" * 100_000, *["JSON parse error: arrays and objects nested too deeply"] * 2),
+        (b'{"pairs":\n  [' + b"9" * 5_000 + b"]}",
+         "state file must have exactly one of 'matrix', 'vector', 'preset'; found none",
+         "settings file must list 2 pairs, got 1"),
     ], ids=["not-utf8", "too-deep", "long-integer"])
-    def test_undecodable_file(self, tmp_path, capsys, raw, message):
-        # bytes that are not UTF-8, nesting past the recursion limit and an
-        # integer past Python's digit limit, as a state and a settings file
+    def test_undecodable_file(self, tmp_path, capsys, raw, state_message, settings_message):
+        # bytes that are not UTF-8 and nesting past the recursion limit, as a
+        # state and a settings file; an integer past Python's digit limit
+        # decodes (as inf), so each reader's own check decides
         path = tmp_path / "doc.json"
         path.write_bytes(raw)
-        _exits_2_with(capsys, ["tensor", "-i", str(path)], message)
+        _exits_2_with(capsys, ["tensor", "-i", str(path)], state_message)
         _exits_2_with(
-            capsys, ["lhv", "--preset", "bell_phi_minus", "--settings", str(path)], message
+            capsys, ["lhv", "--preset", "bell_phi_minus", "--settings", str(path)],
+            settings_message,
         )
 
     @pytest.mark.parametrize("doc, message", [
         ({"matrix": {"n_qubits": 1, "entries": [[[0, 0], [0, 0]], [[0, 0], [0, 10**400]]]}},
-         "matrix.entries[1][1]: an integer of 1329 bits is too large for a float"),
+         "matrix entries must be finite"),
         ({"vector": {"n_qubits": 1, "amplitudes": [[10**400, 0], [0, 0]]}},
-         "vector.amplitudes[0]: an integer of 1329 bits is too large for a float"),
+         "amplitudes must be finite"),
         ({"preset": {"kind": "werner_ghz", "n_qubits": 2, "visibility": -(10**400)}},
-         "preset.visibility: an integer of 1329 bits is too large for a float"),
+         "visibility must lie in [0, 1], got -inf"),
     ], ids=["matrix", "vector", "preset"])
     def test_integer_too_large_for_a_float(self, tmp_path, capsys, doc, message):
+        # an integer literal past the double range reads as +-inf, as 1e999
+        # does, and meets the check of the field it sits in
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         _exits_2_with(capsys, ["tensor", "-i", str(path)], message)
@@ -815,8 +821,47 @@ class TestInputErrorMessages:
         _exits_2_with(
             capsys,
             ["lhv", "--preset", "bell_phi_minus", "--settings", str(path)],
-            "pairs[1].n2: an integer of 1329 bits is too large for a float",
+            "settings must be unit vectors (residual inf)",
         )
+
+    def test_integer_literals_read_as_float_literals(self, tmp_path, capsys):
+        # 1, 0, -0 (negative zero, as -0.0 is), 2^53 + 1 (a double rounds it
+        # to 2^53) and 10^300 written as integer and as float literals, in
+        # valid and refused files; settings echo theirs in the report
+        one, zero, neg, odd, big = "#1", "#0", "#-0", f"#{2**53 + 1}", f"#{10**300}"
+
+        def matrix(corner):
+            return {"matrix": {"n_qubits": "#2", "entries": [
+                [[corner if i == j == 0 else (neg if (i + j) % 2 else zero), neg]
+                 for j in range(4)] for i in range(4)]}}
+
+        def vector(first):
+            amplitudes = [first, [neg, zero], [zero, neg], [neg, neg]]
+            return {"vector": {"n_qubits": "#2", "amplitudes": amplitudes}}
+
+        states = [matrix(one), matrix(odd), matrix(big), vector([one, neg]), vector([odd, zero]),
+                  {"preset": {"kind": "werner_ghz", "n_qubits": "#2", "visibility": one}},
+                  {"preset": {"kind": "werner_ghz", "n_qubits": "#2", "visibility": big}},
+                  {"preset": {"kind": "ghz", "n_qubits": odd}}]
+        settings = [{"pairs": [{"n1": [one, zero, neg], "n2": [neg, one, zero]},
+                               {"n1": [zero, neg, one], "n2": [last, neg, neg]}]}
+                    for last in (one, odd, big)]
+
+        def outputs(suffix):
+            # each "#<digits>" string becomes an integer literal, or a float one
+            for i, doc in enumerate(states + settings):
+                text = re.sub(r'"#(-?\d+)"', lambda m: m[1] + suffix, json.dumps(doc))
+                (tmp_path / f"{i}.json").write_text(text)
+            for i in range(len(states)):
+                path = str(tmp_path / f"{i}.json")
+                yield run_inprocess(capsys, "analyze", "-i", path, "--restarts", "0")
+                for j in range(len(states), len(states) + len(settings)):
+                    settings_path = str(tmp_path / f"{j}.json")
+                    yield run_inprocess(capsys, "bell", "-i", path, "--settings", settings_path)
+
+        as_integers, as_floats = list(outputs("")), list(outputs(".0"))
+        assert as_integers == as_floats
+        assert {code for code, _, _ in as_integers} == {0, 2}
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_overflowing_hermitian_part(self, tmp_path, capsys, n):
@@ -902,10 +947,7 @@ class TestInputErrorMessages:
     def test_qubit_cap_refused_before_allocating(self, tmp_path, capsys):
         # one row of a 2^13 x 2^13 complex matrix, 1/8192 of the matrix itself
         row = 2**13 * 16
-        message = (
-            f"n_qubits=13 exceeds the cap of {MAX_QUBITS} "
-            "(raise entcrit.states.MAX_QUBITS to override)"
-        )
+        message = f"n_qubits=13 exceeds the cap of {MAX_QUBITS}"
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"matrix": {"n_qubits": 13, "entries": []}}))
         for argv in (["tensor", "--preset", "ghz", "--n", "13"], ["tensor", "-i", str(path)]):

@@ -39,6 +39,7 @@ from entcrit.states import (
     _discs_certify_psd,
     _hermitian_part,
     build_preset,
+    decode_json,
     from_state_vector,
     parse_state_file,
     read_state_file,
@@ -346,6 +347,16 @@ class TestMemoryLayout:
         with pytest.raises(InputError, match="finite"):
             StateVector(1, np.array([np.inf, 1.0], dtype=complex)[::-1])
 
+    def test_array_of_the_container_layout_is_taken_and_frozen(self):
+        # the container's dtype and C layout: taken as is, the caller's array
+        # frozen with it; any other input: a read-only copy
+        m = np.eye(2, dtype=complex) / 2
+        dm = DensityMatrix(1, m)
+        assert dm.matrix is m and not m.flags.writeable
+        m = np.eye(2) / 2
+        dm = DensityMatrix(1, m)
+        assert dm.matrix is not m and m.flags.writeable and not dm.matrix.flags.writeable
+
 
 class TestFromStateVector:
     def test_plus_z(self):
@@ -536,7 +547,7 @@ class TestStateFile:
             ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0]]}},
              "vector.amplitudes must be a list of 2 [re, im] pairs"),
             ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0], [0]]}},
-             "vector.amplitudes[1]: expected a [re, im] pair, got [0]"),
+             "vector.amplitudes[1]: expected a [re, im] pair, got [0.0]"),
             ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0], "ab"]}},
              "vector.amplitudes[1]: expected a [re, im] pair, got 'ab'"),
             ({"vector": {"n_qubits": 1, "amplitudes": [[1, 0], ["0", 0]]}},
@@ -546,7 +557,7 @@ class TestStateFile:
             ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}},
              "matrix.entries[1] must be a list of 2 [re, im] pairs"),
             ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0, 0]]]}},
-             "matrix.entries[1][1]: expected a [re, im] pair, got [0, 0, 0]"),
+             "matrix.entries[1][1]: expected a [re, im] pair, got [0.0, 0.0, 0.0]"),
             # numpy would read these leaves as numbers; the reader refuses them
             ({"matrix": {"n_qubits": 1, "entries": [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]}},
              "matrix.entries[1][1]: expected a number, got True"),
@@ -566,8 +577,8 @@ class TestStateFile:
         assert str(err.value) == message
 
     def test_bulk_read_matches_entry_loop(self, rng):
-        # ints convert as float() does, past 2^53 and 2^63 too, and -0.0
-        # and subnormals keep their bits
+        # integer literals read as float() converts the int, past 2^53 and
+        # 2^63 too, and -0.0 and subnormals keep their bits
         specials = [0, -0.0, 1, -3, 2**53 + 1, 2**63 + 2**11 + 1, -(2**64) - 1, 10**300, 5e-324]
         for n in range(1, 7):
             dim = 2**n
@@ -578,10 +589,44 @@ class TestStateFile:
                 raw = [flat[i : i + 2] for i in range(0, len(flat), 2)]
                 if len(shape) == 2:
                     raw = [raw[i : i + dim] for i in range(0, len(raw), dim)]
-                got, want = _bulk_pairs(raw, shape), loop_read_pairs(raw)
+                got = _bulk_pairs(decode_json(json.dumps(raw)), shape)
+                want = loop_read_pairs(raw)
                 assert np.array_equal(got, want)
                 for part in (np.real, np.imag):
                     assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit to vary"
+    )
+    def test_digit_limit_does_not_change_the_message(self):
+        # a 5,000-digit integer reads as inf whatever the interpreter's limit
+        digits = "9" * 5_000
+        state = '{"matrix": {"n_qubits": 1, "entries": [[[%s, 0], [0, 0]], [[0, 0], [0, 0]]]}}'
+        settings = '{"pairs": [{"n1": [1, 0, 0], "n2": [0, %s, 0]}]}'
+        cases = [
+            (read_state_file, state % digits, "matrix entries must be finite"),
+            (lambda text: parse_settings_file(text, 1), settings % digits,
+             "settings must be unit vectors (residual inf)"),
+        ]
+        default = sys.get_int_max_str_digits()
+        try:
+            for limit in (0, default):
+                sys.set_int_max_str_digits(limit)
+                for read, text, message in cases:
+                    with pytest.raises(InputError) as err:
+                        read(text)
+                    assert str(err.value) == message, limit
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    def test_n_qubits_may_be_an_integral_float(self):
+        for n in ("2", "2.0", "2e0"):
+            doc = '{"preset": {"kind": "ghz", "n_qubits": %s}}' % n
+            dm, preset = read_state_file(doc)
+            assert type(dm.n_qubits) is int and preset.n_qubits == 2
+        with pytest.raises(StateFormatError) as err:
+            read_state_file('{"preset": {"kind": "ghz", "n_qubits": 2.5}}')
+        assert str(err.value) == "preset.n_qubits: expected an integer, got 2.5"
 
     def test_bytes_input_accepted(self):
         dm = parse_state_file(b'{"preset":{"kind":"ghz","n_qubits":2}}')
@@ -606,7 +651,8 @@ _JSON_DOCS = st.recursive(
     | st.dictionaries(_SCHEMA_WORDS | st.text(max_size=3), kids, max_size=4),
     max_leaves=24,
 )
-_LONG_INTEGER = b"[" + b"9" * (sys.get_int_max_str_digits() + 1) + b"]"
+# longer than the default integer digit limit, 4,300
+_LONG_INTEGER = b"[" + b"9" * 5_000 + b"]"
 # well-shaped matrix and vector documents whose entries reach the extremes of
 # a float: 1e308 entries overflow the Hermitian part, 5e-324 is subnormal
 _EXTREME_PAIRS = st.lists(
