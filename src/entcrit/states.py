@@ -30,10 +30,6 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
-#: Qubit count from which the disc certificate runs before the Cholesky gate.
-#: Below it a factorization costs less than the disc test that a full-rank
-#: state fails (measured in the README's `entcrit.states` row).
-_DISCS_FIRST_QUBITS = 8
 #: Height of the row blocks in which validation reads the matrix.
 _ROWS = 128
 #: Most steps of the disc certificate's partial Cholesky factorization.
@@ -159,10 +155,7 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     if trace_residual > TRACE_TOL:
         report.append(InvariantViolation("trace", trace_residual))
     m_norm = np.sqrt(np.vdot(m, m).real)  # ||m||_F
-    discs_first = dm.n_qubits >= _DISCS_FIRST_QUBITS
-    if not (
-        (discs_first and _discs_certify_psd(h, m_norm)) or _cholesky_certifies_psd(h, m_norm)
-    ):
+    if not (_discs_certify_psd(h, m_norm) or _cholesky_certifies_psd(h)):
         # eigvalsh of the complex H measures the same residual on every input;
         # entries past ~9e307 overflow H to inf, leaving no finite eigenvalue
         try:
@@ -269,37 +262,39 @@ def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
     return v[:, :k]
 
 
-def _cholesky_certifies_psd(h: np.ndarray, m_norm: float) -> bool:
+def _cholesky_certifies_psd(h: np.ndarray) -> bool:
     """True when a Cholesky factorization proves that eigvalsh would find
-    no eigenvalue of the Hermitian part h of m below -PSD_TOL; m_norm is
-    ||m||_F.  h is shifted in place for the factorization and restored.
+    no eigenvalue of the Hermitian part h of m below -PSD_TOL.  h is shifted
+    in place for the factorization and restored.
 
-    Cholesky of A = H + (PSD_TOL/2) I that runs to completion is exact for
-    some A + dA with ||dA||_2 <= ~n(n+1) u ||A||_2 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 10.5), so then
-    lambda_min(H) >= -PSD_TOL/2 - ||dA||_2.
+    Cholesky of A = H + (PSD_TOL/2) I that runs to completion gives a factor
+    L with L L^H = A + dA, |dA| <= gamma_{n+1} |L||L^H| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3), so
+    ||dA||_2 <= gamma_{n+1} || |L| ||_2^2 <= gamma_{n+1} ||L||_F^2.  The
+    bound holds for any order of the inner products, so for LAPACK's blocked
+    potrf when its matrix products are conventional.  In complex arithmetic
+    gamma_{n+1} becomes sqrt(2) gamma_{n+2} <= 2.2 (n + 1) u (sec. 3.6);
+    ||L||_F^2, a sum of 2n^2 products, is computed to a relative error below
+    gamma_{2n^2} (4e-9 at n = 4096); the test's own product adds a few u.
+    The factor 4 covers all three, in real arithmetic too.  So when
+    4 (n + 1) u ||L||_F^2 <= PSD_TOL/4 (never for an inf or NaN factor),
+    lambda_min(H) >= -PSD_TOL/2 - ||dA||_2 >= -3 PSD_TOL/4, leaving PSD_TOL/4
+    for the error of eigvalsh, so both tests give the same verdict.
+    ||L||_F^2 = tr(A + dA) is about 1 on a unit-trace state, so every state
+    whose factorization completes is certified up to MAX_QUBITS (the bound
+    reads 1.8e-12 at n = 4096).
     """
     n = h.shape[0]
-    # Factor only where 4 n(n+1) u ||A||_2 <= PSD_TOL/4, the 4 covering
-    # complex arithmetic (so the same bound covers the real factorization
-    # of a real H) and ||A||_2 <= ||m||_F + PSD_TOL/2.  Success then
-    # gives lambda_min(H) >= -3 PSD_TOL/4, leaving PSD_TOL/4 for the error
-    # of eigvalsh, so both tests give the same verdict.  A unit-trace state
-    # has ||m||_F = sqrt(purity) <= 1: every state passes up to N = 9
-    # (1.2e-10 at n = 512), and at N = 10 only below purity ~0.29.
-    norm_bound = m_norm + PSD_TOL / 2.0
-    if 4.0 * n * (n + 1) * _UNIT_ROUNDOFF * norm_bound > PSD_TOL / 4.0:
-        return False
     diagonal = h.diagonal().copy()
     h.flat[:: n + 1] += PSD_TOL / 2.0
     try:
         # h.T is conj(h), same spectrum; its F order is copied without a gather
-        np.linalg.cholesky(h.T)
+        factor = np.linalg.cholesky(h.T)
     except np.linalg.LinAlgError:
         return False
     finally:
         h.flat[:: n + 1] = diagonal
-    return True
+    return 4.0 * (n + 1) * _UNIT_ROUNDOFF * float(np.vdot(factor, factor).real) <= PSD_TOL / 4.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -386,7 +381,7 @@ def _as_number(x, where: str) -> float:
 
 
 def _as_complex(pair, where: str) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    if not isinstance(pair, list) or len(pair) != 2:
         raise StateFormatError(f"{where}: expected a [re, im] pair, got {pair!r}")
     return complex(_as_number(pair[0], where), _as_number(pair[1], where))
 

@@ -24,7 +24,6 @@ from conftest import (
 from entcrit import states as states_module
 from entcrit.bell import parse_settings_file
 from entcrit.states import (
-    _DISCS_FIRST_QUBITS,
     FIXED_QUBITS,
     PRESET_KINDS,
     PSD_TOL,
@@ -73,11 +72,11 @@ class TestValidation:
         report = validate_density_matrix(DensityMatrix(1, m))
         assert any(v.invariant == "positive_semidefinite" for v in report)
 
-    @pytest.mark.parametrize("n", [1, 2, _DISCS_FIRST_QUBITS])
+    @pytest.mark.parametrize("n", [1, 2, 8])
     def test_overflowing_hermitian_part_is_not_psd(self, n):
-        # corners of 1e308 overflow (m + m^H)/2 to inf; eigvalsh then returns
-        # NaN or fails, and neither is a certificate; from _DISCS_FIRST_QUBITS
-        # on, the disc certificate refuses the infinite norm first
+        # corners of 1e308 overflow (m + m^H)/2 to inf: the disc certificate
+        # refuses the infinite norm, the Cholesky factorization fails, and
+        # eigvalsh returns NaN or fails; none of them is a certificate
         m = np.diag(np.full(2**n, 2.0**-n))
         m[0, -1] = m[-1, 0] = 1e308
         report = validate_density_matrix(DensityMatrix(n, m))
@@ -111,7 +110,7 @@ class TestPsdGate:
     def test_prescribed_min_eigenvalue_matches_oracle(self, rng, factor):
         # real orthogonal eigenbases too: the real path's eigvalsh fallback
         # must run on the complex Hermitian part to measure the same residual
-        for n in range(1, 8):
+        for n in range(1, 9):
             for real in (False, True):
                 dm = prescribed_spectrum_matrix(rng, n, factor * PSD_TOL, real)
                 report = validate_density_matrix(dm)
@@ -143,18 +142,24 @@ class TestPsdGate:
         assert report == eigvalsh_validate(dm)
         assert report[0].invariant == "hermiticity"
 
+    def test_discs_run_first_at_every_qubit_count(self, rng, monkeypatch):
+        # the ladder does not depend on n: the discs take a small pure state
+        # before any factorization
+        calls = _record_factorizations(monkeypatch)
+        assert validate_density_matrix(random_pure_state(rng, 2)) == []
+        assert calls == []
+
     def test_eigvalsh_skipped_through_nine_qubits(self, rng, monkeypatch):
         calls = _record_factorizations(monkeypatch)
         assert validate_density_matrix(random_pure_state(rng, 9)) == []
         assert validate_density_matrix(full_rank_state(rng, 9)) == []
-        # the full-rank state is certified by the Cholesky gate
+        # the discs refuse the full-rank state, and the Cholesky certificate takes it
         assert calls == ["cholesky"]
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_low_rank_states_skip_both_factorizations(self, rng, monkeypatch, n):
-        # pure states have Frobenius norm 1, beyond the Cholesky gate's bound
-        # from n = 1024; the disc certificate takes them, and rank-4 and
-        # GHZ-Werner states, with no O(n^3) factorization
+        # the disc certificate, the first rung at every n, takes pure,
+        # rank-4 and GHZ-Werner states with no O(n^3) factorization
         calls = _record_factorizations(monkeypatch)
         for dm in (
             random_pure_state(rng, n),
@@ -163,6 +168,17 @@ class TestPsdGate:
         ):
             assert validate_density_matrix(dm) == []
         assert calls == []
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_full_rank_states_skip_eigvalsh(self, rng, monkeypatch, n):
+        # the discs refuse a full-rank state and a V = 0.9 white-noise mixture
+        # of a pure state, and the Cholesky certificate takes both at any purity
+        dim = 2**n
+        noisy = random_pure_state(rng, n).matrix * 0.9 + np.eye(dim) * (0.1 / dim)
+        calls = _record_factorizations(monkeypatch)
+        for dm in (full_rank_state(rng, n), DensityMatrix(n, noisy)):
+            assert validate_density_matrix(dm) == []
+        assert calls == ["cholesky", "cholesky"]
 
 
 def _validation_corpus(rng, n):
@@ -224,8 +240,9 @@ class TestReferenceValidation:
         assert names == {"hermiticity", "trace", "positive_semidefinite"}
 
     def test_real_pure_state_beyond_certificate(self, rng, monkeypatch):
-        # beyond the Cholesky gate's bound at n = 1024: the disc certificate
-        # takes it in real arithmetic, and only the reference calls eigvalsh
+        # the disc certificate takes it in real arithmetic with no
+        # factorization; the reference's a-priori bound refuses a pure state
+        # at n = 1024, so it alone calls eigvalsh
         calls = _record_factorizations(monkeypatch)
         v = rng.standard_normal(2**10)
         v /= np.linalg.norm(v)
@@ -240,7 +257,7 @@ class TestReferenceValidation:
         # -PSD_TOL and -PSD_TOL/2: the discs refuse it, the shifted Cholesky
         # factorization fails, and eigvalsh decides on the complex H
         calls = _record_factorizations(monkeypatch)
-        dm = prescribed_spectrum_matrix(rng, _DISCS_FIRST_QUBITS, -0.99 * PSD_TOL, real=True)
+        dm = prescribed_spectrum_matrix(rng, 8, -0.99 * PSD_TOL, real=True)
         assert validate_density_matrix(dm) == []
         assert calls == ["cholesky", ("eigvalsh", np.dtype(complex))]
         assert self._assert_same_report(dm) == []
@@ -248,7 +265,7 @@ class TestReferenceValidation:
     def test_report_does_not_depend_on_factor_rank(self, rng, monkeypatch):
         # the disc certificate is exact for any V: where its factorization
         # stops changes which test decides, never the report
-        n, dim = _DISCS_FIRST_QUBITS, 2**_DISCS_FIRST_QUBITS
+        n, dim = 8, 2**8
         noisy = random_pure_state(rng, n).matrix * 0.5 + np.eye(dim) * (0.5 / dim)
         huge = random_pure_state(rng, n).matrix.copy()
         huge[0, -1] = 1.5e308  # overflows ||m||_F to inf, not H
