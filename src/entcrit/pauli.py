@@ -7,16 +7,18 @@ determines the state: rho = 2^-N sum_x T_x (s_x1 x ... x s_xN).
 Flat storage is C order, so the last qubit's index varies fastest.
 
 Every per-qubit contraction in the package is one n-mode product
-(`mode_product`): the Pauli traces and their inverse, the in-plane and
-setting tables, the sign sums of the Bell inequality, the plane
-projections, and the qubit environments both criterion ascents update from.
+(`mode_product`): the inverse of the Pauli traces, the in-plane and setting
+tables, the sign sums of the Bell inequality, the plane projections, and the
+qubit environments both criterion ascents update from.  The Pauli traces
+themselves run the same per-qubit products in real arithmetic, a few qubits
+per pass over the matrix (`correlation_tensor`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +43,13 @@ _Z_HAT = np.array([0.0, 0.0, 1.0])
 
 # Tr[rho s_x] = sum_(r,c) rho[r, c] s_x[c, r], with (r, c) one axis of length 4
 _TRACE = PAULI.transpose(0, 2, 1).reshape(4, 4)
+# the same rows in real arithmetic: the y row times -i, so (0, 1, -1, 0)
+_TRACE_REAL = (_TRACE * np.array([1, 1, -1j, 1])[:, None]).real
+#: Most qubits correlation_tensor maps in one pass over the matrix, and the
+#: floats of each of its two chunk buffers (256 KiB), so that every step of
+#: a pass runs in L2.
+_GROUP = 5
+_CHUNK = 2 * 4**7
 # the inverse map x -> s_x[r, c], up to the 2^-N
 _EXPAND = PAULI.reshape(4, 4).T
 
@@ -74,7 +83,7 @@ class CorrelationTensor:
 
     def __post_init__(self):
         vals = qubit_array(self.n_qubits, self.values, float, lambda n: (4,) * n, "tensor")
-        top = float(np.max(np.abs(vals)))
+        top = float(np.maximum(vals.max(), -vals.min()))  # max |T|, no |T| array made
         if not top <= 1.0 + ENTRY_TOL:
             raise InputError(f"tensor entry out of range: max |T| = {top!r}")
         if not abs(vals[(0,) * self.n_qubits] - 1.0) <= TRACE_TOL:
@@ -121,7 +130,7 @@ class CorrelationTable:
 
     def __post_init__(self):
         vals = qubit_array(self.n_qubits, self.values, float, lambda n: (2,) * n, "table")
-        top = float(np.max(np.abs(vals)))
+        top = float(np.maximum(vals.max(), -vals.min()))
         if not top <= 1.0 + ENTRY_TOL:
             raise InputError(f"correlation value out of range: max |E| = {top!r}")
         object.__setattr__(self, "values", vals)
@@ -176,22 +185,109 @@ class LocalFrame:
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     """Compute every Pauli-product expectation value of a state.
 
-    Each qubit's row and column indices are paired into one axis of length
-    4, which one mode product maps to the Pauli index, so none of the 4^N
-    product operators is materialized.
-
     The tensor is the real part of the traces.  For Hermitian s_x, Re Tr[m s_x]
     = Tr[H s_x] with H = (m + m^H)/2, so this is the tensor of the matrix's
     Hermitian part; whether m is a state is validate_density_matrix's decision.
+
+    Each qubit's row and column indices are paired into one axis of length
+    4, which one real product maps to the Pauli index: _TRACE_REAL, the
+    trace rows without the y row's i, on the real and the imaginary part of
+    the matrix's float view alike.  The i's come back as the phase i^k(x),
+    k(x) the number of y indices of x, applied once at the end; it only
+    swaps the parts and negates, and negation commutes with rounding, so the
+    tensor is the complex chain's bit for bit, up to the sign of an exact
+    zero, which the final + 0.0 makes +0.0 as in the complex chain.
+
+    The qubits go in order, in groups of at most _GROUP, one pass over the
+    matrix per group (_group_pass).
     """
     n = rho.n_qubits
-    # (row_1..row_N, col_1..col_N) -> (row_1, col_1, ..., row_N, col_N)
-    order = [k for q in range(n) for k in (q, n + q)]
-    paired = rho.matrix.reshape((2,) * (2 * n)).transpose(order)
-    # passed unnamed, the paired copy is owned by mode_product's frame (CPython
-    # >= 3.11), which frees it once the first product has read it
-    work = mode_product(paired.reshape((4,) * n), [_TRACE] * n)
-    return CorrelationTensor(n, work.real.copy())
+    passes = -(-n // _GROUP)
+    bounds = [n * j // passes for j in range(passes + 1)]
+    work = rho.matrix.view(float).reshape(-1)
+    for a, b in zip(bounds, bounds[1:]):
+        work = _group_pass(work, n, a, b)
+    return CorrelationTensor(n, work.reshape((4,) * n))
+
+
+def _group_pass(work: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
+    """Map qubits a..b-1 (from 0) of `work` to their Pauli indices, one chunk
+    at a time.
+
+    `work` holds the axes (r_a.., c_a.., part, x_0..x_a-1): the rows and
+    columns still to map, the real/imaginary part, and the Pauli indices
+    mapped so far.  A chunk is a slice of it copied into a buffer as
+    (r_a, c_a, ..., r_b-1, c_b-1, rest); each step consumes the leading pair
+    and appends its Pauli index, so the chunk leaves as (rest, x_a..x_b-1).
+    A pass before the last writes (r_b.., c_b.., part, x_0..x_b-1).  The
+    last pass reads both parts of a block of rows of T and writes the block
+    with its phase i^k (_write_phased).
+    """
+    g = b - a
+    rows = 4**g
+    x_len = 2 ** (n - b)
+    z_len = work.size // (rows * x_len)
+    last = b == n
+    n_parts = 2 if last else 1
+    src = work.reshape((2,) * g + (x_len,) + (2,) * g + (n_parts, z_len // n_parts))
+    pair = [k for q in range(g) for k in (q, g + 1 + q)] + [g, 2 * g + 1, 2 * g + 2]
+    if last:
+        # blocks of 4^e rows of T, so that one phase pattern fits them all
+        cols = min(z_len // 2, _CHUNK // (2 * rows))
+        turns = _quarter_turns((rows * cols).bit_length() // 2)
+        out = np.empty((z_len // 2 // cols, rows * cols))
+    else:
+        cols = _CHUNK // rows
+        out = np.empty((x_len * z_len, rows))
+    inner = z_len // n_parts
+    if inner >= cols:
+        spans = [(x, x + 1, z, z + cols) for x in range(x_len) for z in range(0, inner, cols)]
+    else:
+        spans = [(x, x + cols // inner, 0, inner) for x in range(0, x_len, cols // inner)]
+    size = min(_CHUNK, work.size)
+    bufs = np.empty(size), np.empty(size)
+    for x0, x1, z0, z1 in spans:
+        view = src[(slice(None),) * g + (slice(x0, x1),) + (slice(None),) * (g + 1) + (slice(z0, z1),)]
+        view = view.transpose(pair)
+        w = bufs[0][: view.size].reshape(view.shape)
+        np.copyto(w, view)
+        for q in range(g):
+            if q < g - 1 or last:
+                o = bufs[1 - q % 2][: view.size]
+            else:
+                o = out[x0 * z_len + z0 :][: view.size // rows]
+            w = np.matmul(w.reshape(4, -1).T, _TRACE_REAL.T, out=o.reshape(-1, 4))
+        if last:
+            _write_phased(w.reshape(2, -1), z0 // cols, *turns, out[z0 // cols])
+    return out.reshape(-1)
+
+
+def _write_phased(parts, j, turn_re, turn_im, dest):
+    """dest = Re(i^k (u + i v)) for the parts (u, v) of block j of T, whose
+    rows share their leading indices: i^k = i^c i^p with c the y count of
+    j's base-4 digits and p the pattern over the trailing indices,
+    Re(i^p (u + i v)) = turn_re u + turn_im v.  The parts are overwritten.
+
+    Each product is exact, as turn_re and turn_im are 0 or +-1, and the sum
+    is the one nonzero term; i^c swaps the parts for odd c and negates for
+    c = 1, 2 mod 4.  0.0 + t and 0.0 - t make a zero of either sign +0.0."""
+    c = np.base_repr(j, 4).count("2")
+    u, v = parts if c % 2 == 0 else parts[::-1]
+    u *= turn_re
+    v *= turn_im
+    (np.subtract if c % 2 else np.add)(u, v, out=u)
+    (np.subtract if c % 4 in (1, 2) else np.add)(0.0, u, out=dest)
+
+
+@lru_cache(maxsize=8)
+def _quarter_turns(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Re i^k, -Im i^k) over the 4^d multi-indices of d qubits, k the
+    number of y indices; read-only.  A block of T fills at most half a
+    chunk, so d <= 7 and the cache holds at most 7 pattern pairs."""
+    z = np.ones(1, dtype=complex)
+    for _ in range(d):
+        z = np.multiply.outer(z, [1, 1, 1j, 1]).ravel()
+    return _frozen(z.real.copy()), _frozen(-z.imag)
 
 
 def density_from_tensor(t: CorrelationTensor) -> DensityMatrix:

@@ -183,7 +183,11 @@ def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
             np.conjugate(m[j : j + _ROWS, i : i + _ROWS].T, out=rows[:, j : j + _ROWS])
         residual = max(residual, float(np.abs(top[:, i:] - rows[:, i:]).max()))
         rows += top
-        rows /= 2.0
+        # halved in real arithmetic, 0.5 x each part: the floats a complex
+        # division by 2 gives, up to a zero's sign, in less time; the division
+        # also turns an overflowed inf part's partner into nan
+        half = rows.view(float)
+        np.multiply(half, 0.5, out=half)
     return h, residual
 
 

@@ -11,6 +11,7 @@ to be violated, so both criteria coincide on this family.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -106,7 +107,8 @@ def visibility_scan(
     info_sum = count * v * v
     lhs = full_lhs * v
     columns = (v, info_sum, lhs, lhs / bound, entangled(info_sum), violates(lhs, bound))
-    return list(map(ScanRow, *(c.tolist() for c in columns)))
+    # tuple.__new__ builds each row without ScanRow's Python-level __new__
+    return list(map(tuple.__new__, repeat(ScanRow), zip(*(c.tolist() for c in columns))))
 
 
 _COLUMNS = ("V", "info_sum", "bell_lhs", "bell_ratio", "info_entangled", "bell_violated")

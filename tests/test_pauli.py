@@ -23,6 +23,7 @@ from conftest import (
     tensordot_mode_product,
     traced_peak,
 )
+from entcrit import pauli
 from entcrit.bell import SignFunction
 from entcrit.pauli import (
     _EXPAND,
@@ -47,6 +48,7 @@ from entcrit.states import (
     StatePreset,
     StateVector,
     build_preset,
+    from_state_vector,
 )
 from entcrit.werner import werner_inplane_tensor
 
@@ -258,11 +260,39 @@ class TestAgainstReference:
             for v in (0.0, 0.3, 1.0 / SQ2, 1.0) if kind == "werner_ghz" else (None,):
                 self._assert_bitwise(build_preset(StatePreset(kind, n, v)))
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    # one pass up to N = 5 and two from N = 6, with several chunks per pass
+    # from N = 8
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_real_and_complex_mixtures(self, rng, n):
         self._assert_bitwise(random_density_matrix(rng, n, terms=3))
         a = rng.standard_normal((2**n, 3))
         self._assert_bitwise(DensityMatrix(n, a @ a.T / np.trace(a @ a.T)))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_projectors(self, rng, n):
+        v = _complex_normal(rng, 2**n)
+        v[rng.random(2**n) < 0.25] = 0.0
+        self._assert_bitwise(from_state_vector(StateVector(n, v / np.linalg.norm(v))))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_signed_and_exact_zeros(self, rng, n):
+        # a third of the off-diagonal entries zeroed, then every zero part
+        # made -0.0; zeroing entries of a state keeps |T| <= 1
+        for m in (np.eye(2**n, dtype=complex) / 2**n, random_density_matrix(rng, n, terms=3).matrix):
+            m = m.copy()
+            m[(rng.random(m.shape) < 1 / 3) & ~np.eye(2**n, dtype=bool)] = 0.0
+            parts = m.view(float)
+            parts[parts == 0.0] = -0.0
+            self._assert_bitwise(DensityMatrix(n, m))
+
+    @pytest.mark.parametrize("group, chunk", [(1, 2 * 4), (2, 2 * 4**2), (3, 2 * 4**4)])
+    def test_many_passes_and_chunks(self, rng, monkeypatch, group, chunk):
+        # the passes between the first and the last, which run from N = 11 at
+        # the real sizes, and one-row chunks, on small states
+        monkeypatch.setattr(pauli, "_GROUP", group)
+        monkeypatch.setattr(pauli, "_CHUNK", chunk)
+        for n in range(1, 8):
+            self._assert_bitwise(random_density_matrix(rng, n, terms=3))
 
     def test_peak_memory_nine_qubits(self, rng):
         # the paired copy and one mode product (1 unit each), or the last
