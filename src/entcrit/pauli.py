@@ -182,6 +182,7 @@ class LocalFrame:
         return cls(np.tile(_X_HAT, (n_qubits, 1)), np.tile(_Y_HAT, (n_qubits, 1)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     """Compute every Pauli-product expectation value of a state.
 
@@ -198,80 +199,128 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     tensor is the complex chain's bit for bit, up to the sign of an exact
     zero, which the final + 0.0 makes +0.0 as in the complex chain.
 
+    A real matrix (rho.is_real) carries its real part alone: the transform
+    of an imaginary part that is all +-0 is +-0, whose only trace in the
+    complex chain's result is a zero's sign, so the tensor is the same bit
+    for bit, inf and nan included.  An entry that overflows raises no
+    warning here: CorrelationTensor refuses the inf or nan it leaves.
+
     The qubits go in order, in groups of at most _GROUP, one pass over the
     matrix per group (_group_pass).
     """
     n = rho.n_qubits
     passes = -(-n // _GROUP)
     bounds = [n * j // passes for j in range(passes + 1)]
-    work = rho.matrix.view(float).reshape(-1)
+    parts = 1 if rho.is_real else 2
+    work = rho.matrix.real if parts == 1 else rho.matrix.view(float)
     for a, b in zip(bounds, bounds[1:]):
-        work = _group_pass(work, n, a, b)
+        work = _group_pass(work, n, a, b, parts)
     return CorrelationTensor(n, work.reshape((4,) * n))
 
 
-def _group_pass(work: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
+def _group_pass(work: np.ndarray, n: int, a: int, b: int, parts: int) -> np.ndarray:
     """Map qubits a..b-1 (from 0) of `work` to their Pauli indices, one chunk
     at a time.
 
     `work` holds the axes (r_a.., c_a.., part, x_0..x_a-1): the rows and
-    columns still to map, the real/imaginary part, and the Pauli indices
-    mapped so far.  A chunk is a slice of it copied into a buffer as
-    (r_a, c_a, ..., r_b-1, c_b-1, rest); each step consumes the leading pair
-    and appends its Pauli index, so the chunk leaves as (rest, x_a..x_b-1).
-    A pass before the last writes (r_b.., c_b.., part, x_0..x_b-1).  The
-    last pass reads both parts of a block of rows of T and writes the block
-    with its phase i^k (_write_phased).
+    columns still to map, the `parts` parts (real and imaginary, or real
+    alone), and the Pauli indices mapped so far; the first pass reads the
+    matrix's view in place.  A chunk is a box of it (_pass_plan) copied
+    into a buffer as (r_a, c_a, ..., r_b-1, c_b-1, rest); each step
+    consumes the leading pair and appends its Pauli index, so the chunk
+    leaves as (rest, x_a..x_b-1).  A pass before the last writes (r_b..,
+    c_b.., part, x_0..x_b-1).  The last pass reads the parts of a run of
+    rows of T and writes it with its phase i^k, in blocks of 4^d entries
+    (_write_phased).
     """
-    g = b - a
-    rows = 4**g
-    x_len = 2 ** (n - b)
-    z_len = work.size // (rows * x_len)
-    last = b == n
-    n_parts = 2 if last else 1
-    src = work.reshape((2,) * g + (x_len,) + (2,) * g + (n_parts, z_len // n_parts))
-    pair = [k for q in range(g) for k in (q, g + 1 + q)] + [g, 2 * g + 1, 2 * g + 2]
-    if last:
-        # blocks of 4^e rows of T, so that one phase pattern fits them all
-        cols = min(z_len // 2, _CHUNK // (2 * rows))
-        turns = _quarter_turns((rows * cols).bit_length() // 2)
-        out = np.empty((z_len // 2 // cols, rows * cols))
-    else:
-        cols = _CHUNK // rows
-        out = np.empty((x_len * z_len, rows))
-    inner = z_len // n_parts
-    if inner >= cols:
-        spans = [(x, x + 1, z, z + cols) for x in range(x_len) for z in range(0, inner, cols)]
-    else:
-        spans = [(x, x + cols // inner, 0, inner) for x in range(0, x_len, cols // inner)]
-    size = min(_CHUNK, work.size)
+    src_shape, pair, out_shape, size, d, chunks = _pass_plan(n, a, b, parts, _CHUNK)
+    g, last = b - a, b == n
+    # the phase pattern first: building it takes more memory than it keeps
+    turns = _quarter_turns(d) if last else None
+    src = work.reshape(src_shape)
+    out = np.empty(out_shape)
     bufs = np.empty(size), np.empty(size)
-    for x0, x1, z0, z1 in spans:
-        view = src[(slice(None),) * g + (slice(x0, x1),) + (slice(None),) * (g + 1) + (slice(z0, z1),)]
-        view = view.transpose(pair)
+    step = _TRACE_REAL.T
+    for index, at in chunks:
+        view = src[index].transpose(pair)
         w = bufs[0][: view.size].reshape(view.shape)
         np.copyto(w, view)
         for q in range(g):
             if q < g - 1 or last:
                 o = bufs[1 - q % 2][: view.size]
             else:
-                o = out[x0 * z_len + z0 :][: view.size // rows]
-            w = np.matmul(w.reshape(4, -1).T, _TRACE_REAL.T, out=o.reshape(-1, 4))
+                o = out[at:][: view.size // 4**g]
+            w = np.matmul(w.reshape(4, -1).T, step, out=o.reshape(-1, 4))
         if last:
-            _write_phased(w.reshape(2, -1), z0 // cols, *turns, out[z0 // cols])
+            blocks = w.reshape(parts, -1, 4**d)
+            for k in range(blocks.shape[1]):
+                _write_phased(blocks[:, k], at + k, *turns, out[at + k])
     return out.reshape(-1)
 
 
+@lru_cache(maxsize=128)
+def _pass_plan(n: int, a: int, b: int, parts: int, chunk: int) -> tuple:
+    """What _group_pass needs that the shapes fix: the shape that views
+    `work` as (r_a.., x, c_a.., part, z), the transpose that pairs it, the
+    output's shape, the buffer size, the exponent d of the last pass's
+    blocks of 4^d entries of T (None before it), and per chunk the index of
+    its box in the view and where it goes (an output row, or the first
+    block of T).  `chunk` is _CHUNK, the floats per chunk."""
+    g = b - a
+    rows = 4**g
+    x_len = 2 ** (n - b)
+    z_len = parts * 4**n // (rows * x_len)
+    last = b == n
+    n_parts = parts if last else 1
+    src_shape = (2,) * g + (x_len,) + (2,) * g + (n_parts, z_len // n_parts)
+    pair = tuple(k for q in range(g) for k in (q, g + 1 + q)) + (g, 2 * g + 1, 2 * g + 2)
+    d = None
+    if last:
+        # chunk floats per chunk, in blocks of 4^d entries of T, so that one
+        # phase pattern fits every block
+        cols = min(z_len // parts, chunk // (parts * rows))
+        d = ((rows * cols).bit_length() - 1) // 2
+        out_shape = (4**n >> 2 * d, 4**d)
+    else:
+        cols = chunk // rows
+        out_shape = (x_len * z_len, rows)
+    inner = z_len // n_parts
+    if inner >= cols:
+        spans = [(x, x + 1, z, z + cols) for x in range(x_len) for z in range(0, inner, cols)]
+    else:
+        spans = [(x, x + cols // inner, 0, inner) for x in range(0, x_len, cols // inner)]
+    whole = (slice(None),) * g
+    chunks = tuple(
+        (
+            whole + (slice(x0, x1),) + whole + (slice(None), slice(z0, z1)),
+            z0 * rows >> 2 * d if last else x0 * z_len + z0,
+        )
+        for x0, x1, z0, z1 in spans
+    )
+    return src_shape, pair, out_shape, min(chunk, parts * 4**n), d, chunks
+
+
 def _write_phased(parts, j, turn_re, turn_im, dest):
-    """dest = Re(i^k (u + i v)) for the parts (u, v) of block j of T, whose
-    rows share their leading indices: i^k = i^c i^p with c the y count of
-    j's base-4 digits and p the pattern over the trailing indices,
-    Re(i^p (u + i v)) = turn_re u + turn_im v.  The parts are overwritten.
+    """dest = Re(i^k (u + i v)) for the parts (u, v) of block j of T, or for
+    its real part u alone, whose rows share their leading indices: i^k =
+    i^c i^p with c the y count of j's base-4 digits and p the pattern over
+    the trailing indices, Re(i^p (u + i v)) = turn_re u + turn_im v.  The
+    parts are overwritten.
 
     Each product is exact, as turn_re and turn_im are 0 or +-1, and the sum
     is the one nonzero term; i^c swaps the parts for odd c and negates for
-    c = 1, 2 mod 4.  0.0 + t and 0.0 - t make a zero of either sign +0.0."""
-    c = np.base_repr(j, 4).count("2")
+    c = 1, 2 mod 4.  0.0 + t and 0.0 - t make a zero of either sign +0.0.
+    With u alone, Re(i^c i^p u) is u times turn_re (even c) or turn_im (odd
+    c), negated for c = 2, 3 mod 4: the same floats, since the dropped term
+    of the sum is +-0.  The zero turns still multiply u, so that an inf in u
+    gives nan where it does with both parts."""
+    # the base-4 digits of j that are 2 (bit pairs 10); j < 4^MAX_QUBITS
+    c = (j >> 1 & ~j & 0x555555).bit_count()
+    if len(parts) == 1:
+        u = parts[0]
+        u *= turn_im if c % 2 else turn_re
+        (np.subtract if c % 4 >= 2 else np.add)(0.0, u, out=dest)
+        return
     u, v = parts if c % 2 == 0 else parts[::-1]
     u *= turn_re
     v *= turn_im
@@ -283,7 +332,8 @@ def _write_phased(parts, j, turn_re, turn_im, dest):
 def _quarter_turns(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(Re i^k, -Im i^k) over the 4^d multi-indices of d qubits, k the
     number of y indices; read-only.  A block of T fills at most half a
-    chunk, so d <= 7 and the cache holds at most 7 pattern pairs."""
+    chunk (4^d <= _CHUNK / 2), so d <= 7 and the cache holds at most 7
+    pattern pairs."""
     z = np.ones(1, dtype=complex)
     for _ in range(d):
         z = np.multiply.outer(z, [1, 1, 1j, 1]).ravel()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Optional
 
@@ -70,7 +70,7 @@ def _check_qubit_count(n_qubits: int) -> None:
     if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
         raise InputError(f"n_qubits must be a positive integer, got {n_qubits!r}")
     if n_qubits > MAX_QUBITS:
-        raise InputError(f"n_qubits={n_qubits} exceeds the cap of {MAX_QUBITS}")
+        raise InputError(f"n_qubits={n_qubits:g} exceeds the cap of {MAX_QUBITS}")
 
 
 def _check_visibility(v) -> None:
@@ -132,6 +132,12 @@ class DensityMatrix:
             raise InputError("matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
 
+    @cached_property
+    def is_real(self) -> bool:
+        """True when every imaginary part is zero, -0.0 included: the one
+        scan of the matrix that validation and the correlation tensor share."""
+        return not self.matrix.imag.any()
+
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -145,7 +151,7 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     """
     report: list[InvariantViolation] = []
     m = dm.matrix
-    if not m.imag.any():  # a real state is certified in real arithmetic
+    if dm.is_real:  # a real state is certified in real arithmetic
         m = m.real
     h, herm_residual = _hermitian_part(m)
     if herm_residual > HERMITICITY_TOL:

@@ -955,6 +955,14 @@ class TestInputErrorMessages:
             capsys.readouterr()
             _exits_2_with(capsys, argv, message)
 
+    def test_huge_qubit_count_printed_bounded(self, tmp_path, capsys):
+        # a count past the cap is printed in %g form, not in its 301 digits
+        message = f"n_qubits=1e+300 exceeds the cap of {MAX_QUBITS}"
+        path = tmp_path / "huge.json"
+        path.write_text('{"preset": {"kind": "ghz", "n_qubits": 1e300}}')
+        for argv in (["tensor", "--preset", "ghz", "--n", str(10**300)], ["tensor", "-i", str(path)]):
+            _exits_2_with(capsys, argv, message)
+
     def test_unreadable_input(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         with pytest.raises(OSError) as e:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,24 +286,63 @@ class TestAgainstReference:
             parts[parts == 0.0] = -0.0
             self._assert_bitwise(DensityMatrix(n, m))
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_imaginary_part_only_in_the_last_entry(self, rng, n):
+        # the is-real decision reads the whole matrix: one nonzero imaginary
+        # part, in the last entry, sends the state down the complex path
+        a = rng.standard_normal((2**n, 3))
+        m = (a @ a.T / np.trace(a @ a.T)).astype(complex)
+        m[-1, -1] += 1e-3j
+        dm = DensityMatrix(n, m)
+        assert not dm.is_real
+        self._assert_bitwise(dm)
+
     @pytest.mark.parametrize("group, chunk", [(1, 2 * 4), (2, 2 * 4**2), (3, 2 * 4**4)])
     def test_many_passes_and_chunks(self, rng, monkeypatch, group, chunk):
         # the passes between the first and the last, which run from N = 11 at
-        # the real sizes, and one-row chunks, on small states
+        # the real sizes, and chunks of one row of T (complex) or two (real),
+        # on small states
         monkeypatch.setattr(pauli, "_GROUP", group)
         monkeypatch.setattr(pauli, "_CHUNK", chunk)
         for n in range(1, 8):
             self._assert_bitwise(random_density_matrix(rng, n, terms=3))
+            a = rng.standard_normal((2**n, 3))
+            self._assert_bitwise(DensityMatrix(n, a @ a.T / np.trace(a @ a.T)))
 
     def test_peak_memory_nine_qubits(self, rng):
-        # the paired copy and one mode product (1 unit each), or the last
-        # product with its real part copied out
+        # a call holds the first pass's output, 1 unit for a complex state
+        # and 1/2 for a real one, and T (1/2), plus two chunk buffers of
+        # 8 x _CHUNK bytes; the first call also caches the phase pattern and
+        # the pass plans
         unit = 16 * 4**9
-        for dm in (
-            build_preset(StatePreset("werner_ghz", 9, 0.05)),
-            random_density_matrix(rng, 9, terms=3),
-        ):
-            assert traced_peak(correlation_tensor, dm) <= 2.0 * unit + SMALL_OBJECTS
+        buffers = 2 * 8 * pauli._CHUNK + SMALL_OBJECTS
+        werner = build_preset(StatePreset("werner_ghz", 9, 0.05))
+        mixture = random_density_matrix(rng, 9, terms=3)
+        for dm, need in ((werner, 1.0), (mixture, 1.5)):
+            correlation_tensor(dm)
+            assert traced_peak(correlation_tensor, dm) <= need * unit + buffers
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_overflow_refused_without_warning(self, n):
+        # 1e308 corners overflow the traces to inf, in one pass (N = 1, 2) or
+        # two (N = 6), on the real path and on the complex one alike; with
+        # the lower corner negated the y trace overflows too, and at N = 1
+        # only its zero phase turn makes it nan
+        for sign, top in ((1.0, "inf"), (-1.0, "nan")):
+            m = np.zeros((2**n, 2**n), dtype=complex)
+            m[np.ix_((0, -1), (0, -1))] = 1e308
+            m[-1, 0] *= sign
+            c = m.copy()
+            c[0, -1] += 1e-3j
+            c[-1, 0] -= 1e-3j
+            for matrix, real in ((m, True), (c, False)):
+                dm = DensityMatrix(n, matrix)
+                assert dm.is_real is real
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(InputError) as e:
+                        correlation_tensor(dm)
+                assert str(e.value) == f"tensor entry out of range: max |T| = {top}"
 
 
 class TestPlaneSubtensor:
