@@ -199,10 +199,11 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     tensor is the complex chain's bit for bit, up to the sign of an exact
     zero, which the final + 0.0 makes +0.0 as in the complex chain.
 
-    A real matrix (rho.is_real) carries its real part alone: the transform
-    of an imaginary part that is all +-0 is +-0, whose only trace in the
-    complex chain's result is a zero's sign, so the tensor is the same bit
-    for bit, inf and nan included.  An entry that overflows raises no
+    A real matrix (rho.is_real) carries its real part alone, which is the
+    matrix itself when it is stored float64: the transform of an imaginary
+    part that is all +-0 is +-0, whose only trace in the complex chain's
+    result is a zero's sign, so the tensor is the same bit for bit, inf and
+    nan included.  An entry that overflows raises no
     warning here: CorrelationTensor refuses the inf or nan it leaves.
 
     The qubits go in order, in groups of at most _GROUP, one pass over the

@@ -66,11 +66,24 @@ class StateValidationError(InputError):
         super().__init__(f"not a valid density matrix: {detail}")
 
 
+def _g(n) -> str:
+    """n in %g form, an int past the float range too."""
+    try:
+        return f"{n:g}"
+    except OverflowError:
+        from decimal import Context
+
+        return f"{Context(prec=6).create_decimal(n).normalize():g}"
+
+
 def _check_qubit_count(n_qubits: int) -> None:
     if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
-        raise InputError(f"n_qubits must be a positive integer, got {n_qubits!r}")
+        # from a magnitude of 1e6 on in %g form, as the cap message prints it
+        big = isinstance(n_qubits, (int, float, np.number)) and abs(n_qubits) >= 1e6
+        shown = _g(n_qubits) if big else repr(n_qubits)
+        raise InputError(f"n_qubits must be a positive integer, got {shown}")
     if n_qubits > MAX_QUBITS:
-        raise InputError(f"n_qubits={n_qubits:g} exceeds the cap of {MAX_QUBITS}")
+        raise InputError(f"n_qubits={_g(n_qubits)} exceeds the cap of {MAX_QUBITS}")
 
 
 def _check_visibility(v) -> None:
@@ -117,7 +130,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2^N x 2^N complex matrix; physical invariants checked separately.
+    """2^N x 2^N matrix, stored float64 when the input is real (np.isrealobj)
+    and complex128 otherwise; physical invariants checked separately.
 
     The constructor enforces only shape and finiteness so that invalid
     matrices can still be inspected through validate_density_matrix.
@@ -127,19 +141,23 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = qubit_array(self.n_qubits, self.matrix, complex, lambda n: (2**n, 2**n), "matrix")
-        if not np.all(np.isfinite(m)):
+        dtype = float if np.isrealobj(self.matrix) else complex
+        m = qubit_array(self.n_qubits, self.matrix, dtype, lambda n: (2**n, 2**n), "matrix")
+        parts = m.view(float)  # a nan or an inf reaches the max or the min: no mask made
+        if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
             raise InputError("matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
 
     @cached_property
     def is_real(self) -> bool:
-        """True when every imaginary part is zero, -0.0 included: the one
-        scan of the matrix that validation and the correlation tensor share."""
-        return not self.matrix.imag.any()
+        """True for float64 storage, and for complex storage when every
+        imaginary part is zero, -0.0 included: the decision that validation
+        and the correlation tensor share, one scan at most."""
+        return self.matrix.dtype == float or not self.matrix.imag.any()
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        m = np.asarray(self.matrix, dtype=complex)  # a real product sums in another order
+        return float(np.trace(m @ m).real)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -157,7 +175,7 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     if herm_residual > HERMITICITY_TOL:
         report.append(InvariantViolation("hermiticity", herm_residual))
     # the complex sum: a real one pairs the diagonal differently in its last bits
-    trace_residual = float(abs(dm.matrix.trace() - 1.0))
+    trace_residual = float(abs(dm.matrix.trace(dtype=complex) - 1.0))
     if trace_residual > TRACE_TOL:
         report.append(InvariantViolation("trace", trace_residual))
     m_norm = np.sqrt(np.vdot(m, m).real)  # ||m||_F
@@ -312,10 +330,12 @@ def from_state_vector(v: StateVector) -> DensityMatrix:
     """Projector onto a normalized pure state.  The trace rule of a matrix
     file, |Tr rho - 1| <= TRACE_TOL, is applied to Tr |psi><psi| = ||psi||^2
     before the projector is formed; a norm that overflows to inf is refused."""
-    residual = abs(np.vdot(v.amplitudes, v.amplitudes).real - 1.0)
+    a = v.amplitudes
+    residual = abs(np.vdot(a, a).real - 1.0)
     if not residual <= TRACE_TOL:
         raise InputError(f"state vector is not normalized: |norm^2 - 1| = {residual:.3e}")
-    return DensityMatrix(v.n_qubits, np.outer(v.amplitudes, v.amplitudes.conj()))
+    a = a if a.imag.any() else a.real  # real amplitudes, -0.0 parts too: a float64 projector
+    return DensityMatrix(v.n_qubits, np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True)
@@ -345,15 +365,15 @@ class StatePreset:
             )
 
 
-_PLUS_X = _frozen(np.full((2, 2), 0.5, dtype=complex))
-_MINUS_X = _frozen(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
+_PLUS_X = _frozen(np.full((2, 2), 0.5))
+_MINUS_X = _frozen(np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
 
 def _ghz_werner(n: int, v) -> np.ndarray:
     """V |GHZ><GHZ| + (1 - V) I / 2^N, built in place; the GHZ corners are
     exactly V/2, avoiding 1/sqrt(2) rounding in products."""
     v, dim = float(v), 2**n
-    m = np.zeros((dim, dim), dtype=complex)
+    m = np.zeros((dim, dim))
     m[np.ix_((0, -1), (0, -1))] = 0.5 * v
     if v != 1.0:  # leave a pure GHZ state's zero pages unwritten, hence unmapped
         m.flat[:: dim + 1] += (1.0 - v) / dim
@@ -374,7 +394,7 @@ _BUILDERS = {
     "product_plus_x_minus_x": lambda n, v: np.kron(_PLUS_X, _MINUS_X),
     "werner_ghz": _ghz_werner,
     "maximally_mixed": lambda n, v: _ghz_werner(n, 0.0),
-    "product_all_plus_x": lambda n, v: reduce(np.kron, [_PLUS_X] * n, np.ones((1, 1), complex)),
+    "product_all_plus_x": lambda n, v: reduce(np.kron, [_PLUS_X] * n, np.ones((1, 1))),
 }
 PRESET_KINDS = tuple(_BUILDERS)
 
@@ -515,5 +535,5 @@ def read_state_file(text) -> tuple[DensityMatrix, Optional[StatePreset]]:
 def serialize_state(dm: DensityMatrix) -> str:
     """Emit a state file that parse_state_file reproduces entry for entry."""
     dim = 2**dm.n_qubits
-    entries = dm.matrix.view(float).reshape(dim, dim, 2).tolist()
+    entries = np.asarray(dm.matrix, dtype=complex).view(float).reshape(dim, dim, 2).tolist()
     return json.dumps({"matrix": {"n_qubits": int(dm.n_qubits), "entries": entries}})

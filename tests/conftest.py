@@ -264,7 +264,7 @@ def eigvalsh_validate(dm):
     """Density-matrix invariants with the smallest eigenvalue from eigvalsh
     on every input: the PSD gate as it stood before the Cholesky certificate."""
     report = []
-    m = dm.matrix
+    m = np.asarray(dm.matrix, dtype=complex)
     herm_residual = float(np.max(np.abs(m - m.conj().T)))
     if herm_residual > HERMITICITY_TOL:
         report.append(InvariantViolation("hermiticity", herm_residual))
@@ -285,7 +285,7 @@ def reference_validate(dm):
     m^H twice and factoring the C-ordered Hermitian part: the reference for
     `validate_density_matrix`."""
     report = []
-    m = dm.matrix
+    m = np.asarray(dm.matrix, dtype=complex)
     m_h = m.conj().T
     herm_residual = float(np.max(np.abs(m - m_h)))
     if herm_residual > HERMITICITY_TOL:

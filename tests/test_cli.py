@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHILD_ENV, random_density_matrix, signed_mass_table, traced_peak
-from entcrit import bell, cli, lhv
+from entcrit import bell, cli, lhv, states
 from entcrit.cli import build_parser, main
 from entcrit.pauli import FRAME_TOL, CorrelationTable, CorrelationTensor
 from entcrit.states import (
@@ -21,7 +21,9 @@ from entcrit.states import (
     MAX_QUBITS,
     TRACE_TOL,
     DensityMatrix,
+    InputError,
     StateFormatError,
+    StatePreset,
     read_state_file,
     serialize_state,
 )
@@ -303,6 +305,31 @@ class TestAnalyzeCommand:
             assert by_file == by_flag
             if command == "analyze":
                 assert ("werner" in json.loads(by_file[1])) == (kind == "werner_ghz")
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_real_vector_file_as_complex_projector(self, tmp_path, capsys, monkeypatch, n):
+        # a vector file with real amplitudes (zeros and -0.0 imaginary parts
+        # among them) holds a float64 projector, and prints the bytes that
+        # the complex projector prints
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(2**n)
+        a[rng.random(2**n) < 0.25] = 0.0
+        a /= np.linalg.norm(a)
+        imag = np.where(rng.random(2**n) < 0.5, -0.0, 0.0)
+        pairs = np.stack([a, imag], axis=1).tolist()
+        path = tmp_path / "vector.json"
+        path.write_text(json.dumps({"vector": {"n_qubits": n, "amplitudes": pairs}}))
+        assert read_state_file(path.read_bytes())[0].matrix.dtype == np.float64
+        commands = [["tensor", "-i", str(path)], ["analyze", "-i", str(path), "--restarts", "0"]]
+        outputs = [run_inprocess(capsys, *argv) for argv in commands]
+
+        def complex_projector(v):
+            return DensityMatrix(v.n_qubits, np.outer(v.amplitudes, v.amplitudes.conj()))
+
+        monkeypatch.setattr(states, "from_state_vector", complex_projector)
+        assert read_state_file(path.read_bytes())[0].matrix.dtype == np.complex128
+        assert [run_inprocess(capsys, *argv) for argv in commands] == outputs
+        assert all(code == 0 for code, _, _ in outputs)
 
     def test_single_qubit_werner_section(self, capsys):
         code, out, _ = run_inprocess(
@@ -962,6 +989,28 @@ class TestInputErrorMessages:
         path.write_text('{"preset": {"kind": "ghz", "n_qubits": 1e300}}')
         for argv in (["tensor", "--preset", "ghz", "--n", str(10**300)], ["tensor", "-i", str(path)]):
             _exits_2_with(capsys, argv, message)
+        # past the float range too, where %g of the int itself would overflow
+        message = f"n_qubits=1.5e+400 exceeds the cap of {MAX_QUBITS}"
+        _exits_2_with(capsys, ["tensor", "--preset", "ghz", "--n", str(15 * 10**399)], message)
+
+    def test_huge_negative_qubit_count_printed_bounded(self, tmp_path, capsys):
+        # a count of magnitude 1e6 or more in %g form; smaller counts and
+        # non-integers keep their repr
+        path = tmp_path / "negative.json"
+        path.write_text('{"preset": {"kind": "ghz", "n_qubits": -1e300}}')
+        for argv, shown in (
+            (["tensor", "-i", str(path)], "-1e+300"),
+            (["tensor", "--preset", "ghz", "--n", str(-(10**40))], "-1e+40"),
+            (["tensor", "--preset", "ghz", "--n", str(-(10**400))], "-1e+400"),
+            (["tensor", "--preset", "ghz", "--n", "-1000000"], "-1e+06"),
+            (["tensor", "--preset", "ghz", "--n", "-999999"], "-999999"),
+            (["tensor", "--preset", "ghz", "--n", "0"], "0"),
+        ):
+            _exits_2_with(capsys, argv, f"n_qubits must be a positive integer, got {shown}")
+        for count, shown in ((2.5, "2.5"), ("x", "'x'"), (-2.5e10, "-2.5e+10")):
+            with pytest.raises(InputError) as e:
+                StatePreset("ghz", count)
+            assert str(e.value) == f"n_qubits must be a positive integer, got {shown}"
 
     def test_unreadable_input(self, tmp_path, capsys):
         path = tmp_path / "missing.json"

@@ -21,6 +21,7 @@ from conftest import (
     reference_validate,
     traced_peak,
 )
+from entcrit import pauli
 from entcrit import states as states_module
 from entcrit.bell import parse_settings_file
 from entcrit.states import (
@@ -336,6 +337,88 @@ class TestValidationMemory:
         assert traced_peak(validate_density_matrix, dm) <= 1.375 * self.UNIT + SMALL_OBJECTS
 
 
+def _corner_matrices(n):
+    """Real matrices with 1e308 corners, which overflow the Hermitian part and
+    the traces: the corners alone, the lower one negated, and on I/2^N."""
+    for sign, diagonal in ((1.0, 0.0), (-1.0, 0.0), (1.0, 2.0**-n)):
+        m = np.diag(np.full(2**n, diagonal))
+        m[np.ix_((0, -1), (0, -1))] = 1e308
+        m[-1, 0] *= sign
+        yield m
+
+
+class TestRealStorage:
+    """A real input is stored float64, at half the bytes of complex storage,
+    and every consumer of the matrix gives the complex storage's bits."""
+
+    @pytest.mark.parametrize("kind", PRESET_KINDS)
+    def test_presets_are_float64(self, kind):
+        qubits = [FIXED_QUBITS[kind]] if kind in FIXED_QUBITS else range(1, 11)
+        for n in qubits:
+            m = build_preset(StatePreset(kind, n, 0.3 if kind == "werner_ghz" else None)).matrix
+            assert m.dtype == np.float64 and m.nbytes == 8 * 4**n
+            assert m.flags.c_contiguous and not m.flags.writeable
+
+    @staticmethod
+    def _outcomes(dm):
+        """The report and the tensor's raw bytes, inf and nan included: what
+        CorrelationTensor accepts, or the range error it raises, follows."""
+        report = [(v.invariant, v.residual.hex()) for v in validate_density_matrix(dm)]
+        return report, pauli.correlation_tensor(dm).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_float64_and_complex_storage_agree(self, rng, monkeypatch, n):
+        # every real matrix of the validation corpus (the -0.0-imaginary,
+        # trace-off, skewed and non-PSD ones) and the 1e308 corners
+        monkeypatch.setattr(pauli, "CorrelationTensor", lambda n, values: values)
+        matrices = [m for m in _validation_corpus(rng, n) if not np.imag(m).any()]
+        for m in matrices + list(_corner_matrices(n)):
+            real = DensityMatrix(n, np.array(m.real))
+            stored = [real, DensityMatrix(n, m.real.astype(complex))]
+            if np.iscomplexobj(m):
+                stored.append(DensityMatrix(n, m))
+            assert real.matrix.dtype == np.float64
+            assert all(dm.is_real for dm in stored)
+            want = self._outcomes(real)
+            for dm in stored[1:]:
+                assert self._outcomes(dm) == want
+            if n <= 6:  # the text and the O(8^N) product, at the smaller sizes
+                with np.errstate(over="ignore", invalid="ignore"):
+                    purity = [np.float64(dm.purity()).tobytes() for dm in stored[:2]]
+                assert purity[0] == purity[1]
+                assert serialize_state(stored[0]) == serialize_state(stored[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_in_either_storage(self, bad):
+        # the finiteness check reads the max and the min of the float view:
+        # an inf of either sign, or a nan, in either part of any entry
+        cases = ((1, float, 0), (3, float, -1), (3, complex, 11), (3, complex, -2), (3, complex, -1))
+        for n, dtype, at in cases:  # `at` indexes the float view: odd is imaginary
+            m = np.eye(2**n, dtype=dtype) / 2**n
+            m.view(float).reshape(-1)[at] = bad
+            with pytest.raises(InputError, match="^matrix entries must be finite$"):
+                DensityMatrix(n, m)
+
+    def test_preset_built_in_half_a_complex_unit(self):
+        # the float64 matrix is the whole of the build's peak: no complex
+        # matrix, and no finiteness mask
+        unit = 16 * 4**9
+        peak = traced_peak(build_preset, StatePreset("werner_ghz", 9, 0.1))
+        assert peak <= 0.5 * unit + SMALL_OBJECTS
+
+    def test_real_vector_projector_is_float64(self, rng):
+        for n in range(1, 7):
+            a = rng.standard_normal(2**n)
+            a /= np.linalg.norm(a)
+            for amps in (a, a.astype(complex), a.astype(complex).conj()):  # +-0.0 imaginary
+                dm = from_state_vector(StateVector(n, amps))
+                assert dm.matrix.dtype == np.float64 and dm.is_real
+                np.testing.assert_array_equal(dm.matrix, np.outer(a, a))
+            amps = a.astype(complex)
+            amps[-1] += 1e-300j
+            assert from_state_vector(StateVector(n, amps)).matrix.dtype == np.complex128
+
+
 class TestMemoryLayout:
     def test_fortran_order_matrix_builds(self):
         m = (np.eye(2) / 2 + 0j).T.copy(order="F")
@@ -365,14 +448,23 @@ class TestMemoryLayout:
             StateVector(1, np.array([np.inf, 1.0], dtype=complex)[::-1])
 
     def test_array_of_the_container_layout_is_taken_and_frozen(self):
-        # the container's dtype and C layout: taken as is, the caller's array
-        # frozen with it; any other input: a read-only copy
-        m = np.eye(2, dtype=complex) / 2
-        dm = DensityMatrix(1, m)
-        assert dm.matrix is m and not m.flags.writeable
-        m = np.eye(2) / 2
-        dm = DensityMatrix(1, m)
-        assert dm.matrix is not m and m.flags.writeable and not dm.matrix.flags.writeable
+        # the container's dtype (float64 for a real input, complex128 for a
+        # complex one) and C layout: taken as is, the caller's array frozen
+        # with it; any other input: a read-only copy
+        for dtype in (float, complex):
+            m = np.eye(2, dtype=dtype) / 2
+            dm = DensityMatrix(1, m)
+            assert dm.matrix is m and not m.flags.writeable
+        for m in (
+            np.eye(2, dtype=np.float32) / 2,
+            np.eye(2, dtype=int),
+            np.asfortranarray([[0.5, 0.25], [0.25, 0.5]]),
+            (np.eye(4) / 2)[::2, ::2],
+        ):
+            dm = DensityMatrix(1, m)
+            assert dm.matrix is not m and m.flags.writeable and not dm.matrix.flags.writeable
+            assert dm.matrix.dtype == float and dm.matrix.flags.c_contiguous
+            np.testing.assert_array_equal(dm.matrix, m)
 
 
 class TestFromStateVector:
