@@ -199,12 +199,12 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     tensor is the complex chain's bit for bit, up to the sign of an exact
     zero, which the final + 0.0 makes +0.0 as in the complex chain.
 
-    A real matrix (rho.is_real) carries its real part alone, which is the
-    matrix itself when it is stored float64: the transform of an imaginary
-    part that is all +-0 is +-0, whose only trace in the complex chain's
-    result is a zero's sign, so the tensor is the same bit for bit, inf and
-    nan included.  An entry that overflows raises no
-    warning here: CorrelationTensor refuses the inf or nan it leaves.
+    A matrix stored float64, one whose imaginary parts are all zero, carries
+    its one part: the transform of an imaginary part that is all +-0 is +-0,
+    whose only trace in the complex chain's result is a zero's sign, so the
+    tensor is the same bit for bit, inf and nan included.  An entry that
+    overflows raises no warning here: CorrelationTensor refuses the inf or
+    nan it leaves.
 
     The qubits go in order, in groups of at most _GROUP, one pass over the
     matrix per group (_group_pass).
@@ -212,8 +212,8 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     n = rho.n_qubits
     passes = -(-n // _GROUP)
     bounds = [n * j // passes for j in range(passes + 1)]
-    parts = 1 if rho.is_real else 2
-    work = rho.matrix.real if parts == 1 else rho.matrix.view(float)
+    work = rho.matrix.view(float)
+    parts = rho.matrix.itemsize // 8  # float64 or complex128
     for a, b in zip(bounds, bounds[1:]):
         work = _group_pass(work, n, a, b, parts)
     return CorrelationTensor(n, work.reshape((4,) * n))

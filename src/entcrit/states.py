@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from typing import Optional
 
@@ -101,11 +101,18 @@ def qubit_array(n_qubits: int, values, dtype, shape, what: str) -> np.ndarray:
     """The one structural check of a qubit array: `values` as a read-only
     `dtype` array of the shape `shape(n_qubits)` that the count fixes.  The
     count is checked first, so that one such as 2.5 or 10**9 never reaches
-    `shape`.  An array that already has `dtype` and C layout is taken as it
-    is and made read-only, the caller's array with it; any other input is
-    converted into a read-only copy.  Copying every input would keep a second
-    2^N x 2^N matrix for each state a reader builds."""
+    `shape`.  dtype None is a matrix's realness rule: float64 exactly when
+    every imaginary part is zero, -0.0 included, and complex128 otherwise.
+    An array that already has its dtype and C layout is taken as it is and
+    made read-only, the caller's array with it; any other input, a complex
+    one whose imaginary parts are all zero too, becomes a read-only copy.
+    Copying every input would keep a second 2^N x 2^N matrix for each state
+    a reader builds."""
     _check_qubit_count(n_qubits)
+    if dtype is None:
+        values = np.asarray(values)
+        real = not (np.iscomplexobj(values) and values.imag.any())
+        values, dtype = (values.real, float) if real else (values, complex)
     a = np.asarray(values, dtype=dtype)
     if a.shape != shape(n_qubits):
         raise InputError(
@@ -130,8 +137,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2^N x 2^N matrix, stored float64 when the input is real (np.isrealobj)
-    and complex128 otherwise; physical invariants checked separately.
+    """2^N x 2^N matrix, float64 exactly when every imaginary part is zero
+    (qubit_array) and complex128 otherwise; invariants checked separately.
 
     The constructor enforces only shape and finiteness so that invalid
     matrices can still be inspected through validate_density_matrix.
@@ -141,19 +148,11 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dtype = float if np.isrealobj(self.matrix) else complex
-        m = qubit_array(self.n_qubits, self.matrix, dtype, lambda n: (2**n, 2**n), "matrix")
+        m = qubit_array(self.n_qubits, self.matrix, None, lambda n: (2**n, 2**n), "matrix")
         parts = m.view(float)  # a nan or an inf reaches the max or the min: no mask made
         if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
             raise InputError("matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
-
-    @cached_property
-    def is_real(self) -> bool:
-        """True for float64 storage, and for complex storage when every
-        imaginary part is zero, -0.0 included: the decision that validation
-        and the correlation tensor share, one scan at most."""
-        return self.matrix.dtype == float or not self.matrix.imag.any()
 
     def purity(self) -> float:
         m = np.asarray(self.matrix, dtype=complex)  # a real product sums in another order
@@ -169,8 +168,6 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     """
     report: list[InvariantViolation] = []
     m = dm.matrix
-    if dm.is_real:  # a real state is certified in real arithmetic
-        m = m.real
     h, herm_residual = _hermitian_part(m)
     if herm_residual > HERMITICITY_TOL:
         report.append(InvariantViolation("hermiticity", herm_residual))
@@ -410,33 +407,41 @@ def _as_number(x, where: str) -> float:
     return x
 
 
-def _as_complex(pair, where: str) -> complex:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise StateFormatError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(_as_number(pair[0], where), _as_number(pair[1], where))
+def _locate_fault(raw, shape: tuple, where: str) -> None:
+    """Raise the StateFormatError that names the first entry of `raw`, row
+    by row and pair by pair, that is not a [re, im] pair of floats in the
+    given shape.  Only a list that _read_pairs cannot convert comes here,
+    and a list this passes converts, so it always raises."""
+    if not isinstance(raw, list) or len(raw) != shape[0]:
+        unit = "rows" if len(shape) > 1 else "[re, im] pairs"
+        raise StateFormatError(f"{where} must be a list of {shape[0]} {unit}")
+    for i, x in enumerate(raw):
+        at = f"{where}[{i}]"
+        if len(shape) > 1:
+            _locate_fault(x, shape[1:], at)
+        elif not isinstance(x, list) or len(x) != 2:
+            raise StateFormatError(f"{at}: expected a [re, im] pair, got {x!r}")
+        else:
+            for part in x:
+                _as_number(part, at)
 
 
-def _complex_list(raw, dim: int, where: str) -> list[complex]:
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise StateFormatError(f"{where} must be a list of {dim} [re, im] pairs")
-    return [_as_complex(x, f"{where}[{i}]") for i, x in enumerate(raw)]
-
-
-def _bulk_pairs(raw, shape: tuple) -> Optional[np.ndarray]:
+def _read_pairs(raw, shape: tuple, where: str) -> np.ndarray:
     """The [re, im] pairs nested in raw as a complex array of the given
-    shape, converted in one step, or None where the per-entry reader must
-    decide (and raise).  np.array also converts bools, None and numeric
-    strings, so every leaf must be a float; ragged lists make it raise."""
+    shape, converted in one step.  np.array also converts bools, None and
+    numeric strings, so every leaf must be a float; ragged lists make it
+    raise.  Where the conversion cannot run, _locate_fault names the fault."""
     try:
         leaves = raw
         for _ in shape:
             leaves = chain.from_iterable(leaves)
-        if not set(map(type, leaves)) <= {float}:
-            return None
-        pairs = np.array(raw, dtype=float)
+        if set(map(type, leaves)) <= {float}:
+            pairs = np.array(raw, dtype=float)
+            if pairs.shape == shape + (2,):
+                return pairs.view(complex).reshape(shape)
     except (TypeError, ValueError):
-        return None
-    return pairs.view(complex).reshape(shape) if pairs.shape == shape + (2,) else None
+        pass
+    _locate_fault(raw, shape, where)
 
 
 def _require(doc: dict, field: str, where: str):
@@ -509,23 +514,11 @@ def read_state_file(text) -> tuple[DensityMatrix, Optional[StatePreset]]:
 
     n = _parse_n_qubits(body, key)
     _check_qubit_count(n)
-    dim = 2**n
-
+    field, shape = ("amplitudes", (2**n,)) if key == "vector" else ("entries", (2**n,) * 2)
+    pairs = _read_pairs(_require(body, field, key), shape, f"{key}.{field}")
     if key == "vector":
-        raw = _require(body, "amplitudes", "vector")
-        amps = _bulk_pairs(raw, (dim,))
-        if amps is None:
-            amps = np.array(_complex_list(raw, dim, "vector.amplitudes"))
-        return from_state_vector(StateVector(n, amps)), None
-
-    raw = _require(body, "entries", "matrix")
-    entries = _bulk_pairs(raw, (dim, dim))
-    if entries is None:
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise StateFormatError(f"matrix.entries must be a list of {dim} rows")
-        rows = [_complex_list(row, dim, f"matrix.entries[{i}]") for i, row in enumerate(raw)]
-        entries = np.array(rows)
-    dm = DensityMatrix(n, entries)
+        return from_state_vector(StateVector(n, pairs)), None
+    dm = DensityMatrix(n, pairs)
     report = validate_density_matrix(dm)
     if report:
         raise StateValidationError(report)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHILD_ENV, random_density_matrix, signed_mass_table, traced_peak
-from entcrit import bell, cli, lhv, states
+from entcrit import bell, cli, lhv
 from entcrit.cli import build_parser, main
 from entcrit.pauli import FRAME_TOL, CorrelationTable, CorrelationTensor
 from entcrit.states import (
@@ -307,29 +307,29 @@ class TestAnalyzeCommand:
                 assert ("werner" in json.loads(by_file[1])) == (kind == "werner_ghz")
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_real_vector_file_as_complex_projector(self, tmp_path, capsys, monkeypatch, n):
+    def test_real_vector_file_as_complex_projector(self, tmp_path, capsys, n):
         # a vector file with real amplitudes (zeros and -0.0 imaginary parts
-        # among them) holds a float64 projector, and prints the bytes that
-        # the complex projector prints
+        # among them) holds a float64 projector, and prints the bytes that a
+        # matrix file of the same projector, written as complex pairs, prints
         rng = np.random.default_rng(n)
         a = rng.standard_normal(2**n)
         a[rng.random(2**n) < 0.25] = 0.0
         a /= np.linalg.norm(a)
         imag = np.where(rng.random(2**n) < 0.5, -0.0, 0.0)
         pairs = np.stack([a, imag], axis=1).tolist()
-        path = tmp_path / "vector.json"
-        path.write_text(json.dumps({"vector": {"n_qubits": n, "amplitudes": pairs}}))
-        assert read_state_file(path.read_bytes())[0].matrix.dtype == np.float64
-        commands = [["tensor", "-i", str(path)], ["analyze", "-i", str(path), "--restarts", "0"]]
-        outputs = [run_inprocess(capsys, *argv) for argv in commands]
-
-        def complex_projector(v):
-            return DensityMatrix(v.n_qubits, np.outer(v.amplitudes, v.amplitudes.conj()))
-
-        monkeypatch.setattr(states, "from_state_vector", complex_projector)
-        assert read_state_file(path.read_bytes())[0].matrix.dtype == np.complex128
-        assert [run_inprocess(capsys, *argv) for argv in commands] == outputs
-        assert all(code == 0 for code, _, _ in outputs)
+        vector = tmp_path / "vector.json"
+        vector.write_text(json.dumps({"vector": {"n_qubits": n, "amplitudes": pairs}}))
+        dm = read_state_file(vector.read_bytes())[0]
+        assert dm.matrix.dtype == np.float64
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(serialize_state(dm))
+        assert read_state_file(matrix.read_bytes())[0].matrix.tobytes() == dm.matrix.tobytes()
+        outputs = []
+        for path in (vector, matrix):
+            commands = [["tensor", "-i", str(path)], ["analyze", "-i", str(path), "--restarts", "0"]]
+            outputs.append([run_inprocess(capsys, *argv) for argv in commands])
+        assert outputs[0] == outputs[1]
+        assert all(code == 0 for code, _, _ in outputs[0])
 
     def test_single_qubit_werner_section(self, capsys):
         code, out, _ = run_inprocess(

@@ -207,6 +207,14 @@ class TestCorrelationTensor:
             back = density_from_tensor(CorrelationTensor(n, brute_force_tensor(dm)))
             assert np.max(np.abs(back.matrix - dm.matrix)) <= 1e-10
 
+    def test_werner_ghz_rebuilt_as_float64(self):
+        # the y terms of a real state's tensor leave every imaginary part zero
+        for n in range(1, 9):
+            dm = build_preset(StatePreset("werner_ghz", n, 0.3))
+            back = density_from_tensor(correlation_tensor(dm)).matrix
+            assert back.dtype == np.float64
+            assert np.max(np.abs(back - dm.matrix)) <= 1e-10
+
     def test_nan_entry_rejected(self):
         with pytest.raises(InputError, match="out of range"):
             CorrelationTensor(1, [1.0, np.nan, 0.0, 0.0])
@@ -288,13 +296,13 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_imaginary_part_only_in_the_last_entry(self, rng, n):
-        # the is-real decision reads the whole matrix: one nonzero imaginary
-        # part, in the last entry, sends the state down the complex path
+        # the realness rule reads the whole matrix: one nonzero imaginary
+        # part, in the last entry, keeps complex storage and the complex path
         a = rng.standard_normal((2**n, 3))
         m = (a @ a.T / np.trace(a @ a.T)).astype(complex)
         m[-1, -1] += 1e-3j
         dm = DensityMatrix(n, m)
-        assert not dm.is_real
+        assert dm.matrix.dtype == np.complex128
         self._assert_bitwise(dm)
 
     @pytest.mark.parametrize("group, chunk", [(1, 2 * 4), (2, 2 * 4**2), (3, 2 * 4**4)])
@@ -337,7 +345,7 @@ class TestAgainstReference:
             c[-1, 0] -= 1e-3j
             for matrix, real in ((m, True), (c, False)):
                 dm = DensityMatrix(n, matrix)
-                assert dm.is_real is real
+                assert dm.matrix.dtype == (np.float64 if real else np.complex128)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(InputError) as e:

@@ -35,9 +35,9 @@ from entcrit.states import (
     StatePreset,
     StateValidationError,
     StateVector,
-    _bulk_pairs,
     _discs_certify_psd,
     _hermitian_part,
+    _read_pairs,
     build_preset,
     decode_json,
     from_state_vector,
@@ -348,8 +348,8 @@ def _corner_matrices(n):
 
 
 class TestRealStorage:
-    """A real input is stored float64, at half the bytes of complex storage,
-    and every consumer of the matrix gives the complex storage's bits."""
+    """A matrix whose imaginary parts are all zero is stored float64, at half
+    the bytes of complex storage, whether it comes in real or complex."""
 
     @pytest.mark.parametrize("kind", PRESET_KINDS)
     def test_presets_are_float64(self, kind):
@@ -369,7 +369,8 @@ class TestRealStorage:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_float64_and_complex_storage_agree(self, rng, monkeypatch, n):
         # every real matrix of the validation corpus (the -0.0-imaginary,
-        # trace-off, skewed and non-PSD ones) and the 1e308 corners
+        # trace-off, skewed and non-PSD ones) and the 1e308 corners: the
+        # complex form is stored as the float64 form, bit for bit
         monkeypatch.setattr(pauli, "CorrelationTensor", lambda n, values: values)
         matrices = [m for m in _validation_corpus(rng, n) if not np.imag(m).any()]
         for m in matrices + list(_corner_matrices(n)):
@@ -377,8 +378,9 @@ class TestRealStorage:
             stored = [real, DensityMatrix(n, m.real.astype(complex))]
             if np.iscomplexobj(m):
                 stored.append(DensityMatrix(n, m))
-            assert real.matrix.dtype == np.float64
-            assert all(dm.is_real for dm in stored)
+            for dm in stored:
+                assert dm.matrix.dtype == np.float64
+                assert dm.matrix.tobytes() == real.matrix.tobytes()
             want = self._outcomes(real)
             for dm in stored[1:]:
                 assert self._outcomes(dm) == want
@@ -399,6 +401,25 @@ class TestRealStorage:
             with pytest.raises(InputError, match="^matrix entries must be finite$"):
                 DensityMatrix(n, m)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_complex_input_with_zero_imaginary_parts_is_float64(self, rng, n):
+        m = np.diag(rng.random(2**n)).astype(complex)
+        m /= m.trace()
+        m.imag = np.where(rng.random(m.shape) < 0.5, -0.0, 0.0)
+        stored = DensityMatrix(n, m).matrix
+        assert stored.dtype == np.float64 and stored.nbytes == 8 * 4**n
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert stored.tobytes() == m.real.copy().tobytes()
+
+    def test_nan_imaginary_part_keeps_complex_storage(self):
+        # a nan is not zero: the matrix stays complex, and its nan is refused
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = complex(0.0, np.nan)
+        stored = states_module.qubit_array(2, m, None, lambda n: (4, 4), "matrix")
+        assert stored.dtype == np.complex128
+        with pytest.raises(InputError, match="^matrix entries must be finite$"):
+            DensityMatrix(2, m)
+
     def test_preset_built_in_half_a_complex_unit(self):
         # the float64 matrix is the whole of the build's peak: no complex
         # matrix, and no finiteness mask
@@ -412,8 +433,12 @@ class TestRealStorage:
             a /= np.linalg.norm(a)
             for amps in (a, a.astype(complex), a.astype(complex).conj()):  # +-0.0 imaginary
                 dm = from_state_vector(StateVector(n, amps))
-                assert dm.matrix.dtype == np.float64 and dm.is_real
+                assert dm.matrix.dtype == np.float64
                 np.testing.assert_array_equal(dm.matrix, np.outer(a, a))
+                # the complex projector is stored float64 too, equal up to a zero's sign
+                projector = DensityMatrix(n, np.outer(amps, amps.conj())).matrix
+                assert projector.dtype == np.float64
+                np.testing.assert_array_equal(projector, dm.matrix)
             amps = a.astype(complex)
             amps[-1] += 1e-300j
             assert from_state_vector(StateVector(n, amps)).matrix.dtype == np.complex128
@@ -448,14 +473,15 @@ class TestMemoryLayout:
             StateVector(1, np.array([np.inf, 1.0], dtype=complex)[::-1])
 
     def test_array_of_the_container_layout_is_taken_and_frozen(self):
-        # the container's dtype (float64 for a real input, complex128 for a
-        # complex one) and C layout: taken as is, the caller's array frozen
-        # with it; any other input: a read-only copy
-        for dtype in (float, complex):
-            m = np.eye(2, dtype=dtype) / 2
+        # the container's dtype (float64 when every imaginary part is zero,
+        # complex128 otherwise) and C layout: taken as is, the caller's array
+        # frozen with it; any other input, a real-valued complex128 one
+        # included: a read-only copy
+        for m in (np.eye(2) / 2, np.array([[0.5, 0.25j], [-0.25j, 0.5]])):
             dm = DensityMatrix(1, m)
             assert dm.matrix is m and not m.flags.writeable
         for m in (
+            np.eye(2, dtype=complex) / 2,
             np.eye(2, dtype=np.float32) / 2,
             np.eye(2, dtype=int),
             np.asfortranarray([[0.5, 0.25], [0.25, 0.5]]),
@@ -698,7 +724,7 @@ class TestStateFile:
                 raw = [flat[i : i + 2] for i in range(0, len(flat), 2)]
                 if len(shape) == 2:
                     raw = [raw[i : i + dim] for i in range(0, len(raw), dim)]
-                got = _bulk_pairs(decode_json(json.dumps(raw)), shape)
+                got = _read_pairs(decode_json(json.dumps(raw)), shape, "entries")
                 want = loop_read_pairs(raw)
                 assert np.array_equal(got, want)
                 for part in (np.real, np.imag):
