@@ -77,7 +77,8 @@ def _g(n) -> str:
 
 
 def _check_qubit_count(n_qubits: int) -> None:
-    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
+    # a bool is an int, but True is no count
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
         # from a magnitude of 1e6 on in %g form, as the cap message prints it
         big = isinstance(n_qubits, (int, float, np.number)) and abs(n_qubits) >= 1e6
         shown = _g(n_qubits) if big else repr(n_qubits)
@@ -168,7 +169,10 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     """
     report: list[InvariantViolation] = []
     m = dm.matrix
-    h, herm_residual = _hermitian_part(m)
+    # m == m^H: the residual is 0 and H is m up to the sign of a zero, which
+    # the discs, reading the real diagonal and |Re| + |Im|, cannot see
+    exact = _is_hermitian(m)
+    h, herm_residual = (m, 0.0) if exact else _hermitian_part(m)
     if herm_residual > HERMITICITY_TOL:
         report.append(InvariantViolation("hermiticity", herm_residual))
     # the complex sum: a real one pairs the diagonal differently in its last bits
@@ -176,7 +180,11 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     if trace_residual > TRACE_TOL:
         report.append(InvariantViolation("trace", trace_residual))
     m_norm = np.sqrt(np.vdot(m, m).real)  # ||m||_F
-    if not (_discs_certify_psd(h, m_norm) or _cholesky_certifies_psd(h)):
+    if _discs_certify_psd(h, m_norm):
+        return report
+    if exact:  # the Cholesky shift and eigvalsh need H itself, writable
+        h = _hermitian_part(m)[0]
+    if not _cholesky_certifies_psd(h):
         # eigvalsh of the complex H measures the same residual on every input;
         # entries past ~9e307 overflow H to inf, leaving no finite eigenvalue
         try:
@@ -187,6 +195,18 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
             residual = -min_eig if np.isfinite(min_eig) else np.inf
             report.append(InvariantViolation("positive_semidefinite", residual))
     return report
+
+
+def _is_hermitian(m: np.ndarray) -> bool:
+    """m == m^H entry for entry (0.0 == -0.0), compared in square tiles of
+    _ROWS from the diagonal on, so that nothing of full size is made; the
+    first tile that differs ends the test."""
+    n = m.shape[0]
+    return all(
+        (m[i : i + _ROWS, j : j + _ROWS] == m[j : j + _ROWS, i : i + _ROWS].T.conj()).all()
+        for i in range(0, n, _ROWS)
+        for j in range(i, n, _ROWS)
+    )
 
 
 def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:

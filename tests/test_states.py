@@ -1,5 +1,6 @@
 import json
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from entcrit.states import (
     StateVector,
     _discs_certify_psd,
     _hermitian_part,
+    _is_hermitian,
     _read_pairs,
     build_preset,
     decode_json,
@@ -80,8 +82,20 @@ class TestValidation:
         # eigvalsh returns NaN or fails; none of them is a certificate
         m = np.diag(np.full(2**n, 2.0**-n))
         m[0, -1] = m[-1, 0] = 1e308
+        assert _is_hermitian(m)  # exact: m is read for H until the discs refuse
         report = validate_density_matrix(DensityMatrix(n, m))
         assert [(v.invariant, v.residual) for v in report] == [("positive_semidefinite", np.inf)]
+
+    @pytest.mark.parametrize("count", [True, np.True_, False])
+    def test_bool_qubit_count_refused(self, count):
+        # a Python bool is an int, yet no count
+        message = f"n_qubits must be a positive integer, got {count!r}"
+        with pytest.raises(InputError) as e:
+            DensityMatrix(count, np.eye(2) / 2)
+        assert str(e.value) == message
+        with pytest.raises(InputError) as e:
+            StatePreset("ghz", count)
+        assert str(e.value) == message
 
     def test_pure_projector_is_valid(self):
         dm = build_preset(StatePreset("bell_phi_minus", 2))
@@ -320,21 +334,120 @@ class TestReferenceValidation:
 
 class TestValidationMemory:
     """Peak traced allocation of one validation at N=9, in units of the
-    complex matrix, for states the disc certificate takes.  The peak is the
-    Hermiticity residual of the first 128-row block, which holds H, the
-    block's m - H and its modulus at once: 1/2 + 1/8 + 1/8 on a real state,
-    and 1 + 1/4 + 1/8 on a complex one.  A row block of S and the factor V
-    come to less."""
+    complex matrix, for states the disc certificate takes.
+
+    An exactly Hermitian state makes no H: its peak is the disc test's row
+    block of S (128 rows) with the factor V and V^H beside it, 1/8 + 1/32
+    on a real state and 1/4 + 1/16 on a complex one; the comparison tiles
+    of m == m^H (a 128 x 128 mask, and a conjugated copy of a complex tile)
+    come to less.
+    Any other state forms H, and its peak is the Hermiticity residual of
+    the first row block, which holds H, the block's m - H and its modulus at
+    once: 1/2 + 1/8 + 1/8 on a real state, and 1 + 1/4 + 1/8 on a complex
+    one."""
 
     UNIT = 16 * 4**9
 
-    def test_real_state(self):
+    def test_exact_real_state(self):
         dm = build_preset(StatePreset("werner_ghz", 9, 0.05))
+        assert _is_hermitian(dm.matrix)
+        peak = traced_peak(validate_density_matrix, dm)
+        assert peak <= (1 / 8 + 1 / 32) * self.UNIT + SMALL_OBJECTS
+
+    def test_exact_complex_product(self):
+        # a pure product of qubit projectors off the xz plane: complex, exact
+        qubit = np.array([[0.5, 0.3 - 0.4j], [0.3 + 0.4j, 0.5]])
+        dm = DensityMatrix(9, reduce(np.kron, [qubit] * 9))
+        assert dm.matrix.dtype == np.complex128 and _is_hermitian(dm.matrix)
+        peak = traced_peak(validate_density_matrix, dm)
+        assert peak <= (1 / 4 + 1 / 16) * self.UNIT + SMALL_OBJECTS
+
+    def test_real_state(self):
+        m = build_preset(StatePreset("werner_ghz", 9, 0.05)).matrix.copy()
+        m[-1, 0] = np.nextafter(m[-1, 0], 1.0)  # one ulp from its mirror
+        dm = DensityMatrix(9, m)
+        assert not _is_hermitian(dm.matrix)
         assert traced_peak(validate_density_matrix, dm) <= 0.75 * self.UNIT + SMALL_OBJECTS
 
     def test_complex_state(self, rng):
         dm = random_density_matrix(rng, 9, terms=3)
+        assert not _is_hermitian(dm.matrix)
         assert traced_peak(validate_density_matrix, dm) <= 1.375 * self.UNIT + SMALL_OBJECTS
+
+
+def _mirror_forms(n, m):
+    """The stored form of m made exactly Hermitian, (m + m^H)/2, and a copy
+    with the lower-left corner's imaginary part (its real part in a float64
+    matrix) moved by one ulp, which m == m^H no longer passes."""
+    stored = DensityMatrix(n, m).matrix
+    exact = (stored + stored.conj().T) / 2.0
+    off = exact.copy()
+    parts, k = off.view(float), int(np.iscomplexobj(off))
+    parts[-1, k] = np.nextafter(parts[-1, k], np.inf)
+    return exact, off
+
+
+def _count_hermitian_parts(monkeypatch):
+    """The list that records every _hermitian_part call."""
+    calls = []
+    hermitian_part = states_module._hermitian_part
+    monkeypatch.setattr(
+        states_module, "_hermitian_part", lambda m: calls.append(m.shape) or hermitian_part(m)
+    )
+    return calls
+
+
+class TestExactHermitian:
+    """A matrix equal to its conjugate transpose is validated on m itself:
+    the report is the reference's, and H is formed only when the discs
+    refuse."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_mirror_forms_match_reference(self, rng, monkeypatch, n):
+        # the corpus as built holds exact and non-exact matrices alike
+        # (TestReferenceValidation); each made exact and moved by one ulp
+        calls = _count_hermitian_parts(monkeypatch)
+        formed, names = set(), set()
+        for m in _validation_corpus(rng, n):
+            exact, off = _mirror_forms(n, m)
+            assert _is_hermitian(exact) and not _is_hermitian(off)
+            counts = []
+            for form in (exact, off):
+                calls.clear()
+                report = TestReferenceValidation._assert_same_report(DensityMatrix(n, form))
+                names.update(v.invariant for v in report)
+                counts.append(len(calls))
+            formed.add(counts[0])  # 1 where the discs refused the exact form
+            assert counts[1] == 1  # the one-ulp form takes today's path
+        assert formed == {0, 1}
+        assert names == {"trace", "positive_semidefinite"}
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_signs_of_zeros_do_not_change_the_report(self, rng, n):
+        # m == m^H does not see the sign of a zero, and H may differ from m
+        # in it: mirrored zero parts and the imaginary diagonal take either
+        # sign, on a state the discs certify and on one they refuse
+        for factor in (-0.5, -2.0):
+            dm = low_rank_plus_diagonal(rng, n, factor * PSD_TOL)
+            want = TestReferenceValidation._assert_same_report(dm)
+            for _ in range(3):
+                signed = dm.matrix.copy()
+                parts = signed.view(float)
+                zero = parts == 0.0
+                parts[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+                assert signed.dtype == np.complex128 and _is_hermitian(signed)
+                assert TestReferenceValidation._assert_same_report(DensityMatrix(n, signed)) == want
+
+    def test_hermitian_part_formed_only_when_discs_refuse(self, rng, monkeypatch):
+        pure = random_pure_state(rng, 6).matrix
+        certified, refused = DensityMatrix(6, (pure + pure.conj().T) / 2.0), full_rank_state(rng, 6)
+        # the discs take the pure state, not the full-rank Gram product, which is exact too
+        assert _is_hermitian(certified.matrix) and _is_hermitian(refused.matrix)
+        calls = _count_hermitian_parts(monkeypatch)
+        assert validate_density_matrix(certified) == []
+        assert calls == []
+        assert validate_density_matrix(refused) == []
+        assert calls == [(64, 64)]
 
 
 def _corner_matrices(n):
