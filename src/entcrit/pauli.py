@@ -286,10 +286,9 @@ def _pass_plan(n: int, a: int, b: int, parts: int, chunk: int) -> tuple:
         cols = chunk // rows
         out_shape = (x_len * z_len, rows)
     inner = z_len // n_parts
-    if inner >= cols:
-        spans = [(x, x + 1, z, z + cols) for x in range(x_len) for z in range(0, inner, cols)]
-    else:
-        spans = [(x, x + cols // inner, 0, inner) for x in range(0, x_len, cols // inner)]
+    # a chunk is cols entries of z, or whole z rows of several x
+    xs, zs = max(1, cols // inner), min(inner, cols)
+    spans = [(x, x + xs, z, z + zs) for x in range(0, x_len, xs) for z in range(0, inner, zs)]
     whole = (slice(None),) * g
     chunks = tuple(
         (

@@ -169,21 +169,16 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     """
     report: list[InvariantViolation] = []
     m = dm.matrix
-    # m == m^H: the residual is 0 and H is m up to the sign of a zero, which
-    # the discs, reading the real diagonal and |Re| + |Im|, cannot see
-    exact = _is_hermitian(m)
-    h, herm_residual = (m, 0.0) if exact else _hermitian_part(m)
+    herm_residual, skew = _hermitian_residual(m)
     if herm_residual > HERMITICITY_TOL:
         report.append(InvariantViolation("hermiticity", herm_residual))
     # the complex sum: a real one pairs the diagonal differently in its last bits
     trace_residual = float(abs(dm.matrix.trace(dtype=complex) - 1.0))
     if trace_residual > TRACE_TOL:
         report.append(InvariantViolation("trace", trace_residual))
-    m_norm = np.sqrt(np.vdot(m, m).real)  # ||m||_F
-    if _discs_certify_psd(h, m_norm):
+    if _discs_certify_psd(m, skew):
         return report
-    if exact:  # the Cholesky shift and eigvalsh need H itself, writable
-        h = _hermitian_part(m)[0]
+    h = _hermitian_part(m)  # the Cholesky shift and eigvalsh need H itself, writable
     if not _cholesky_certifies_psd(h):
         # eigvalsh of the complex H measures the same residual on every input;
         # entries past ~9e307 overflow H to inf, leaving no finite eigenvalue
@@ -197,106 +192,115 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     return report
 
 
-def _is_hermitian(m: np.ndarray) -> bool:
-    """m == m^H entry for entry (0.0 == -0.0), compared in square tiles of
-    _ROWS from the diagonal on, so that nothing of full size is made; the
-    first tile that differs ends the test."""
+def _hermitian_residual(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """max|m_ij - conj(m_ji)| bit for bit and, for each row i, the skew
+    sum_j |m_ij - conj(m_ji)|/2, read in square tiles of _ROWS from the
+    diagonal on (a tile's column sums go to the rows of its columns), so
+    that nothing of full size is made.  The modulus is taken only in a tile
+    where m == m^H fails, so both are exactly zero when m == m^H."""
     n = m.shape[0]
-    return all(
-        (m[i : i + _ROWS, j : j + _ROWS] == m[j : j + _ROWS, i : i + _ROWS].T.conj()).all()
-        for i in range(0, n, _ROWS)
-        for j in range(i, n, _ROWS)
-    )
+    residual, skew = 0.0, np.zeros(n)
+    for i in range(0, n, _ROWS):
+        for j in range(i, n, _ROWS):
+            a, b = m[i : i + _ROWS, j : j + _ROWS], m[j : j + _ROWS, i : i + _ROWS].T.conj()
+            if not (a == b).all():
+                d = np.abs(a - b)
+                residual = max(residual, float(d.max()))
+                skew[i : i + _ROWS] += d.sum(axis=1)
+                if j > i:
+                    skew[j : j + _ROWS] += d.sum(axis=0)
+    return residual, 0.5 * skew
 
 
-def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """H = (m + m^H)/2 and max|m - m^H|, formed in blocks of _ROWS rows, so
-    that no full-size difference is made.  m^H is read in square tiles,
-    which keeps the strided reads of m in cache.  |m_ij - conj(m_ji)| is
-    the same float on both sides of the diagonal, so the residual reads each
-    block from its diagonal on and is the full-matrix maximum bit for bit."""
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """H = (m + m^H)/2, formed in blocks of _ROWS rows; m^H is read in
+    square tiles, which keeps the strided reads of m in cache."""
     n = m.shape[0]
     h = np.empty_like(m, order="C")
-    residual = 0.0
     for i in range(0, n, _ROWS):
-        rows, top = h[i : i + _ROWS], m[i : i + _ROWS]
+        rows = h[i : i + _ROWS]
         for j in range(0, n, _ROWS):
             np.conjugate(m[j : j + _ROWS, i : i + _ROWS].T, out=rows[:, j : j + _ROWS])
-        residual = max(residual, float(np.abs(top[:, i:] - rows[:, i:]).max()))
-        rows += top
+        rows += m[i : i + _ROWS]
         # halved in real arithmetic, 0.5 x each part: the floats a complex
         # division by 2 gives, up to a zero's sign, in less time; the division
         # also turns an overflowed inf part's partner into nan
         half = rows.view(float)
         np.multiply(half, 0.5, out=half)
-    return h, residual
+    return h
 
 
-def _discs_certify_psd(h: np.ndarray, m_norm: float) -> bool:
+def _discs_certify_psd(m: np.ndarray, skew: np.ndarray) -> bool:
     """True when Gershgorin discs prove that eigvalsh would find no
-    eigenvalue of the Hermitian part h of m below -PSD_TOL; m_norm is
-    ||m||_F.  O(n^2 r): it covers states of rank at most _RANK (pure states,
-    few-term mixtures) and those that are diagonally dominant once such a
-    part is removed (GHZ-Werner states).
+    eigenvalue of H = (m + m^H)/2 below -PSD_TOL, given each row's skew_i =
+    sum_j |m_ij - conj(m_ji)|/2.  O(n^2 r): it covers states of rank at most
+    _RANK (pure states, few-term mixtures) and those that are diagonally
+    dominant once such a part is removed (GHZ-Werner states).
 
     A pivoted partial Cholesky factorization (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., sec. 10.3) of at most
-    _RANK steps gives V, and S = h - V V^H is formed in row blocks.  V V^H
-    is positive semidefinite for any computed V, so lambda_min(h) >=
-    lambda_min(S) >= min_i (S_ii - sum_{j != i} |S_ij|) (Horn & Johnson,
-    Matrix Analysis, Thm 6.1.1); the row sums add |Re| + |Im| >= |S_ij|.
-    The bound is computed with an error of at most
+    _RANK steps gives V, and S = m - V V^H is formed in row blocks.  V V^H
+    is positive semidefinite for any computed V, so lambda_min(H) >=
+    min_i (S_ii - sum_{j != i} |S_ij| - skew_i) (Horn & Johnson, Matrix
+    Analysis, Thm 6.1.1), as H - V V^H has S's real diagonal (H_ii =
+    Re m_ii) and differs from S by |H_ij - m_ij| = |m_ij - conj(m_ji)|/2.
+    The row sums add |Re| + |Im| >= |S_ij|.  The bound is computed with an
+    error of at most
 
         4 (n + 2 + (k + 2) sqrt(n)) u (||m||_F + ||V||_F^2 + PSD_TOL)
 
     (k columns of V, unit roundoff u): the product V V^H errs by at most
     sqrt(2) gamma_{k+2} |V||V^H| entrywise (complex arithmetic), whose row
     sums are at most sqrt(n) ||V||_F^2; subtracting, summing n terms and the
-    final difference add (n + 2) u times the row's diagonal and sum, which
-    in a passing row are at most ||m||_F + ||V||_F^2 + PSD_TOL.  The state is
-    certified when that margin is at most PSD_TOL/4 (never for an inf or
-    NaN norm) and every row's bound, less the margin, reaches the Cholesky
-    gate's -3 PSD_TOL/4; the first failing block ends the test.
+    two differences add (n + 3) u times the row's diagonal and its sum with
+    skew_i, which carries (n + 3) u skew_i of its own (and less than
+    u PSD_TOL if its halving underflows).  In a passing row the diagonal and
+    that sum are each at most ||m||_F + ||V||_F^2 + PSD_TOL, so the error is
+    at most (3n + 9 + 2 (k + 2) sqrt(n)) u times it.  The state is certified
+    when that margin is at most PSD_TOL/4 (never for an inf or NaN norm) and
+    every row's bound, less the margin, reaches the Cholesky gate's
+    -3 PSD_TOL/4; the first failing block ends the test.
     """
-    n = h.shape[0]
-    v = _pivoted_cholesky(h)
+    n = m.shape[0]
+    v = _pivoted_cholesky(m)
     k = v.shape[1]
     margin = 4.0 * (n + 2.0 + (k + 2.0) * np.sqrt(n)) * _UNIT_ROUNDOFF
-    margin *= m_norm + float(np.vdot(v, v).real) + PSD_TOL
+    margin *= np.sqrt(np.vdot(m, m).real) + float(np.vdot(v, v).real) + PSD_TOL
     if not margin <= PSD_TOL / 4.0:
         return False
     floor = margin - 0.75 * PSD_TOL
     v_h = np.conjugate(v.T)
-    s = np.empty((min(n, _ROWS), n), dtype=h.dtype)  # one row block of S
+    s = np.empty((min(n, _ROWS), n), dtype=m.dtype)  # one row block of S
     parts = s.view(float)  # its real and imaginary parts, made |.| in place
     r = np.arange(len(s))
     for i in range(0, n, _ROWS):
         np.matmul(v[i : i + _ROWS], v_h, out=s)
-        np.subtract(h[i : i + _ROWS], s, out=s)
-        diagonal = s[r, r + i].real
+        np.subtract(m[i : i + _ROWS], s, out=s)
+        diagonal = s[r, r + i].real - skew[i : i + _ROWS]
         s[r, r + i] = 0.0
         if not (diagonal - np.abs(parts, out=parts).sum(axis=1)).min() >= floor:
             return False
     return True
 
 
-def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
-    """n x k factor V of a pivoted Cholesky factorization of h, stopped
-    after _RANK steps, once the largest remaining diagonal entry is below
-    PSD_TOL/(2n) (the discs no longer see what is left), or once the next
-    step would remove less than 1/_RANK of the remaining trace (what is left
-    is not of low rank).  Only the cost of the disc test depends on these
-    rules: the test is exact for any V."""
-    n = h.shape[0]
-    d = h.diagonal().real.copy()
-    v = np.empty((n, _RANK), dtype=h.dtype)
+def _pivoted_cholesky(m: np.ndarray) -> np.ndarray:
+    """n x k factor V of a pivoted Cholesky factorization of H = (m + m^H)/2
+    read off the rows of m: H's diagonal is Re m_ii, and conj(m[p]) is H's
+    column p when m == m^H.  It stops after _RANK steps, once the largest
+    remaining diagonal entry is below PSD_TOL/(2n) (the discs no longer see
+    what is left), or once the next step would remove less than 1/_RANK of
+    the remaining trace (what is left is not of low rank).  Only the cost of
+    the disc test depends on these rules: the test is exact for any V."""
+    n = m.shape[0]
+    d = m.diagonal().real.copy()
+    v = np.empty((n, _RANK), dtype=m.dtype)
     k = 0
     while k < _RANK:
         p = int(d.argmax())
         pivot = d[p]
         if not pivot > PSD_TOL / (2.0 * n):
             break
-        c = np.conjugate(h[p])  # column p of h
+        c = np.conjugate(m[p])
         c -= v[:, :k] @ np.conjugate(v[p, :k])
         if np.vdot(c, c).real < pivot * d.sum() / _RANK:
             break

@@ -27,6 +27,7 @@ from entcrit import states as states_module
 from entcrit.bell import parse_settings_file
 from entcrit.states import (
     FIXED_QUBITS,
+    HERMITICITY_TOL,
     PRESET_KINDS,
     PSD_TOL,
     TRACE_TOL,
@@ -38,7 +39,7 @@ from entcrit.states import (
     StateVector,
     _discs_certify_psd,
     _hermitian_part,
-    _is_hermitian,
+    _hermitian_residual,
     _read_pairs,
     build_preset,
     decode_json,
@@ -82,7 +83,7 @@ class TestValidation:
         # eigvalsh returns NaN or fails; none of them is a certificate
         m = np.diag(np.full(2**n, 2.0**-n))
         m[0, -1] = m[-1, 0] = 1e308
-        assert _is_hermitian(m)  # exact: m is read for H until the discs refuse
+        assert _hermitian_residual(m)[0] == 0.0  # exact: H is formed once the discs refuse
         report = validate_density_matrix(DensityMatrix(n, m))
         assert [(v.invariant, v.residual) for v in report] == [("positive_semidefinite", np.inf)]
 
@@ -284,6 +285,10 @@ class TestReferenceValidation:
         noisy = random_pure_state(rng, n).matrix * 0.5 + np.eye(dim) * (0.5 / dim)
         huge = random_pure_state(rng, n).matrix.copy()
         huge[0, -1] = 1.5e308  # overflows ||m||_F to inf, not H
+        # H's corner is 0.01 and its lambda_min about -2e-4, though m's rows,
+        # 0.02 in one and 0 in the other, pass the discs with no factor
+        lopsided = np.diag(np.full(dim, 0.5 / (dim - 2)))
+        lopsided[0, 0], lopsided[-1, -1], lopsided[-1, 0] = 0.0, 0.5, 0.02
         corpus = [
             random_pure_state(rng, n),
             random_density_matrix(rng, n, terms=4),
@@ -295,6 +300,7 @@ class TestReferenceValidation:
             prescribed_spectrum_matrix(rng, n, -1.01 * PSD_TOL),
             low_rank_plus_diagonal(rng, n, -1.01 * PSD_TOL),
             DensityMatrix(n, huge),
+            DensityMatrix(n, lopsided),
         ]
         with np.errstate(over="ignore"):
             wants = [
@@ -321,7 +327,7 @@ class TestReferenceValidation:
             for factor in (-2.0, -1.01, -0.99, -0.5):
                 dm = low_rank_plus_diagonal(rng, n, factor * PSD_TOL, real)
                 m = dm.matrix.real if real else dm.matrix
-                certified = _discs_certify_psd(_hermitian_part(m)[0], np.linalg.norm(m))
+                certified = _discs_certify_psd(_hermitian_part(m), np.zeros(2**n))
                 assert certified == (factor == -0.5)
                 report = self._assert_same_report(dm)
                 assert [(v.invariant, v.residual.hex()) for v in report] == [
@@ -336,21 +342,18 @@ class TestValidationMemory:
     """Peak traced allocation of one validation at N=9, in units of the
     complex matrix, for states the disc certificate takes.
 
-    An exactly Hermitian state makes no H: its peak is the disc test's row
-    block of S (128 rows) with the factor V and V^H beside it, 1/8 + 1/32
-    on a real state and 1/4 + 1/16 on a complex one; the comparison tiles
-    of m == m^H (a 128 x 128 mask, and a conjugated copy of a complex tile)
-    come to less.
-    Any other state forms H, and its peak is the Hermiticity residual of
-    the first row block, which holds H, the block's m - H and its modulus at
-    once: 1/2 + 1/8 + 1/8 on a real state, and 1 + 1/4 + 1/8 on a complex
-    one."""
+    No state the discs take forms H, exactly Hermitian or not: the peak is
+    the disc test's row block of S (128 rows) with the factor V and V^H
+    beside it, 1/8 + 1/32 on a real state and 1/4 + 1/16 on a complex one;
+    the Hermiticity residual's 128 x 128 tiles (a mask, a conjugated copy,
+    and in a tile that differs their difference and its modulus) and the
+    skew's n floats come to less."""
 
     UNIT = 16 * 4**9
 
     def test_exact_real_state(self):
         dm = build_preset(StatePreset("werner_ghz", 9, 0.05))
-        assert _is_hermitian(dm.matrix)
+        assert _hermitian_residual(dm.matrix)[0] == 0.0
         peak = traced_peak(validate_density_matrix, dm)
         assert peak <= (1 / 8 + 1 / 32) * self.UNIT + SMALL_OBJECTS
 
@@ -358,7 +361,7 @@ class TestValidationMemory:
         # a pure product of qubit projectors off the xz plane: complex, exact
         qubit = np.array([[0.5, 0.3 - 0.4j], [0.3 + 0.4j, 0.5]])
         dm = DensityMatrix(9, reduce(np.kron, [qubit] * 9))
-        assert dm.matrix.dtype == np.complex128 and _is_hermitian(dm.matrix)
+        assert dm.matrix.dtype == np.complex128 and _hermitian_residual(dm.matrix)[0] == 0.0
         peak = traced_peak(validate_density_matrix, dm)
         assert peak <= (1 / 4 + 1 / 16) * self.UNIT + SMALL_OBJECTS
 
@@ -366,13 +369,15 @@ class TestValidationMemory:
         m = build_preset(StatePreset("werner_ghz", 9, 0.05)).matrix.copy()
         m[-1, 0] = np.nextafter(m[-1, 0], 1.0)  # one ulp from its mirror
         dm = DensityMatrix(9, m)
-        assert not _is_hermitian(dm.matrix)
-        assert traced_peak(validate_density_matrix, dm) <= 0.75 * self.UNIT + SMALL_OBJECTS
+        assert _hermitian_residual(dm.matrix)[0] > 0.0
+        peak = traced_peak(validate_density_matrix, dm)
+        assert peak <= (1 / 8 + 1 / 32) * self.UNIT + SMALL_OBJECTS
 
     def test_complex_state(self, rng):
         dm = random_density_matrix(rng, 9, terms=3)
-        assert not _is_hermitian(dm.matrix)
-        assert traced_peak(validate_density_matrix, dm) <= 1.375 * self.UNIT + SMALL_OBJECTS
+        assert _hermitian_residual(dm.matrix)[0] > 0.0
+        peak = traced_peak(validate_density_matrix, dm)
+        assert peak <= (1 / 4 + 1 / 16) * self.UNIT + SMALL_OBJECTS
 
 
 def _mirror_forms(n, m):
@@ -398,9 +403,9 @@ def _count_hermitian_parts(monkeypatch):
 
 
 class TestExactHermitian:
-    """A matrix equal to its conjugate transpose is validated on m itself:
-    the report is the reference's, and H is formed only when the discs
-    refuse."""
+    """Every matrix is validated on m itself, equal to its conjugate
+    transpose or not: the report is the reference's, and H is formed only
+    when the discs refuse."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_mirror_forms_match_reference(self, rng, monkeypatch, n):
@@ -410,7 +415,7 @@ class TestExactHermitian:
         formed, names = set(), set()
         for m in _validation_corpus(rng, n):
             exact, off = _mirror_forms(n, m)
-            assert _is_hermitian(exact) and not _is_hermitian(off)
+            assert _hermitian_residual(exact)[0] == 0.0 < _hermitian_residual(off)[0]
             counts = []
             for form in (exact, off):
                 calls.clear()
@@ -418,7 +423,8 @@ class TestExactHermitian:
                 names.update(v.invariant for v in report)
                 counts.append(len(calls))
             formed.add(counts[0])  # 1 where the discs refused the exact form
-            assert counts[1] == 1  # the one-ulp form takes today's path
+            # one ulp lowers two rows' discs by half an ulp: they decide alike
+            assert counts[1] == counts[0]
         assert formed == {0, 1}
         assert names == {"trace", "positive_semidefinite"}
 
@@ -435,19 +441,76 @@ class TestExactHermitian:
                 parts = signed.view(float)
                 zero = parts == 0.0
                 parts[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
-                assert signed.dtype == np.complex128 and _is_hermitian(signed)
+                assert signed.dtype == np.complex128 and _hermitian_residual(signed)[0] == 0.0
                 assert TestReferenceValidation._assert_same_report(DensityMatrix(n, signed)) == want
 
     def test_hermitian_part_formed_only_when_discs_refuse(self, rng, monkeypatch):
         pure = random_pure_state(rng, 6).matrix
-        certified, refused = DensityMatrix(6, (pure + pure.conj().T) / 2.0), full_rank_state(rng, 6)
-        # the discs take the pure state, not the full-rank Gram product, which is exact too
-        assert _is_hermitian(certified.matrix) and _is_hermitian(refused.matrix)
+        real = build_preset(StatePreset("werner_ghz", 6, 0.3)).matrix.copy()
+        real[-1, 0] = np.nextafter(real[-1, 0], 1.0)
+        # the discs take an exact pure state and, off m itself, a complex
+        # mixture of outer products and a real state one ulp from its mirror
+        certified = [
+            DensityMatrix(6, (pure + pure.conj().T) / 2.0),
+            random_density_matrix(rng, 6, terms=3),
+            DensityMatrix(6, real),
+        ]
+        assert [_hermitian_residual(dm.matrix)[0] > 0.0 for dm in certified] == [False, True, True]
+        # not the full-rank Gram product, which is exact too
+        refused = full_rank_state(rng, 6)
+        assert _hermitian_residual(refused.matrix)[0] == 0.0
         calls = _count_hermitian_parts(monkeypatch)
-        assert validate_density_matrix(certified) == []
+        for dm in certified:
+            assert TestReferenceValidation._assert_same_report(dm) == []
         assert calls == []
         assert validate_density_matrix(refused) == []
         assert calls == [(64, 64)]
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 9])
+    def test_residual_and_skew_match_dense(self, rng, n):
+        # 9 qubits read 4 x 4 tiles, whose column sums go to the rows below
+        dim = 2**n
+        for m in (
+            random_density_matrix(rng, n, terms=3).matrix,
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)),
+            rng.standard_normal((dim, dim)),
+        ):
+            d = np.abs(m - m.conj().T)
+            residual, skew = _hermitian_residual(m)
+            assert residual.hex() == float(d.max()).hex()
+            np.testing.assert_allclose(skew, 0.5 * d.sum(axis=1), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_skew_lowers_its_rows_discs(self, rng, n):
+        # a pure state's rows have no slack once its factor is removed: a
+        # row's skew is certified up to the gate's 3 PSD_TOL/4, not past it
+        dim = 2**n
+        v = rng.standard_normal(dim)
+        pure = random_pure_state(rng, n).matrix
+        for m in (np.outer(v, v) / (v @ v), (pure + pure.conj().T) / 2.0):
+            assert not _hermitian_residual(m)[1].any()
+            for row in (0, dim // 2, dim - 1):
+                for factor in (0.99, 1.01):
+                    skew = np.zeros(dim)
+                    skew[row] = factor * 0.75 * PSD_TOL
+                    assert _discs_certify_psd(m, skew) == (factor < 1.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_skewed_corner(self, rng, monkeypatch, n):
+        # a pure state off its mirror in one corner lowers two rows' discs
+        # only: by 1e-12 the discs still take it, whatever n, and by
+        # PSD_TOL they leave it to the factorizations; the report is the
+        # reference's either way
+        pure = random_pure_state(rng, n).matrix
+        calls = _count_hermitian_parts(monkeypatch)
+        for delta, formed in ((1e-12, []), (PSD_TOL, [(2**n, 2**n)])):
+            m = (pure + pure.conj().T) / 2.0
+            m[0, -1] += delta * (1.0 + 1.0j)
+            dm = DensityMatrix(n, m)
+            calls.clear()
+            report = TestReferenceValidation._assert_same_report(dm)
+            assert calls == formed
+            assert (report == []) == (delta < HERMITICITY_TOL)
 
 
 def _corner_matrices(n):
