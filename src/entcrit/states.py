@@ -162,11 +162,14 @@ class DensityMatrix:
 
 @np.errstate(over="ignore", invalid="ignore")
 def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
-    """Check Hermiticity, unit trace, and positive semidefiniteness.
-
-    Returns an empty list when all invariants hold at their tolerances;
-    otherwise one entry per violated invariant with the measured residual.
-    """
+    """Check Hermiticity, unit trace, and positive semidefiniteness: an
+    empty list when all hold at their tolerances, else one entry per
+    violated invariant with its measured residual.  The discs, then a
+    Cholesky factorization of m shifted by PSD_TOL/2, each read m with every
+    row lowered by its skew and certify lambda_min(H) >= -3 PSD_TOL/4 for
+    H = (m + m^H)/2, leaving PSD_TOL/4 for the error of eigvalsh.  H is
+    formed only for a state both refuse, and it is valid when eigvalsh finds
+    no eigenvalue of H below -PSD_TOL."""
     report: list[InvariantViolation] = []
     m = dm.matrix
     herm_residual, skew = _hermitian_residual(m)
@@ -176,19 +179,17 @@ def validate_density_matrix(dm: DensityMatrix) -> list[InvariantViolation]:
     trace_residual = float(abs(dm.matrix.trace(dtype=complex) - 1.0))
     if trace_residual > TRACE_TOL:
         report.append(InvariantViolation("trace", trace_residual))
-    if _discs_certify_psd(m, skew):
+    if _discs_certify_psd(m, skew) or _cholesky_certifies_psd(m, skew):
         return report
-    h = _hermitian_part(m)  # the Cholesky shift and eigvalsh need H itself, writable
-    if not _cholesky_certifies_psd(h):
-        # eigvalsh of the complex H measures the same residual on every input;
-        # entries past ~9e307 overflow H to inf, leaving no finite eigenvalue
-        try:
-            min_eig = float(np.linalg.eigvalsh(np.asarray(h, dtype=complex))[0])
-        except np.linalg.LinAlgError:
-            min_eig = np.nan
-        if not min_eig >= -PSD_TOL:
-            residual = -min_eig if np.isfinite(min_eig) else np.inf
-            report.append(InvariantViolation("positive_semidefinite", residual))
+    # eigvalsh of the complex H measures the same residual on every input;
+    # entries past ~9e307 overflow H to inf, leaving no finite eigenvalue
+    try:
+        min_eig = float(np.linalg.eigvalsh(np.asarray(_hermitian_part(m), dtype=complex))[0])
+    except np.linalg.LinAlgError:
+        min_eig = np.nan
+    if not min_eig >= -PSD_TOL:
+        residual = -min_eig if np.isfinite(min_eig) else np.inf
+        report.append(InvariantViolation("positive_semidefinite", residual))
     return report
 
 
@@ -213,20 +214,12 @@ def _hermitian_residual(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """H = (m + m^H)/2, formed in blocks of _ROWS rows; m^H is read in
-    square tiles, which keeps the strided reads of m in cache."""
-    n = m.shape[0]
-    h = np.empty_like(m, order="C")
-    for i in range(0, n, _ROWS):
-        rows = h[i : i + _ROWS]
-        for j in range(0, n, _ROWS):
-            np.conjugate(m[j : j + _ROWS, i : i + _ROWS].T, out=rows[:, j : j + _ROWS])
-        rows += m[i : i + _ROWS]
-        # halved in real arithmetic, 0.5 x each part: the floats a complex
-        # division by 2 gives, up to a zero's sign, in less time; the division
-        # also turns an overflowed inf part's partner into nan
-        half = rows.view(float)
-        np.multiply(half, 0.5, out=half)
+    """H = (m + m^H)/2, halved in real arithmetic, 0.5 x each part: the
+    floats a complex division by 2 gives, up to a zero's sign, in less time;
+    the division also turns an overflowed inf part's partner into nan."""
+    h = np.conjugate(m.T, order="C")
+    h += m  # conj(m_ji) + m_ij: IEEE addition commutes, so the floats of m_ij + conj(m_ji)
+    np.multiply(h.view(float), 0.5, out=h.view(float))
     return h
 
 
@@ -311,39 +304,44 @@ def _pivoted_cholesky(m: np.ndarray) -> np.ndarray:
     return v[:, :k]
 
 
-def _cholesky_certifies_psd(h: np.ndarray) -> bool:
-    """True when a Cholesky factorization proves that eigvalsh would find
-    no eigenvalue of the Hermitian part h of m below -PSD_TOL.  h is shifted
-    in place for the factorization and restored.
+def _cholesky_certifies_psd(m: np.ndarray, skew: np.ndarray) -> bool:
+    """True when a Cholesky factorization of a private copy of m proves
+    that eigvalsh would find no eigenvalue of H = (m + m^H)/2 below
+    -PSD_TOL, given each row's skew_i = sum_j |m_ij - conj(m_ji)|/2.
 
-    Cholesky of A = H + (PSD_TOL/2) I that runs to completion gives a factor
-    L with L L^H = A + dA, |dA| <= gamma_{n+1} |L||L^H| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 10.3), so
-    ||dA||_2 <= gamma_{n+1} || |L| ||_2^2 <= gamma_{n+1} ||L||_F^2.  The
-    bound holds for any order of the inner products, so for LAPACK's blocked
-    potrf when its matrix products are conventional.  In complex arithmetic
-    gamma_{n+1} becomes sqrt(2) gamma_{n+2} <= 2.2 (n + 1) u (sec. 3.6);
-    ||L||_F^2, a sum of 2n^2 products, is computed to a relative error below
-    gamma_{2n^2} (4e-9 at n = 4096); the test's own product adds a few u.
-    The factor 4 covers all three, in real arithmetic too.  So when
-    4 (n + 1) u ||L||_F^2 <= PSD_TOL/4 (never for an inf or NaN factor),
-    lambda_min(H) >= -PSD_TOL/2 - ||dA||_2 >= -3 PSD_TOL/4, leaving PSD_TOL/4
-    for the error of eigvalsh, so both tests give the same verdict.
-    ||L||_F^2 = tr(A + dA) is about 1 on a unit-trace state, so every state
-    whose factorization completes is certified up to MAX_QUBITS (the bound
-    reads 1.8e-12 at n = 4096).
+    xPOTRF reads one triangle and the real diagonal of the matrix numpy
+    passes (m or m^T): it factors A = B + (PSD_TOL/2) I, B Hermitian with
+    B_ii = Re m_ii = H_ii.  Whichever triangle it reads, B - H (or
+    B - conj(H), of H's spectrum) has a zero diagonal and entries of modulus
+    |m_ij - conj(m_ji)|/2, so its 2-norm is at most s = max_i skew_i.  A
+    factorization that completes gives L L^H = A + dA with ||dA||_2 <=
+    gamma_{n+1} ||L||_F^2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3, for any order of the inner products, so
+    for LAPACK's blocked potrf when its products are conventional), and
+    sqrt(2) gamma_{n+2} <= 2.2 (n + 1) u in complex arithmetic (sec. 3.6).
+    The shift's rounding moves A by at most 1.1 u ||L||_F^2, ||L||_F^2 errs
+    by less than gamma_{2n^2} (4e-9 at n = 4096), and s by (n + 3) u s as
+    in _discs_certify_psd, plus less than (n + 1) 2^-1074 where it
+    underflows.  So when 4 (n + 1) u (||L||_F^2 + s + PSD_TOL) + s <=
+    PSD_TOL/4, whose factor 4 also covers the test's own rounding,
+    lambda_min(H) >= -3 PSD_TOL/4 (never for an inf or NaN factor), leaving
+    PSD_TOL/4 for the error of eigvalsh.  An s above PSD_TOL/4 is refused
+    before the O(n^3) work.  ||L||_F^2 = tr(A + dA) is about 1 on a unit-trace
+    state, so the rest of the bound is 1.8e-12 at n = 4096.
     """
-    n = h.shape[0]
-    diagonal = h.diagonal().copy()
-    h.flat[:: n + 1] += PSD_TOL / 2.0
+    n = m.shape[0]
+    s = float(skew.max())
+    if not s <= PSD_TOL / 4.0:
+        return False
+    a = m.copy()
+    a.flat[:: n + 1] += PSD_TOL / 2.0
     try:
-        # h.T is conj(h), same spectrum; its F order is copied without a gather
-        factor = np.linalg.cholesky(h.T)
+        factor = np.linalg.cholesky(a.T)  # the F order of a is copied without a gather
     except np.linalg.LinAlgError:
         return False
-    finally:
-        h.flat[:: n + 1] = diagonal
-    return 4.0 * (n + 1) * _UNIT_ROUNDOFF * float(np.vdot(factor, factor).real) <= PSD_TOL / 4.0
+    norm = float(np.vdot(factor, factor).real)
+    del factor  # before the copy: glibc then keeps the pages for the next call, not the OS
+    return 4.0 * (n + 1) * _UNIT_ROUNDOFF * (norm + s + PSD_TOL) + s <= PSD_TOL / 4.0
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -37,6 +37,7 @@ from entcrit.states import (
     StatePreset,
     StateValidationError,
     StateVector,
+    _cholesky_certifies_psd,
     _discs_certify_psd,
     _hermitian_part,
     _hermitian_residual,
@@ -83,7 +84,7 @@ class TestValidation:
         # eigvalsh returns NaN or fails; none of them is a certificate
         m = np.diag(np.full(2**n, 2.0**-n))
         m[0, -1] = m[-1, 0] = 1e308
-        assert _hermitian_residual(m)[0] == 0.0  # exact: H is formed once the discs refuse
+        assert _hermitian_residual(m)[0] == 0.0  # exact: H is formed once both certificates refuse
         report = validate_density_matrix(DensityMatrix(n, m))
         assert [(v.invariant, v.residual) for v in report] == [("positive_semidefinite", np.inf)]
 
@@ -404,8 +405,9 @@ def _count_hermitian_parts(monkeypatch):
 
 class TestExactHermitian:
     """Every matrix is validated on m itself, equal to its conjugate
-    transpose or not: the report is the reference's, and H is formed only
-    when the discs refuse."""
+    transpose or not: both certificates read m with each row lowered by its
+    skew, the report is the reference's, and H is formed only when both
+    certificates refuse."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_mirror_forms_match_reference(self, rng, monkeypatch, n):
@@ -422,8 +424,8 @@ class TestExactHermitian:
                 report = TestReferenceValidation._assert_same_report(DensityMatrix(n, form))
                 names.update(v.invariant for v in report)
                 counts.append(len(calls))
-            formed.add(counts[0])  # 1 where the discs refused the exact form
-            # one ulp lowers two rows' discs by half an ulp: they decide alike
+            formed.add(counts[0])  # 1 where both certificates refused the exact form
+            # one ulp lowers two rows by half an ulp: the certificates decide alike
             assert counts[1] == counts[0]
         assert formed == {0, 1}
         assert names == {"trace", "positive_semidefinite"}
@@ -444,26 +446,34 @@ class TestExactHermitian:
                 assert signed.dtype == np.complex128 and _hermitian_residual(signed)[0] == 0.0
                 assert TestReferenceValidation._assert_same_report(DensityMatrix(n, signed)) == want
 
-    def test_hermitian_part_formed_only_when_discs_refuse(self, rng, monkeypatch):
+    def test_hermitian_part_formed_only_when_both_certificates_refuse(self, rng, monkeypatch):
         pure = random_pure_state(rng, 6).matrix
         real = build_preset(StatePreset("werner_ghz", 6, 0.3)).matrix.copy()
         real[-1, 0] = np.nextafter(real[-1, 0], 1.0)
+        noisy = 0.9 * random_density_matrix(rng, 6, terms=40).matrix + np.eye(64) * (0.1 / 64)
         # the discs take an exact pure state and, off m itself, a complex
-        # mixture of outer products and a real state one ulp from its mirror
+        # mixture of outer products and a real state one ulp from its mirror;
+        # the Cholesky rung takes, off m itself too, the full-rank states the
+        # discs refuse: an exact Gram product and a noisy mixture of outer products
         certified = [
             DensityMatrix(6, (pure + pure.conj().T) / 2.0),
             random_density_matrix(rng, 6, terms=3),
             DensityMatrix(6, real),
+            full_rank_state(rng, 6),
+            DensityMatrix(6, noisy),
         ]
-        assert [_hermitian_residual(dm.matrix)[0] > 0.0 for dm in certified] == [False, True, True]
-        # not the full-rank Gram product, which is exact too
-        refused = full_rank_state(rng, 6)
-        assert _hermitian_residual(refused.matrix)[0] == 0.0
+        skews = [_hermitian_residual(dm.matrix) for dm in certified]
+        assert [residual > 0.0 for residual, _ in skews] == [False, True, True, False, True]
+        discs = [_discs_certify_psd(dm.matrix, skew) for dm, (_, skew) in zip(certified, skews)]
+        assert discs == [True, True, True, False, False]
+        # not a state below -PSD_TOL, which both refuse
+        refused = prescribed_spectrum_matrix(rng, 6, -2.0 * PSD_TOL)
         calls = _count_hermitian_parts(monkeypatch)
         for dm in certified:
             assert TestReferenceValidation._assert_same_report(dm) == []
         assert calls == []
-        assert validate_density_matrix(refused) == []
+        report = TestReferenceValidation._assert_same_report(refused)
+        assert [v.invariant for v in report] == ["positive_semidefinite"]
         assert calls == [(64, 64)]
 
     @pytest.mark.parametrize("n", [1, 4, 8, 9])
@@ -494,6 +504,54 @@ class TestExactHermitian:
                     skew = np.zeros(dim)
                     skew[row] = factor * 0.75 * PSD_TOL
                     assert _discs_certify_psd(m, skew) == (factor < 1.0)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_skew_lowers_its_rows_cholesky(self, rng, monkeypatch, n):
+        # a full-rank state the discs refuse is certified by the Cholesky
+        # rung up to a max skew of what its rounding term leaves of
+        # PSD_TOL/4, not past it: at unit trace the skew alone decides, and
+        # at a weight where the rounding term takes half of PSD_TOL/4 the
+        # bound does; the report is the reference's on both sides
+        dim = 2**n
+        rounding = 4.0 * (dim + 1) * np.finfo(float).eps / 2.0
+        calls = _count_hermitian_parts(monkeypatch)
+        for weight in (1.0, PSD_TOL / (8.0 * rounding)):
+            m = weight * full_rank_state(rng, n).matrix
+            factor = np.linalg.cholesky(m + np.eye(dim) * (PSD_TOL / 2.0))
+            left = PSD_TOL / 4.0 - rounding * (np.vdot(factor, factor).real + PSD_TOL)
+            for scale in (0.99, 1.01):
+                for row in (0, dim // 2, dim - 1):
+                    skew = np.zeros(dim)
+                    skew[row] = scale * left
+                    assert _cholesky_certifies_psd(m, skew) == (scale < 1.0)
+                # row 0's skew, spread over 8 entries that stay within HERMITICITY_TOL
+                skewed = m.copy()
+                skewed[0, 1:9] += scale * left / 4.0
+                skew = _hermitian_residual(skewed)[1]
+                assert not _discs_certify_psd(skewed, skew)
+                assert _cholesky_certifies_psd(skewed, skew) == (scale < 1.0)
+                calls.clear()
+                report = TestReferenceValidation._assert_same_report(DensityMatrix(n, skewed))
+                assert [v.invariant for v in report] == ([] if weight == 1.0 else ["trace"])
+                assert calls == ([] if scale < 1.0 else [(dim, dim)])
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_cholesky_reads_one_triangle(self, rng, real):
+        # the Cholesky rung's bound counts on LAPACK's potrf reading one
+        # triangle and the real diagonal: numpy's cholesky, on a matrix in C
+        # or F order, ignores its strict upper triangle and the imaginary
+        # parts of its diagonal
+        h = full_rank_state(rng, 5).matrix
+        h = h.real.copy() if real else h
+        garbled = h.copy()
+        upper = np.triu_indices(32, 1)
+        garbled[upper] = rng.standard_normal(upper[0].size)
+        if not real:
+            garbled[upper] += 1j * rng.standard_normal(upper[0].size)
+            garbled[np.diag_indices(32)] += 1j * rng.standard_normal(32)
+        want = np.linalg.cholesky(h)
+        for a in (garbled, np.asfortranarray(garbled), np.asfortranarray(h)):
+            assert np.array_equal(np.linalg.cholesky(a), want)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_skewed_corner(self, rng, monkeypatch, n):

@@ -5,11 +5,18 @@ exactly when `violates`.  Every verdict the package reports must agree with
 them, at the tolerance edge as well as on seeded states."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from conftest import generalized_ghz_vector, random_density_matrix, random_unit_vectors
+from conftest import (
+    generalized_ghz_vector,
+    ghz_vector,
+    random_density_matrix,
+    random_pure_state,
+    random_unit_vectors,
+)
 from entcrit.bell import (
     CorrelationTable,
     SettingsPair,
@@ -30,7 +37,13 @@ from entcrit.info import (
 from entcrit.lhv import BellBoundError, LhvModel, construct_lhv
 from entcrit.pauli import CorrelationTensor, correlation_tensor, frame_from_normals
 from entcrit.search import OptimizerOptions, SearchResult
-from entcrit.states import DensityMatrix, StateVector, from_state_vector, serialize_state
+from entcrit.states import (
+    DensityMatrix,
+    StateVector,
+    from_state_vector,
+    serialize_state,
+    validate_density_matrix,
+)
 from entcrit.werner import analyze_werner, visibility_scan, visibility_threshold
 
 FAST = OptimizerOptions(restarts=2)
@@ -403,3 +416,48 @@ class TestKnownWrongVerdicts:
         # in the x-y plane and reach 0.943 at N=3 and 0 from N=4
         tensor = correlation_tensor(from_state_vector(w_vector(n)))
         assert maximize_general_bell(tensor, OptimizerOptions(restarts=0))[0].violated
+
+
+def random_local_unitary(rng, n):
+    """A product of n Haar-random qubit unitaries, each the Q of a complex
+    Gaussian's QR with the phases of R's diagonal moved into it."""
+    qubits = []
+    for _ in range(n):
+        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        qubits.append(q * (r.diagonal() / np.abs(r.diagonal())))
+    return reduce(np.kron, qubits)
+
+
+class TestLocalRotationCovariance:
+    """The information criterion maximizes over all local planes, so its
+    ceiling, its value and its verdict do not change under local unitaries.
+    Seeded random ones are applied to rho, not to the tensor, and the
+    pipeline runs on the rotated matrix (ROADMAP item 25; the Bell search is
+    not covariant at restarts 0, which is item 4's)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: from_state_vector(ghz_vector(3)),
+            lambda rng: from_state_vector(ghz_vector(4)),
+            lambda rng: from_state_vector(ghz_vector(5)),
+            lambda rng: from_state_vector(w_vector(3)),
+            lambda rng: random_pure_state(rng, 3),
+            lambda rng: random_density_matrix(rng, 3),
+        ],
+        ids=["ghz3", "ghz4", "ghz5", "w3", "generic_pure3", "generic_mixed3"],
+    )
+    def test_info_is_covariant(self, rng, build):
+        dm = build(rng)
+        n = dm.n_qubits
+        tensor = correlation_tensor(dm)
+        want = maximize_corr_info(tensor)
+        for _ in range(2):
+            u = random_local_unitary(rng, n)
+            rotated = DensityMatrix(n, u @ dm.matrix @ u.conj().T)
+            assert validate_density_matrix(rotated) == []
+            t = correlation_tensor(rotated)
+            assert info_upper_bound(t) == pytest.approx(info_upper_bound(tensor), abs=1e-12, rel=0)
+            got = maximize_corr_info(t)
+            assert got.max_total == pytest.approx(want.max_total, abs=1e-9, rel=0)
+            assert got.entangled_by_info_criterion == want.entangled_by_info_criterion
