@@ -192,19 +192,18 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
 
     Each qubit's row and column indices are paired into one axis of length
     4, which one real product maps to the Pauli index: _TRACE_REAL, the
-    trace rows without the y row's i, on the real and the imaginary part of
-    the matrix's float view alike.  The i's come back as the phase i^k(x),
-    k(x) the number of y indices of x, applied once at the end; it only
-    swaps the parts and negates, and negation commutes with rounding, so the
-    tensor is the complex chain's bit for bit, up to the sign of an exact
-    zero, which the final + 0.0 makes +0.0 as in the complex chain.
-
-    A matrix stored float64, one whose imaginary parts are all zero, carries
-    its one part: the transform of an imaginary part that is all +-0 is +-0,
-    whose only trace in the complex chain's result is a zero's sign, so the
-    tensor is the same bit for bit, inf and nan included.  An entry that
-    overflows raises no warning here: CorrelationTensor refuses the inf or
-    nan it leaves.
+    trace rows without the y row's i, on each part of the matrix's float
+    view alike.  The i's come back once, at the end, by one rule for both
+    parts: part q (0 real, 1 imaginary) enters with the phase i^(k+q), k(x)
+    the number of y indices of x, so the imaginary part enters a quarter
+    turn after the real part (_write_phased).  A phase only picks a part
+    and negates, and negation commutes with rounding, so the tensor is the
+    complex chain's bit for bit, up to the sign of an exact zero, which the
+    sum with 0.0 makes +0.0 as in the complex chain.  A matrix stored
+    float64, one whose imaginary parts are all zero, carries the q = 0
+    term alone: the q = 1 term would be +-0, and 0.0 +- t + (+-0) is
+    0.0 +- t.  An entry that overflows raises no warning here:
+    CorrelationTensor refuses the inf or nan it leaves.
 
     The qubits go in order, in groups of at most _GROUP, one pass over the
     matrix per group (_group_pass).
@@ -300,32 +299,27 @@ def _pass_plan(n: int, a: int, b: int, parts: int, chunk: int) -> tuple:
     return src_shape, pair, out_shape, min(chunk, parts * 4**n), d, chunks
 
 
-def _write_phased(parts, j, turn_re, turn_im, dest):
-    """dest = Re(i^k (u + i v)) for the parts (u, v) of block j of T, or for
-    its real part u alone, whose rows share their leading indices: i^k =
-    i^c i^p with c the y count of j's base-4 digits and p the pattern over
-    the trailing indices, Re(i^p (u + i v)) = turn_re u + turn_im v.  The
-    parts are overwritten.
+def _write_phased(parts, j, turn_re, turn_im, dest, q=0):
+    """dest = Re(i^k z) for block j of T, whose rows share their leading
+    indices, z = u + i v from its parts (u, v), or z = u from its real part
+    alone: i^k = i^c i^p with c the y count of j's base-4 digits and p the
+    pattern over the trailing indices.  The parts are overwritten.
 
-    Each product is exact, as turn_re and turn_im are 0 or +-1, and the sum
-    is the one nonzero term; i^c swaps the parts for odd c and negates for
-    c = 1, 2 mod 4.  0.0 + t and 0.0 - t make a zero of either sign +0.0.
-    With u alone, Re(i^c i^p u) is u times turn_re (even c) or turn_im (odd
-    c), negated for c = 2, 3 mod 4: the same floats, since the dropped term
-    of the sum is +-0.  The zero turns still multiply u, so that an inf in u
-    gives nan where it does with both parts."""
+    One rule for every part: part q (0 real, 1 imaginary) enters with the
+    phase i^(k+q), and Re(i^(c+q) i^p w) is w times turn_re = Re i^p for
+    even c+q or turn_im = Re i^(p+1) for odd c+q, negated for c+q = 2, 3
+    mod 4.  Part 0 is added to 0.0, and each next part to dest.  Each
+    product is exact, as the turns are 0 or +-1, and of an entry's two
+    terms one is a zero turn's, so each sum is exact: the nonzero term, or
+    +0.0 for two zeros.  The zero turns still multiply, so an inf gives nan
+    wherever a zero turn meets it, whatever the storage."""
     # the base-4 digits of j that are 2 (bit pairs 10); j < 4^MAX_QUBITS
-    c = (j >> 1 & ~j & 0x555555).bit_count()
-    if len(parts) == 1:
-        u = parts[0]
-        u *= turn_im if c % 2 else turn_re
-        (np.subtract if c % 4 >= 2 else np.add)(0.0, u, out=dest)
-        return
-    u, v = parts if c % 2 == 0 else parts[::-1]
-    u *= turn_re
-    v *= turn_im
-    (np.subtract if c % 2 else np.add)(u, v, out=u)
-    (np.subtract if c % 4 in (1, 2) else np.add)(0.0, u, out=dest)
+    c = (j >> 1 & ~j & 0x555555).bit_count() + q
+    w = parts[q]
+    w *= turn_im if c % 2 else turn_re
+    (np.subtract if c % 4 >= 2 else np.add)(dest if q else 0.0, w, out=dest)
+    if q + 1 < len(parts):
+        _write_phased(parts, j, turn_re, turn_im, dest, q + 1)
 
 
 @lru_cache(maxsize=8)

@@ -227,6 +227,17 @@ class TestSignFunctions:
             expected = 2.0**n * abs(table.values[(1,) * n])
             assert sign_function_inequality(table, sgn) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [0.0, 0.5, -2.0, np.nan])
+    def test_values_other_than_pm_one_refused(self, bad):
+        values = np.ones((2, 2))
+        values[1, 0] = bad
+        with pytest.raises(InputError, match=r"^sign function values must be exactly \+1 or -1$"):
+            SignFunction(2, values)
+
+    def test_qubit_count_mismatch_refused(self, rng):
+        with pytest.raises(InputError, match="^sign function has 3 qubits but table has 2$"):
+            sign_function_inequality(random_table(rng, 2), SignFunction(3, np.ones((2,) * 3)))
+
     def test_bk_n2_is_chsh(self, rng):
         for _ in range(20):
             table = random_table(rng, 2)

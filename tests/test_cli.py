@@ -448,6 +448,15 @@ class TestExitCodes:
         assert err.startswith("error: cannot write")
         assert [p.name for p in tmp_path.rglob("*")] == ["a_directory"]
 
+    def test_internal_error_is_one(self, capsys, monkeypatch):
+        # any exception that is not an InputError is a fault of the program
+        def fail(args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setitem(cli._DISPATCH, "tensor", fail)
+        code, out, err = run_inprocess(capsys, "tensor", "--preset", "ghz", "--n", "2")
+        assert (code, out, err) == (1, "", "internal error: division by zero\n")
+
     def test_subprocess_entry_point(self):
         res = run_cli("tensor", "--preset", "maximally_mixed", "--n", "1")
         assert res.returncode == 0

@@ -40,6 +40,7 @@ from entcrit.pauli import (
     mode_product,
     plane_subtensor,
     rotate_frame_in_plane,
+    unit_row_pair,
 )
 from entcrit.states import (
     FIXED_QUBITS,
@@ -444,6 +445,16 @@ class TestFrames:
     def test_qubit_count_rejected(self, rows):
         with pytest.raises(InputError, match="n_qubits"):
             LocalFrame(np.tile([1.0, 0.0, 0.0], (rows, 1)), np.tile([0.0, 1.0, 0.0], (rows, 1)))
+
+    def test_wrong_angle_count_refused(self):
+        with pytest.raises(InputError, match="^expected 3 angles, got 2$"):
+            rotate_frame_in_plane(LocalFrame.canonical(3), [0.0, 0.0])
+
+    def test_row_pairs_of_two_shapes_refused(self):
+        with pytest.raises(
+            InputError, match=r"^settings must both have shape \(N, 3\), got \(2, 3\) and \(3, 3\)$"
+        ):
+            unit_row_pair(np.eye(3)[:2], np.eye(3), "settings")
 
     def test_frame_from_normals_canonical(self):
         frame = frame_from_normals([[0.0, 0.0, 1.0]])
